@@ -81,6 +81,30 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     ids = np.array([0, 0, 1, 1, 2, 2, 3, 3])
     check("batch_hard_triplet", lambda t: batch_hard_triplet(t, ids, margin=0.3), emb)
 
+    # Strided and pointwise conv geometry as the networks use it (stem,
+    # shortcut, valid windows), drawn last so the entries above keep their inputs.
+    clip = Tensor(_spread(rng, (2, 2, 7, 6)))
+    check(
+        "conv3d_weights_stem",
+        lambda t: (conv3d(clip, t, (1, 2, 2), "same") ** 2).sum(),
+        _spread(rng, (3, 2, 1, 7, 7)),
+    )
+    shortcut_w = _spread(rng, (3, 4, 1, 1, 1))
+    check("conv3d_shortcut", lambda t: (conv3d(t, Tensor(shortcut_w), (1, 2, 2), "same") ** 2).sum(), vol)
+    check(
+        "conv3d_shortcut_weights",
+        lambda t: (conv3d(Tensor(vol), t, (1, 2, 2), "same") ** 2).sum(),
+        shortcut_w,
+    )
+    valid_in = _spread(rng, (2, 5, 7, 6))
+    valid_w = _spread(rng, (3, 2, 2, 3, 2))
+    check("conv3d_valid_strided", lambda t: (conv3d(t, Tensor(valid_w), (2, 2, 3), "valid") ** 2).sum(), valid_in)
+    check(
+        "conv3d_valid_strided_weights",
+        lambda t: (conv3d(Tensor(valid_in), t, (2, 2, 3), "valid") ** 2).sum(),
+        valid_w,
+    )
+
     return results
 
 

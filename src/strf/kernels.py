@@ -4,8 +4,17 @@ A feature volume is rank-4 ``(channels, time, height, width)``; every kernel
 here also accepts a rank-5 batch ``(batch, channels, time, height, width)``
 and treats rank-4 input as a batch of one. All kernels participate in the
 autodiff tape.
+
+Convolution is im2col + GEMM: the strided windows of the padded input are
+copied once into columns of dims (n, c*kt*kh*kw, t'*h'*w'). Forward is one
+GEMM (weight matrix x columns). Backward reuses the columns: dW is one GEMM
+(grad x columns^T, summed over the batch) and dX is one GEMM (weight^T x grad)
+whose per-tap blocks are added back onto the padded grid (col2im). The
+pointwise channel mix is the 1x1x1 case of the same path.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,12 +53,24 @@ def _window_view(padded: np.ndarray, kernel: Triple, stride: Triple) -> np.ndarr
     return win[:, :, :: stride[0], :: stride[1], :: stride[2]]
 
 
+def _scatter_windows(taps: np.ndarray, shape, stride: Triple) -> np.ndarray:
+    """Adjoint of ``_window_view``: add per-tap blocks onto a zero padded grid.
+
+    ``taps`` has dims (n, c, kt, kh, kw, t', h', w'); tap (dt, dh, dw) of output
+    site (i, j, k) lands on padded site (i*st + dt, j*sh + dh, k*sw + dw).
+    """
+    grid = np.zeros(shape, dtype=taps.dtype)
+    for tap in np.ndindex(*taps.shape[2:5]):
+        window = tuple(slice(d, d + o * s, s) for d, o, s in zip(tap, taps.shape[5:], stride))
+        grid[(...,) + window] += taps[(slice(None), slice(None)) + tap]
+    return grid
+
+
 def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tensor:
     vol, squeeze = _as_batched(x)
     data = vol.data
     n, c, t, h, w = data.shape
     pads = [_same_padding(e, k, s) for e, k, s in zip((t, h, w), kernel, stride)]
-    out_sizes = tuple(p[0] for p in pads)
     pad_spec = ((0, 0), (0, 0)) + tuple((p[1], p[2]) for p in pads)
 
     if mode == "max":
@@ -89,19 +110,9 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
         def grad_fn(g: np.ndarray) -> None:
             if not vol.requires_grad:
                 return
-            gpad = np.zeros_like(padded)
-            gdiv = g / counts
-            for dt in range(kernel[0]):
-                for dh in range(kernel[1]):
-                    for dw in range(kernel[2]):
-                        gpad[
-                            :,
-                            :,
-                            dt : dt + out_sizes[0] * stride[0] : stride[0],
-                            dh : dh + out_sizes[1] * stride[1] : stride[1],
-                            dw : dw + out_sizes[2] * stride[2] : stride[2],
-                        ] += gdiv
-            vol._accumulate(_crop(gpad, pads, (t, h, w)))
+            gdiv = (g / counts)[:, :, None, None, None]
+            taps = np.broadcast_to(gdiv, (n, c) + kernel + out_data.shape[2:])
+            vol._accumulate(_crop(_scatter_windows(taps, padded.shape, stride), pads, (t, h, w)))
 
     else:
         raise ConfigError(f"pool mode must be 'max' or 'avg', got {mode!r}")
@@ -155,23 +166,9 @@ def strided_max_pool3d(x: Tensor, kernel, stride) -> Tensor:
 def conv_channel_mix(x: Tensor, weight: Tensor) -> Tensor:
     """Pointwise (1x1x1) convolution: an independent linear map over channels
     at every spatio-temporal site. ``weight`` has dims (out_channels, in_channels)."""
-    vol, squeeze = _as_batched(x)
     if weight.ndim != 2:
         raise ShapeError(f"channel mix weight must be a matrix, got dims {weight.dims}")
-    if weight.dims[1] != vol.dims[1]:
-        raise ShapeError(
-            f"channel mix weight dims {weight.dims} do not match input channels in {vol.dims}"
-        )
-    out_data = np.einsum("oc,ncthw->nothw", weight.data, vol.data, optimize=True)
-
-    def grad_fn(g: np.ndarray) -> None:
-        if vol.requires_grad:
-            vol._accumulate(np.einsum("oc,nothw->ncthw", weight.data, g, optimize=True))
-        if weight.requires_grad:
-            weight._accumulate(np.einsum("nothw,ncthw->oc", g, vol.data, optimize=True))
-
-    out = Tensor._make(out_data.astype(vol.data.dtype, copy=False), [vol, weight], grad_fn)
-    return out.reshape(out.dims[1:]) if squeeze else out
+    return _conv(x, weight, (1, 1, 1), (1, 1, 1), "same")
 
 
 def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1), padding: str = "same") -> Tensor:
@@ -181,13 +178,18 @@ def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1), padding: str = "same") -
     is "same" (zero padding, output extent = ceil(input / stride)) or "valid"
     (no padding, kernel must fit).
     """
-    vol, squeeze = _as_batched(x)
     if weight.ndim != 5:
         raise ShapeError(f"conv weight must be rank-5, got dims {weight.dims}")
+    return _conv(x, weight, weight.dims[2:], _check_triple(stride, "conv stride"), padding)
+
+
+def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple, padding: str) -> Tensor:
+    """im2col + GEMM. ``weight`` is (out_channels, in_channels, ...) with the
+    kernel taps, if any, in its trailing dims; it is used as an
+    (out_channels, in_channels * taps) matrix."""
+    vol, squeeze = _as_batched(x)
     if weight.dims[1] != vol.dims[1]:
         raise ShapeError(f"conv weight dims {weight.dims} do not match input channels in {vol.dims}")
-    stride = _check_triple(stride, "conv stride")
-    kernel: Triple = weight.dims[2:]
 
     data = vol.data
     sizes = data.shape[2:]
@@ -203,31 +205,24 @@ def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1), padding: str = "same") -
     else:
         raise ConfigError(f"conv padding must be 'same' or 'valid', got {padding!r}")
 
+    n, c = data.shape[:2]
     out_sizes = tuple(p[0] for p in pads)
     pad_spec = ((0, 0), (0, 0)) + tuple((p[1], p[2]) for p in pads)
-    padded = np.pad(data, pad_spec)
-    win = _window_view(padded, kernel, stride)
-    out_data = np.einsum("ncthwijk,ocijk->nothw", win, weight.data, optimize=True)
+    padded = np.pad(data, pad_spec) if any(map(any, pad_spec)) else data
+    # (n, c, t', h', w', kt, kh, kw) -> columns (n, c * kt*kh*kw, t'*h'*w')
+    win = _window_view(padded, kernel, stride).transpose(0, 1, 5, 6, 7, 2, 3, 4)
+    cols = np.ascontiguousarray(win).reshape(n, -1, math.prod(out_sizes))
+    w_mat = weight.data.reshape(weight.dims[0], -1)
+    out_data = np.matmul(w_mat, cols).reshape((n, -1) + out_sizes)
 
     def grad_fn(g: np.ndarray) -> None:
+        g_mat = g.reshape(n, w_mat.shape[0], -1)
         if weight.requires_grad:
-            weight._accumulate(np.einsum("nothw,ncthwijk->ocijk", g, win, optimize=True))
+            d_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0)
+            weight._accumulate(d_w.reshape(weight.dims))
         if vol.requires_grad:
-            gpad = np.zeros_like(padded)
-            for dt in range(kernel[0]):
-                for dh in range(kernel[1]):
-                    for dw in range(kernel[2]):
-                        contrib = np.einsum(
-                            "nothw,oc->ncthw", g, weight.data[:, :, dt, dh, dw], optimize=True
-                        )
-                        gpad[
-                            :,
-                            :,
-                            dt : dt + out_sizes[0] * stride[0] : stride[0],
-                            dh : dh + out_sizes[1] * stride[1] : stride[1],
-                            dw : dw + out_sizes[2] * stride[2] : stride[2],
-                        ] += contrib
-            vol._accumulate(_crop(gpad, pads, sizes))
+            taps = np.matmul(w_mat.T, g_mat).reshape((n, c) + kernel + out_sizes)
+            vol._accumulate(_crop(_scatter_windows(taps, padded.shape, stride), pads, sizes))
 
     out = Tensor._make(out_data.astype(data.dtype, copy=False), [vol, weight], grad_fn)
     return out.reshape(out.dims[1:]) if squeeze else out

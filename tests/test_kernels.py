@@ -161,6 +161,53 @@ def test_conv3d_batched_matches_per_item(rng):
         assert np.allclose(batched[i], single, atol=1e-12)
 
 
+def test_conv3d_float32_reruns_are_bit_identical():
+    g = np.random.Generator(np.random.PCG64(11))
+    x = g.normal(size=(4, 16, 4, 16, 8)).astype(np.float32)
+    w = g.normal(size=(32, 16, 1, 3, 3)).astype(np.float32)
+    upstream = g.normal(size=(4, 32, 4, 8, 4)).astype(np.float32)
+
+    def run():
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv3d(xt, wt, (1, 2, 2), "same")
+        (out * Tensor(upstream)).sum().backward()
+        return out.data, xt.grad, wt.grad
+
+    for first, second in zip(run(), run()):
+        assert first.dtype == np.float32
+        assert np.array_equal(first, second)
+
+
+@st.composite
+def conv_cases(draw):
+    padding = draw(st.sampled_from(["same", "valid"]))
+    kernel = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    stride = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    low = kernel if padding == "valid" else (1, 1, 1)
+    sizes = tuple(draw(st.integers(k, 5)) for k in low)
+    dims = (draw(st.integers(1, 2)), draw(st.integers(1, 3))) + sizes
+    return dims, draw(st.integers(1, 3)), kernel, stride, padding, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conv_cases())
+def test_property_conv3d_matches_oracle_and_adjoint(case):
+    dims, c_out, kernel, stride, padding, seed = case
+    g = np.random.Generator(np.random.PCG64(seed))
+    x = g.normal(size=dims)
+    w = g.normal(size=(c_out, dims[1]) + kernel)
+    xt, wt = vol(x), Tensor(w, requires_grad=True)
+    out = conv3d(xt, wt, stride, padding)
+    for i in range(dims[0]):
+        assert np.allclose(out.data[i], conv3d_loops(x[i], w, stride, padding), atol=1e-10)
+    # the map is bilinear, so <conv(x, w), s> = <x, dX> = <w, dW> for any seed s
+    s = g.normal(size=out.dims)
+    (out * Tensor(s)).sum().backward()
+    pairing = float(np.sum(out.data * s))
+    assert np.isclose(np.sum(x * xt.grad), pairing, rtol=1e-10, atol=1e-10)
+    assert np.isclose(np.sum(w * wt.grad), pairing, rtol=1e-10, atol=1e-10)
+
+
 def test_strided_max_pool_stem_geometry(rng):
     x = rng.normal(size=(2, 8, 64, 32))
     out = strided_max_pool3d(vol(x), (1, 3, 3), (1, 2, 2)).data
