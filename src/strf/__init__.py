@@ -20,7 +20,6 @@ from .gradcheck import grad_check
 from .kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
 from .factorize import (
     StrfConfig,
-    StrfParams,
     fam_mask,
     ffm_apply,
     ffm_branch,
@@ -32,7 +31,6 @@ from .backbone import (
     Network,
     NetworkSpec,
     attention_export,
-    build_network,
     count_params,
     forward_features,
     resnet50_spec,
@@ -63,14 +61,12 @@ __all__ = [
     "ShapeError",
     "StrfConfig",
     "StrfError",
-    "StrfParams",
     "SynthSpec",
     "Tensor",
     "Tracklet",
     "attention_export",
     "backward",
     "batch_hard_triplet",
-    "build_network",
     "conv3d",
     "conv_channel_mix",
     "cosine_distance",

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, no_grad, relu, sqrt as tensor_sqrt, transpose, matmul
 from .kernels import conv3d, strided_max_pool3d
-from .factorize import StrfConfig, StrfParams, init_strf_params, strf_forward
+from .factorize import StrfConfig, init_strf_params, strf_forward
 
 BLOCK_VARIANTS = ("c2d", "i3d", "p3d-a", "p3d-b", "p3d-c")
 
@@ -120,7 +120,7 @@ class Bottleneck:
         self.bn1 = _register_bn(registry, f"{prefix}.bn1", BatchNorm3dLayer(mid, dtype))
         reg_p(f"{prefix}.conv1.w", self.conv1.weight)
 
-        self.strf_params: StrfParams | None = None
+        self.strf_params: dict[tuple[str, str], Tensor] | None = None
         if spec.variant == "c2d":
             self.conv2 = Conv3dLayer(mid, mid, (1, 3, 3), (1, s, s), rng, dtype)
             self.bn2 = _register_bn(registry, f"{prefix}.bn2", BatchNorm3dLayer(mid, dtype))
@@ -216,8 +216,6 @@ class StageSpec:
     def __post_init__(self):
         if self.blocks < 1:
             raise ConfigError(f"a stage needs at least one block, got {self.blocks}")
-        if self.variant not in BLOCK_VARIANTS:
-            raise ConfigError(f"stage variant must be one of {BLOCK_VARIANTS}, got {self.variant!r}")
         if self.strf and self.variant == "c2d":
             raise ConfigError("attention units require a temporal conv; pick a p3d or i3d variant")
 
@@ -262,6 +260,12 @@ def resnet50_spec(
     """The standard 50-layer layout, optionally width-divided for desk-scale
     runs. ``variant_stages`` pick which stages use the 3-d block flavor
     (1-based); attention goes to ``strf_stages``, which must be a subset."""
+    if variant not in BLOCK_VARIANTS:
+        raise ConfigError(f"variant must be one of {BLOCK_VARIANTS}, got {variant!r}")
+    if width_div < 1:
+        raise ConfigError(f"width divisor must be >= 1, got {width_div}")
+    if len(blocks) != 4:
+        raise ConfigError(f"blocks must list 4 stage depths, got {blocks}")
     widths = (256, 512, 1024, 2048)
     for width in widths + (64,):
         if width % (width_div * 4) != 0:
@@ -354,8 +358,8 @@ class Network:
         """Run clips (batch, 3, time, height, width) through the network.
         Returns (features, logits). Stage outputs listed in ``capture``
         (1-based) are stored in ``self.captured`` as plain arrays."""
-        if clips.ndim != 5 or clips.dims[1] != 3:
-            raise ShapeError(f"expected clips of dims (n, 3, t, h, w), got {clips.dims}")
+        if clips.ndim != 5 or clips.shape[1] != 3:
+            raise ShapeError(f"expected clips of dims (n, 3, t, h, w), got {clips.shape}")
         self.captured = {}
         x = relu(self.stem_bn(self.stem_conv(clips), self.training))
         x = strided_max_pool3d(x, (1, 3, 3), (1, 2, 2))
@@ -367,10 +371,6 @@ class Network:
         features = x.mean(axis=(3, 4)).mean(axis=2)
         logits = self.classifier(features)
         return features, logits
-
-
-def build_network(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:
-    return Network(spec, seed, dtype)
 
 
 def forward_features(net: Network, clips) -> np.ndarray:
@@ -389,7 +389,7 @@ def forward_features(net: Network, clips) -> np.ndarray:
 def count_params(net: Network) -> tuple[list[tuple[str, tuple[int, ...], int]], int]:
     """Per-parameter rows (name, dims, count) plus the learnable total.
     Batch-norm running statistics are buffers and are excluded."""
-    rows = [(name, tensor.dims, tensor.size) for name, tensor in net.named_params()]
+    rows = [(name, tensor.shape, tensor.size) for name, tensor in net.named_params()]
     return rows, sum(count for _, _, count in rows)
 
 

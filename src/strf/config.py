@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .factorize import BRANCH_ORDER, INTEGRATIONS, POOL_MODES, StrfConfig
-from .backbone import BLOCK_VARIANTS, NetworkSpec, resnet50_spec
-from .synthdata import PAIRINGS, SynthSpec
+from .factorize import BRANCH_ORDER, StrfConfig
+from .backbone import NetworkSpec, resnet50_spec
+from .synthdata import SynthSpec
 
 
 @dataclass(frozen=True)
@@ -87,57 +87,30 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
+def _tuple_of(cast):
+    def parse(text: str) -> tuple:
+        text = text.strip()
+        return tuple(cast(part.strip()) for part in text.split(",")) if text else ()
 
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part.strip()) for part in text.split(","))
-
-
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(part.strip()) for part in text.split(","))
-
-
-def _parse_str_tuple(text: str) -> tuple[str, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(part.strip() for part in text.split(","))
+    return parse
 
 
 _SECTION_TYPES = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig, "eval": EvalConfig}
 
 # annotations are strings here (future import), so the schema keys are too
 _PARSERS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "str": _parse_str,
-    "tuple[int, ...]": _parse_int_tuple,
-    "tuple[float, ...]": _parse_float_tuple,
-    "tuple[str, ...]": _parse_str_tuple,
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _tuple_of(int),
+    "tuple[float, ...]": _tuple_of(float),
+    "tuple[str, ...]": _tuple_of(str),
 }
 
 
 def _field_parser(section_cls, key: str):
-    for f in fields(section_cls):
-        if f.name == key:
-            return _PARSERS.get(f.type, None)
-    return None
+    types = {f.name: f.type for f in fields(section_cls)}
+    return _PARSERS.get(types.get(key))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -165,12 +138,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             sections[current][key] = parser(value)
         except ValueError:
             raise ConfigError(f"{source}:{line_no}: cannot parse value {value!r} for {key!r}") from None
-    cfg = RunConfig(
-        model=ModelConfig(**sections["model"]),
-        train=TrainConfig(**sections["train"]),
-        data=DataConfig(**sections["data"]),
-        eval=EvalConfig(**sections["eval"]),
-    )
+    cfg = RunConfig(**{name: cls(**sections[name]) for name, cls in _SECTION_TYPES.items()})
     validate_config(cfg)
     return cfg
 
@@ -214,15 +182,13 @@ def strf_config_from(model: ModelConfig) -> StrfConfig:
 
 
 def network_spec_from(model: ModelConfig, classes: int | None = None) -> NetworkSpec:
-    if len(model.blocks) != 4:
-        raise ConfigError(f"blocks must list 4 stage depths, got {model.blocks}")
     return resnet50_spec(
         classes=classes if classes is not None else model.classes,
         variant=model.variant,
         strf_stages=model.strf_stages,
         variant_stages=model.variant_stages,
         width_div=model.width_div,
-        blocks=tuple(model.blocks),
+        blocks=model.blocks,
         strf_cfg=strf_config_from(model),
     )
 
@@ -244,20 +210,16 @@ def synth_spec_from(data: DataConfig) -> SynthSpec:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    model, train, data = cfg.model, cfg.train, cfg.data
-    if model.variant not in BLOCK_VARIANTS:
-        raise ConfigError(f"variant must be one of {BLOCK_VARIANTS}, got {model.variant!r}")
-    if model.pool_fine not in POOL_MODES or model.pool_coarse not in POOL_MODES:
-        raise ConfigError(f"pool kinds must be in {POOL_MODES}")
-    if model.integration not in INTEGRATIONS:
-        raise ConfigError(f"integration must be one of {INTEGRATIONS}, got {model.integration!r}")
-    if data.synth_pairing not in PAIRINGS:
-        raise ConfigError(f"synth_pairing must be one of {PAIRINGS}, got {data.synth_pairing!r}")
-    branches_from_tokens(model.branches)
+    """Check the settings no spec owns, then build the network and synth
+    specs, which check the rest."""
+    train, ev = cfg.train, cfg.eval
     for name, value in (
         ("lr", train.lr),
         ("weight_decay", train.weight_decay),
         ("margin", train.margin),
+        ("steps_per_epoch", train.steps_per_epoch),
+        ("max_steps", train.max_steps),
+        ("checkpoint_every", train.checkpoint_every),
     ):
         if value < 0:
             raise ConfigError(f"{name} must be >= 0, got {value}")
@@ -267,15 +229,19 @@ def validate_config(cfg: RunConfig) -> None:
         ("batch_k", train.batch_k),
         ("clip_len", train.clip_len),
         ("clip_stride", train.clip_stride),
+        ("log_every", train.log_every),
+        ("max_rank", ev.max_rank),
+        ("batch_size", ev.batch_size),
+        *(("ranks entry", k) for k in ev.ranks),
     ):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
     if not 0.0 <= train.flip_prob <= 1.0 or not 0.0 <= train.erase_prob <= 1.0:
         raise ConfigError("flip_prob and erase_prob must lie in [0, 1]")
-    if len(data.norm_mean) != 3 or len(data.norm_std) != 3:
+    if len(cfg.data.norm_mean) != 3 or len(cfg.data.norm_std) != 3:
         raise ConfigError("norm_mean and norm_std must have 3 channel entries")
-    if cfg.eval.max_rank < 1:
-        raise ConfigError(f"max_rank must be >= 1, got {cfg.eval.max_rank}")
+    network_spec_from(cfg.model)
+    synth_spec_from(cfg.data)
 
 
 def with_overrides(cfg: RunConfig, **section_updates) -> RunConfig:

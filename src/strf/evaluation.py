@@ -120,6 +120,8 @@ class RetrievalResult:
     skipped: int
 
     def rank_k(self, k: int) -> float:
+        if k < 1:
+            raise ContractError(f"rank k must be >= 1, got {k}")
         return float(self.cmc[k - 1])
 
 

@@ -84,9 +84,9 @@ class StrfConfig:
     branches: tuple[tuple[str, str], ...] = field(default=BRANCH_ORDER)
 
     def __post_init__(self):
-        for r, label in ((self.r_fine, "r_fine"), (self.r_coarse, "r_coarse")):
-            if r < 1 or r % 2 == 0:
-                raise ConfigError(f"{label} must be odd and positive, got {r}")
+        # each branch config checks its own resolution, pool, reduction and temperature
+        FamConfig("temporal", self.r_fine, self.pool_fine, self.reduction, self.temperature)
+        FamConfig("temporal", self.r_coarse, self.pool_coarse, self.reduction, self.temperature)
         if self.r_coarse < self.r_fine:
             raise ConfigError(
                 f"coarse resolution {self.r_coarse} may not be finer than fine resolution {self.r_fine}"
@@ -97,9 +97,6 @@ class StrfConfig:
         if not ordered or len(ordered) != len(set(self.branches)):
             raise ConfigError(f"branches must be a non-empty subset of {BRANCH_ORDER}, got {self.branches}")
         object.__setattr__(self, "branches", ordered)
-        # delegate the rest of the validation
-        FamConfig("temporal", self.r_fine, self.pool_fine, self.reduction, self.temperature)
-        FamConfig("temporal", self.r_coarse, self.pool_coarse, self.reduction, self.temperature)
 
     def branch_config(self, dimension: str, kind: str) -> FamConfig:
         if kind not in KINDS:
@@ -112,50 +109,23 @@ class StrfConfig:
         return tuple(k for d, k in self.branches if d == dimension)
 
 
-class StrfParams:
-    """The per-branch channel-reduction weights of one unit, kept in the
-    canonical branch order (temporal/fine, temporal/coarse, spatial/fine,
-    spatial/coarse) for serialization."""
-
-    def __init__(self, weights: dict[tuple[str, str], Tensor]):
-        for key in weights:
-            if key not in BRANCH_ORDER:
-                raise ConfigError(f"unknown branch {key}, expected one of {BRANCH_ORDER}")
-        self._weights = {key: weights[key] for key in BRANCH_ORDER if key in weights}
-
-    def weight(self, dimension: str, kind: str) -> Tensor:
-        return self._weights[(dimension, kind)]
-
-    def items(self):
-        return tuple(self._weights.items())
-
-    def tensors(self) -> tuple[Tensor, ...]:
-        return tuple(self._weights.values())
-
-    def count(self) -> int:
-        return sum(w.size for w in self._weights.values())
-
-
-def effective_reduction(channels: int, reduction: int) -> int:
-    return min(reduction, channels)
-
-
 def reduced_channels(channels: int, reduction: int) -> int:
-    return channels // effective_reduction(channels, reduction)
+    return channels // min(reduction, channels)
 
 
 def init_strf_params(
     channels: int, cfg: StrfConfig, rng: np.random.Generator, dtype=np.float32
-) -> StrfParams:
+) -> dict[tuple[str, str], Tensor]:
     """Draw the reduction weights for every active branch, uniform in
-    +-sqrt(1/channels), in canonical branch order."""
+    +-sqrt(1/channels), keyed by (dimension, kind) in canonical branch order
+    (the order checkpoints store them in)."""
     bound = float(np.sqrt(1.0 / channels))
     rows = reduced_channels(channels, cfg.reduction)
     weights = {}
     for branch in cfg.branches:
         data = rng.uniform(-bound, bound, size=(rows, channels)).astype(dtype)
         weights[branch] = Tensor(data, requires_grad=True)
-    return StrfParams(weights)
+    return weights
 
 
 def strf_param_count(channels: int, reduction: int = 16, n_branches: int = 4) -> int:
@@ -168,16 +138,12 @@ def reshape_to_matrix(f: Tensor) -> Tensor:
     """Flatten a feature volume to (channels*time) x (height*width); batched
     input gains a leading batch axis."""
     if f.ndim == 4:
-        c, t, h, w = f.dims
+        c, t, h, w = f.shape
         return f.reshape((c * t, h * w))
     if f.ndim == 5:
-        n, c, t, h, w = f.dims
+        n, c, t, h, w = f.shape
         return f.reshape((n, c * t, h * w))
-    raise ShapeError(f"expected a rank-4 or rank-5 feature volume, got dims {f.dims}")
-
-
-def matrix_to_volume(m: Tensor, dims: tuple[int, ...]) -> Tensor:
-    return m.reshape(dims)
+    raise ShapeError(f"expected a rank-4 or rank-5 feature volume, got dims {f.shape}")
 
 
 def fam_mask(f: Tensor, cfg: FamConfig, weight: Tensor) -> Tensor:
@@ -188,10 +154,10 @@ def fam_mask(f: Tensor, cfg: FamConfig, weight: Tensor) -> Tensor:
     (reduced_channels, channels) matrix.
     """
     if f.ndim not in (4, 5):
-        raise ShapeError(f"expected a rank-4 or rank-5 feature volume, got dims {f.dims}")
-    channels = f.dims[-4]
-    if weight.ndim != 2 or weight.dims[1] != channels:
-        raise ShapeError(f"reduction weight dims {weight.dims} do not match input dims {f.dims}")
+        raise ShapeError(f"expected a rank-4 or rank-5 feature volume, got dims {f.shape}")
+    channels = f.shape[-4]
+    if weight.ndim != 2 or weight.shape[1] != channels:
+        raise ShapeError(f"reduction weight dims {weight.shape} do not match input dims {f.shape}")
     reduced = conv_channel_mix(f, weight)
     pooled = pool3d(reduced, cfg.kernel, cfg.pool)
     flat = reshape_to_matrix(pooled)
@@ -204,15 +170,15 @@ def ffm_apply(f: Tensor, mask: Tensor) -> Tensor:
     """Mix the spatial sites of ``f`` with an attention mask: flatten, right-
     multiply by the mask, restore the volume layout."""
     flat = reshape_to_matrix(f)
-    sites = flat.dims[-1]
-    if mask.dims[-1] != sites or mask.dims[-2] != sites:
-        raise ShapeError(f"mask dims {mask.dims} do not cover the {sites} spatial sites of input dims {f.dims}")
+    sites = flat.shape[-1]
+    if mask.shape[-1] != sites or mask.shape[-2] != sites:
+        raise ShapeError(f"mask dims {mask.shape} do not cover the {sites} spatial sites of input dims {f.shape}")
     if flat.ndim != mask.ndim:
-        raise ShapeError(f"mask dims {mask.dims} do not match the batching of input dims {f.dims}")
-    return matrix_to_volume(matmul(flat, mask), f.dims)
+        raise ShapeError(f"mask dims {mask.shape} do not match the batching of input dims {f.shape}")
+    return matmul(flat, mask).reshape(f.shape)
 
 
-def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: StrfParams) -> Tensor:
+def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: dict[tuple[str, str], Tensor]) -> Tensor:
     """Sum of the active fine/coarse attention outputs along one dimension.
     With no active branch for the dimension, the input passes through."""
     if dimension not in DIMENSIONS:
@@ -223,13 +189,13 @@ def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: StrfParams) -
     out: Tensor | None = None
     for kind in kinds:
         branch_cfg = cfg.branch_config(dimension, kind)
-        mask = fam_mask(f, branch_cfg, params.weight(dimension, kind))
+        mask = fam_mask(f, branch_cfg, params[(dimension, kind)])
         applied = ffm_apply(f, mask)
         out = applied if out is None else out + applied
     return out
 
 
-def strf_forward(f: Tensor, cfg: StrfConfig, params: StrfParams) -> Tensor:
+def strf_forward(f: Tensor, cfg: StrfConfig, params: dict[tuple[str, str], Tensor]) -> Tensor:
     """Run the whole unit: both dimension modules, integrated per config.
 
     Cascade modes feed one module's output to the other; parallel sums the

@@ -23,7 +23,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: np.ndarray, eps: float = 1e-5) 
     leaf = Tensor(x.copy(), requires_grad=True)
     out = f(leaf)
     if out.data.size != 1:
-        raise ContractError(f"grad_check needs a scalar-valued map, got output dims {out.dims}")
+        raise ContractError(f"grad_check needs a scalar-valued map, got output dims {out.shape}")
     out.backward()
     analytic = leaf.grad.copy() if leaf.grad is not None else np.zeros_like(x)
 

@@ -12,7 +12,7 @@ import numpy as np
 from .tensor import Tensor, matmul, softmax_rows
 from .kernels import conv3d, conv_channel_mix, pool3d
 from .gradcheck import grad_check
-from .factorize import StrfConfig, StrfParams, init_strf_params, strf_forward
+from .factorize import StrfConfig, init_strf_params, strf_forward
 from .backbone import BlockSpec, build_block
 from .losses import batch_hard_triplet, cross_entropy
 
@@ -61,10 +61,8 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     check("strf_forward_input", lambda t: (strf_forward(t, cfg, params) ** 2).sum(), unit_in)
     fixed_in = Tensor(unit_in)
     for (dimension, kind), weight in params.items():
-        def weight_map(t, _d=dimension, _k=kind):
-            swapped = dict(params.items())
-            swapped[(_d, _k)] = t
-            return (strf_forward(fixed_in, cfg, StrfParams(swapped)) ** 2).sum()
+        def weight_map(t, _branch=(dimension, kind)):
+            return (strf_forward(fixed_in, cfg, {**params, _branch: t}) ** 2).sum()
 
         check(f"strf_weight_{dimension}_{kind}", weight_map, weight.data.copy())
 

@@ -29,8 +29,8 @@ def _as_batched(x: Tensor) -> tuple[Tensor, bool]:
     if x.ndim == 5:
         return x, False
     if x.ndim == 4:
-        return x.reshape((1,) + x.dims), True
-    raise ShapeError(f"expected a rank-4 or rank-5 feature volume, got dims {x.dims}")
+        return x.reshape((1,) + x.shape), True
+    raise ShapeError(f"expected a rank-4 or rank-5 feature volume, got dims {x.shape}")
 
 
 def _check_triple(value, name: str) -> Triple:
@@ -118,7 +118,7 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
         raise ConfigError(f"pool mode must be 'max' or 'avg', got {mode!r}")
 
     out = Tensor._make(out_data.astype(data.dtype, copy=False), [vol], grad_fn)
-    return out.reshape(out.dims[1:]) if squeeze else out
+    return out.reshape(out.shape[1:]) if squeeze else out
 
 
 def _crop(gpad: np.ndarray, pads, sizes: Triple) -> np.ndarray:
@@ -167,7 +167,7 @@ def conv_channel_mix(x: Tensor, weight: Tensor) -> Tensor:
     """Pointwise (1x1x1) convolution: an independent linear map over channels
     at every spatio-temporal site. ``weight`` has dims (out_channels, in_channels)."""
     if weight.ndim != 2:
-        raise ShapeError(f"channel mix weight must be a matrix, got dims {weight.dims}")
+        raise ShapeError(f"channel mix weight must be a matrix, got dims {weight.shape}")
     return _conv(x, weight, (1, 1, 1), (1, 1, 1), "same")
 
 
@@ -179,8 +179,8 @@ def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1), padding: str = "same") -
     (no padding, kernel must fit).
     """
     if weight.ndim != 5:
-        raise ShapeError(f"conv weight must be rank-5, got dims {weight.dims}")
-    return _conv(x, weight, weight.dims[2:], _check_triple(stride, "conv stride"), padding)
+        raise ShapeError(f"conv weight must be rank-5, got dims {weight.shape}")
+    return _conv(x, weight, weight.shape[2:], _check_triple(stride, "conv stride"), padding)
 
 
 def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple, padding: str) -> Tensor:
@@ -188,8 +188,8 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple, padding: st
     kernel taps, if any, in its trailing dims; it is used as an
     (out_channels, in_channels * taps) matrix."""
     vol, squeeze = _as_batched(x)
-    if weight.dims[1] != vol.dims[1]:
-        raise ShapeError(f"conv weight dims {weight.dims} do not match input channels in {vol.dims}")
+    if weight.shape[1] != vol.shape[1]:
+        raise ShapeError(f"conv weight dims {weight.shape} do not match input channels in {vol.shape}")
 
     data = vol.data
     sizes = data.shape[2:]
@@ -199,7 +199,7 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple, padding: st
         for e, k in zip(sizes, kernel):
             if e < k:
                 raise ShapeError(
-                    f"valid convolution needs input dims {vol.dims} to cover kernel dims {weight.dims}"
+                    f"valid convolution needs input dims {vol.shape} to cover kernel dims {weight.shape}"
                 )
         pads = [((e - k) // s + 1, 0, 0) for e, k, s in zip(sizes, kernel, stride)]
     else:
@@ -212,17 +212,17 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple, padding: st
     # (n, c, t', h', w', kt, kh, kw) -> columns (n, c * kt*kh*kw, t'*h'*w')
     win = _window_view(padded, kernel, stride).transpose(0, 1, 5, 6, 7, 2, 3, 4)
     cols = np.ascontiguousarray(win).reshape(n, -1, math.prod(out_sizes))
-    w_mat = weight.data.reshape(weight.dims[0], -1)
+    w_mat = weight.data.reshape(weight.shape[0], -1)
     out_data = np.matmul(w_mat, cols).reshape((n, -1) + out_sizes)
 
     def grad_fn(g: np.ndarray) -> None:
         g_mat = g.reshape(n, w_mat.shape[0], -1)
         if weight.requires_grad:
             d_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(d_w.reshape(weight.dims))
+            weight._accumulate(d_w.reshape(weight.shape))
         if vol.requires_grad:
             taps = np.matmul(w_mat.T, g_mat).reshape((n, c) + kernel + out_sizes)
             vol._accumulate(_crop(_scatter_windows(taps, padded.shape, stride), pads, sizes))
 
     out = Tensor._make(out_data.astype(data.dtype, copy=False), [vol, weight], grad_fn)
-    return out.reshape(out.dims[1:]) if squeeze else out
+    return out.reshape(out.shape[1:]) if squeeze else out

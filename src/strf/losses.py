@@ -19,10 +19,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     logits stay finite."""
     labels = np.asarray(labels)
     if logits.ndim != 2:
-        raise ContractError(f"logits must be (batch, classes), got dims {logits.dims}")
-    n, k = logits.dims
+        raise ContractError(f"logits must be (batch, classes), got dims {logits.shape}")
+    n, k = logits.shape
     if labels.shape != (n,):
-        raise ContractError(f"expected {n} labels for logits dims {logits.dims}, got shape {labels.shape}")
+        raise ContractError(f"expected {n} labels for logits dims {logits.shape}, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ContractError(f"labels must lie in [0, {k}), got range [{labels.min()}, {labels.max()}]")
     shift = logits.data.max(axis=1, keepdims=True)
@@ -74,10 +74,10 @@ def batch_hard_triplet(embeddings: Tensor, labels, margin: float = 0.3) -> Tenso
     """
     labels = np.asarray(labels)
     if embeddings.ndim != 2:
-        raise ContractError(f"embeddings must be (batch, dim), got dims {embeddings.dims}")
-    if labels.shape != (embeddings.dims[0],):
+        raise ContractError(f"embeddings must be (batch, dim), got dims {embeddings.shape}")
+    if labels.shape != (embeddings.shape[0],):
         raise ContractError(
-            f"expected {embeddings.dims[0]} labels for embeddings dims {embeddings.dims}, got shape {labels.shape}"
+            f"expected {embeddings.shape[0]} labels for embeddings dims {embeddings.shape}, got shape {labels.shape}"
         )
     _validate_batch_labels(labels)
 

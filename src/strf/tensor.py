@@ -78,10 +78,6 @@ class Tensor:
     # -- basic introspection -----------------------------------------------
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
@@ -101,14 +97,14 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_error()
 
     def _item_error(self):
-        raise ContractError(f"item() needs a single-element tensor, got dims {self.dims}")
+        raise ContractError(f"item() needs a single-element tensor, got dims {self.shape}")
 
     def __float__(self) -> float:
         return self.item()
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(dims={self.dims}, dtype={self.data.dtype.name}{flag})"
+        return f"Tensor(dims={self.shape}, dtype={self.data.dtype.name}{flag})"
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -124,9 +120,7 @@ class Tensor:
         """Backpropagate from a scalar. Populates ``grad`` on every reachable
         tensor that requires gradients."""
         if self.data.size != 1:
-            raise ContractError(
-                f"backward() starts from a scalar, got dims {self.dims}"
-            )
+            raise ContractError(f"backward() starts from a scalar, got dims {self.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -403,9 +397,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     matrices with identical leading (batch) dimension."""
     b = as_tensor(b)
     if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul expects two matrices or two stacked matrices, got dims {a.dims} and {b.dims}")
-    if a.dims[-1] != b.dims[-2] or (a.ndim == 3 and a.dims[0] != b.dims[0]):
-        raise ShapeError(f"matmul operand dims do not align: {a.dims} vs {b.dims}")
+        raise ShapeError(f"matmul expects two matrices or two stacked matrices, got dims {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2] or (a.ndim == 3 and a.shape[0] != b.shape[0]):
+        raise ShapeError(f"matmul operand dims do not align: {a.shape} vs {b.shape}")
     out_data = a.data @ b.data
 
     def grad_fn(g: np.ndarray) -> None:
@@ -424,7 +418,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     maximum before exponentiation keeps every intermediate finite.
     """
     if a.ndim < 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got dims {a.dims}")
+        raise ShapeError(f"softmax_rows expects a matrix, got dims {a.shape}")
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
     out_data = expd / expd.sum(axis=-1, keepdims=True)
@@ -440,7 +434,7 @@ def softmax_rows(a: Tensor) -> Tensor:
 def select_entries(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Pick ``a[rows[i], cols[i]]`` for each i, as a vector."""
     if a.ndim != 2:
-        raise ShapeError(f"select_entries expects a matrix, got dims {a.dims}")
+        raise ShapeError(f"select_entries expects a matrix, got dims {a.shape}")
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     out_data = a.data[rows, cols]

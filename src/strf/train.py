@@ -108,7 +108,7 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
             total.backward()
             opt.step(lr=lr)
             last = {"ce": values[0], "triplet": values[1], "total": values[2]}
-            if step % max(t_cfg.log_every, 1) == 0 or step == total_steps:
+            if step % t_cfg.log_every == 0 or step == total_steps:
                 log.write(f"{step},{values[0]:.6f},{values[1]:.6f},{values[2]:.6f}\n")
             if t_cfg.checkpoint_every and step % (t_cfg.checkpoint_every * steps_per_epoch) == 0:
                 save_checkpoint(net, ckpt_path)

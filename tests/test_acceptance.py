@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from strf.backbone import build_network, count_params, resnet50_spec
+from strf.backbone import Network, count_params, resnet50_spec
 from strf.cli import dispatch
 from strf.config import RunConfig, parse_config_text, synth_spec_from, with_overrides
 from strf.evaluation import evaluate
@@ -104,7 +104,7 @@ def test_mask_row_stochasticity_and_constant_laws(rng):
         resolution = (1, 3)[(trial // 2) % 2]
         pool = ("max", "avg")[(trial // 4) % 2]
         reduction = (2, 16)[(trial // 8) % 2]
-        c = f.dims[0]
+        c = f.shape[0]
         c_r = c // min(reduction, c)
         weight = Tensor(rng.normal(size=(c_r, c)))
         cfg = FamConfig(dimension=dimension, resolution=resolution, pool=pool,
@@ -202,8 +202,8 @@ def test_parameter_accounting():
                                   variant_stages=(2, 3))
     attention_spec = resnet50_spec(classes=625, variant="p3d-c", strf_stages=(2, 3),
                                    variant_stages=(2, 3))
-    _, baseline_total = count_params(build_network(baseline_spec, seed=0))
-    _, attention_total = count_params(build_network(attention_spec, seed=0))
+    _, baseline_total = count_params(Network(baseline_spec, seed=0))
+    _, attention_total = count_params(Network(attention_spec, seed=0))
 
     assert baseline_total == EXACT_BASELINE
     assert attention_total == EXACT_WITH_ATTENTION

@@ -3,10 +3,10 @@ import pytest
 
 from strf.backbone import (
     BlockSpec,
+    Network,
     attention_energy_maps,
     attention_export,
     build_block,
-    build_network,
     count_params,
     forward_features,
     resnet50_spec,
@@ -131,7 +131,7 @@ def test_block_backward_runs(variant, strf, rng):
 # -- network level -----------------------------------------------------------
 
 def test_network_forward_shapes(rng):
-    net = build_network(toy_spec(), seed=0)
+    net = Network(toy_spec(), seed=0)
     net.set_train(False)
     clips = Tensor(rng.normal(size=(2, 3, 8, 64, 32)).astype(np.float32))
     features, logits = net.forward(clips)
@@ -140,13 +140,13 @@ def test_network_forward_shapes(rng):
 
 
 def test_network_rejects_bad_rank(rng):
-    net = build_network(toy_spec(), seed=0)
+    net = Network(toy_spec(), seed=0)
     with pytest.raises(ShapeError):
         net.forward(Tensor(np.zeros((3, 8, 64, 32), dtype=np.float32)))
 
 
 def test_stage_shape_ladder(rng):
-    net = build_network(toy_spec(), seed=0)
+    net = Network(toy_spec(), seed=0)
     net.set_train(False)
     clips = Tensor(rng.normal(size=(1, 3, 4, 64, 32)).astype(np.float32))
     net.forward(clips, capture=(1, 2, 3, 4))
@@ -159,8 +159,8 @@ def test_stage_shape_ladder(rng):
 
 def test_strf_does_not_change_shapes(rng):
     clips = Tensor(rng.normal(size=(1, 3, 4, 32, 16)).astype(np.float32))
-    with_attn = build_network(toy_spec(), seed=0)
-    without = build_network(toy_spec(strf_stages=()), seed=0)
+    with_attn = Network(toy_spec(), seed=0)
+    without = Network(toy_spec(strf_stages=()), seed=0)
     for net in (with_attn, without):
         net.set_train(False)
         net.forward(clips, capture=(1, 2, 3, 4))
@@ -169,11 +169,11 @@ def test_strf_does_not_change_shapes(rng):
 
 
 def test_build_determinism():
-    a = build_network(toy_spec(), seed=11)
-    b = build_network(toy_spec(), seed=11)
+    a = Network(toy_spec(), seed=11)
+    b = Network(toy_spec(), seed=11)
     for (name, pa), (_, pb) in zip(a.named_params(), b.named_params()):
         assert np.array_equal(pa.data, pb.data), name
-    c = build_network(toy_spec(), seed=12)
+    c = Network(toy_spec(), seed=12)
     assert any(
         not np.array_equal(pa.data, pc.data)
         for (_, pa), (_, pc) in zip(a.named_params(), c.named_params())
@@ -181,7 +181,7 @@ def test_build_determinism():
 
 
 def test_eval_forward_is_pure(rng):
-    net = build_network(toy_spec(), seed=4)
+    net = Network(toy_spec(), seed=4)
     clips = rng.normal(size=(2, 3, 4, 32, 16)).astype(np.float32)
     first = forward_features(net, clips)
     second = forward_features(net, clips)
@@ -189,7 +189,7 @@ def test_eval_forward_is_pure(rng):
 
 
 def test_train_mode_updates_running_stats(rng):
-    net = build_network(toy_spec(), seed=4)
+    net = Network(toy_spec(), seed=4)
     net.set_train(True)
     before = {name: buf.copy() for name, buf in net.named_buffers()}
     net.forward(Tensor(rng.normal(size=(2, 3, 4, 32, 16)).astype(np.float32)))
@@ -198,7 +198,7 @@ def test_train_mode_updates_running_stats(rng):
 
 
 def test_feature_head_is_mean_pool(rng):
-    net = build_network(toy_spec(), seed=4)
+    net = Network(toy_spec(), seed=4)
     net.set_train(False)
     clips = Tensor(rng.normal(size=(1, 3, 4, 32, 16)).astype(np.float32))
     features, _ = net.forward(clips, capture=(4,))
@@ -207,7 +207,7 @@ def test_feature_head_is_mean_pool(rng):
 
 
 def test_strf_weight_perturbation_changes_embedding(rng):
-    net = build_network(toy_spec(), seed=5)
+    net = Network(toy_spec(), seed=5)
     clips = rng.normal(size=(1, 3, 4, 32, 16)).astype(np.float32)
     base = forward_features(net, clips)
     strf_names = [name for name, _ in net.named_params() if ".strf." in name]
@@ -237,11 +237,11 @@ def test_strf_on_c2d_stage_rejected():
 
 def test_full_spec_param_counts_frozen():
     baseline = resnet50_spec(classes=625, variant="p3d-c", strf_stages=(), variant_stages=(2, 3))
-    rows, total = count_params(build_network(baseline, seed=0))
+    rows, total = count_params(Network(baseline, seed=0))
     assert total == 26_168_384
 
     attn = resnet50_spec(classes=625, variant="p3d-c", strf_stages=(2, 3), variant_stages=(2, 3))
-    rows_attn, total_attn = count_params(build_network(attn, seed=0))
+    rows_attn, total_attn = count_params(Network(attn, seed=0))
     assert total_attn == 26_283_072
     assert total_attn - total == 114_688
 
@@ -249,14 +249,14 @@ def test_full_spec_param_counts_frozen():
 def test_strf_delta_matches_formula_per_stage():
     base = toy_spec(strf_stages=())
     attn = toy_spec()
-    _, base_total = count_params(build_network(base, seed=0))
-    _, attn_total = count_params(build_network(attn, seed=0))
+    _, base_total = count_params(Network(base, seed=0))
+    _, attn_total = count_params(Network(attn, seed=0))
     # toy widths: stage2 mid 32//4=8, stage3 mid 64//4=16, one block each
     assert attn_total - base_total == strf_param_count(8) + strf_param_count(16)
 
 
 def test_param_table_covers_total():
-    net = build_network(toy_spec(), seed=0)
+    net = Network(toy_spec(), seed=0)
     rows, total = count_params(net)
     assert total == sum(count for _, _, count in rows)
     names = [name for name, _, _ in rows]
@@ -264,7 +264,7 @@ def test_param_table_covers_total():
 
 
 def test_param_count_excludes_buffers():
-    net = build_network(toy_spec(), seed=0)
+    net = Network(toy_spec(), seed=0)
     rows, _ = count_params(net)
     buffer_names = {name for name, _ in net.named_buffers()}
     assert buffer_names  # bn running stats exist
@@ -272,7 +272,7 @@ def test_param_count_excludes_buffers():
 
 
 def test_classifier_has_no_bias():
-    net = build_network(toy_spec(), seed=0)
+    net = Network(toy_spec(), seed=0)
     classifier = [name for name, _ in net.named_params() if name.startswith("classifier")]
     assert classifier == ["classifier.w"]
 
@@ -280,7 +280,7 @@ def test_classifier_has_no_bias():
 # -- attention maps ----------------------------------------------------------
 
 def test_attention_maps_unit_range(rng):
-    net = build_network(toy_spec(), seed=6)
+    net = Network(toy_spec(), seed=6)
     clip = rng.normal(size=(3, 4, 32, 16)).astype(np.float32)
     maps = attention_export(net, clip, stage=3)
     assert maps.shape == (4, 2, 1)  # t frames at stage-3 resolution of a 32x16 clip
@@ -303,7 +303,7 @@ def test_attention_maps_point_mass():
 
 
 def test_attention_export_validates_stage_and_shape(rng):
-    net = build_network(toy_spec(), seed=6)
+    net = Network(toy_spec(), seed=6)
     clip = rng.normal(size=(3, 4, 32, 16)).astype(np.float32)
     with pytest.raises(ConfigError):
         attention_export(net, clip, stage=5)

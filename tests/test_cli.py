@@ -143,6 +143,32 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("train", "steps_per_epoch = 2", "steps_per_epoch = -1"),
+        ("train", "seed = 7", "seed = 7\nlog_every = 0"),
+        ("eval", "ranks = 1, 2", "ranks = 0, 2"),
+        ("eval", "ranks = 1, 2", "ranks = 1, 2\nbatch_size = 0"),
+        ("params", "width_div = 16", "width_div = 0"),
+        ("params", "synth_identities = 4", "synth_identities = 3"),
+    ],
+)
+def test_out_of_range_setting_exits_two(pipeline, tmp_path, capsys, command, old, new):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG.replace(old, new))
+    extra = {
+        "train": ["--out", str(tmp_path / "r"), "--manifest", pipeline["manifest"]],
+        "eval": ["--checkpoint", pipeline["checkpoint"], "--out", str(tmp_path / "e"),
+                 "--manifest", pipeline["manifest"]],
+        "params": [],
+    }[command]
+    rc = dispatch([command, "--config", str(bad), *extra])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "r") and not os.path.exists(tmp_path / "e")
+
+
 def test_missing_manifest_exits_three(pipeline, tmp_path, capsys):
     rc = dispatch([
         "train", "--config", pipeline["config"], "--out", str(tmp_path / "r"),

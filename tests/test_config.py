@@ -106,6 +106,31 @@ def test_semantic_validation():
         parse_config_text("[eval]\nmax_rank = 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("[model]\nwidth_div = 0\n", "width divisor must be >= 1"),
+        ("[model]\nwidth_div = -16\n", "width divisor must be >= 1"),
+        ("[model]\nwidth_div = 3\n", "width divisor 3 does not divide"),
+        ("[model]\nvariant = bogus\nvariant_stages =\nstrf_stages =\n", "variant must be one of"),
+        ("[model]\nblocks = 1, 1, 1\n", "blocks must list 4"),
+        ("[model]\nr_fine = 2\nr_coarse = 3\n", "odd and positive"),
+        ("[data]\nsynth_identities = 3\n", "even identity count"),
+        ("[data]\nsynth_pairing = twins\n", "pairing"),
+        ("[train]\nsteps_per_epoch = -1\n", "steps_per_epoch must be >= 0"),
+        ("[train]\nmax_steps = -1\n", "max_steps must be >= 0"),
+        ("[train]\ncheckpoint_every = -1\n", "checkpoint_every must be >= 0"),
+        ("[train]\nlog_every = 0\n", "log_every must be >= 1"),
+        ("[eval]\nbatch_size = 0\n", "batch_size must be >= 1"),
+        ("[eval]\nranks = 0, 2\n", "ranks entry must be >= 1, got 0"),
+        ("[eval]\nranks = 1, -5\n", "ranks entry must be >= 1, got -5"),
+    ],
+)
+def test_rejected_at_parse(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config_text(text)
+
+
 def test_parse_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[train]\nseed = 42\n")

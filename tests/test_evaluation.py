@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strf.backbone import build_network, resnet50_spec
+from strf.backbone import Network, resnet50_spec
 from strf.errors import ContractError, DomainError, EvaluationError
 from strf.evaluation import (
     RetrievalResult,
@@ -92,7 +92,7 @@ def test_sample_clips_values_match_indices(rng):
 def test_tracklet_feature_is_mean_of_clip_embeddings(rng):
     spec = resnet50_spec(classes=3, variant="p3d-c", strf_stages=(2,), variant_stages=(2,),
                          width_div=16, blocks=(1, 1, 1, 1))
-    net = build_network(spec, seed=0)
+    net = Network(spec, seed=0)
     frames = rng.normal(size=(9, 3, 32, 16)).astype(np.float32)
     t = Tracklet(frames=frames, identity=0, camera=0)
     feat = tracklet_feature(net, t, clip_len=4)
@@ -232,6 +232,16 @@ def test_rank_k_accessor():
     )
     assert result.rank_k(1) == 0.5
     assert result.rank_k(3) == 1.0
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_rank_k_below_one_is_contract_error(k):
+    result = RetrievalResult(
+        cmc=np.array([0.5, 1.0]), mean_ap=0.8, average_precisions=np.array([0.8]), counted=1, skipped=0
+    )
+    # cmc[k - 1] would silently read from the end of the curve
+    with pytest.raises(ContractError, match="rank k"):
+        result.rank_k(k)
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,13 +8,10 @@ from strf.factorize import (
     BRANCH_ORDER,
     FamConfig,
     StrfConfig,
-    StrfParams,
-    effective_reduction,
     fam_mask,
     ffm_apply,
     ffm_branch,
     init_strf_params,
-    matrix_to_volume,
     reduced_channels,
     reshape_to_matrix,
     strf_forward,
@@ -55,7 +52,7 @@ def test_reshape_shape_and_index_arithmetic():
 
 def test_reshape_roundtrip_bit_exact(rng):
     f = t64(rng.normal(size=(3, 2, 4, 5)))
-    back = matrix_to_volume(reshape_to_matrix(f), (3, 2, 4, 5))
+    back = reshape_to_matrix(f).reshape((3, 2, 4, 5))
     assert np.array_equal(back.data, f.data)
 
 
@@ -174,13 +171,13 @@ def test_branch_identical_kinds_double_single(rng):
     f = t64(rng.normal(size=(8, 2, 3, 2)))
     cfg = default_cfg(r_fine=3, r_coarse=3)
     params = make_params(8, cfg)
-    shared = params.weight("temporal", "fine")
-    forced = StrfParams({
+    shared = params[("temporal", "fine")]
+    forced = {
         ("temporal", "fine"): shared,
         ("temporal", "coarse"): shared,
-        ("spatial", "fine"): params.weight("spatial", "fine"),
-        ("spatial", "coarse"): params.weight("spatial", "coarse"),
-    })
+        ("spatial", "fine"): params[("spatial", "fine")],
+        ("spatial", "coarse"): params[("spatial", "coarse")],
+    }
     out = ffm_branch(f, "temporal", cfg, forced)
     single = ffm_apply(f, fam_mask(f, cfg.branch_config("temporal", "fine"), shared))
     assert np.allclose(out.data, 2 * single.data, atol=1e-10)
@@ -248,9 +245,7 @@ def test_channel_permutation_equivariance(rng):
     cfg = default_cfg()
     params = make_params(8, cfg)
     perm = rng.permutation(8)
-    permuted_params = StrfParams(
-        {(d, k): Tensor(w.data[:, perm]) for (d, k), w in params.items()}
-    )
+    permuted_params = {(d, k): Tensor(w.data[:, perm]) for (d, k), w in params.items()}
     base = strf_forward(t64(f), cfg, params).data
     shuffled = strf_forward(t64(f[perm]), cfg, permuted_params).data
     assert np.allclose(shuffled, base[perm], atol=1e-8)
@@ -264,7 +259,6 @@ def test_param_counts_frozen():
 
 def test_param_count_small_channel_clamp():
     # channels below the reduction divisor clamp to one reduced channel
-    assert effective_reduction(8, 16) == 8
     assert reduced_channels(8, 16) == 1
     assert strf_param_count(8, 16) == 4 * 8 * 1
 
@@ -278,7 +272,7 @@ def test_init_params_shapes_and_determinism():
         assert np.array_equal(w_a.data, w_b.data)
         assert w_a.data.shape == (2, 32)
     assert [key for key, _ in a.items()] == list(BRANCH_ORDER)
-    assert a.count() == strf_param_count(32)
+    assert sum(w.size for w in a.values()) == strf_param_count(32)
 
 
 def test_branch_subset_configs(rng):
@@ -287,7 +281,7 @@ def test_branch_subset_configs(rng):
     params = make_params(8, only_tf)
     out = strf_forward(f, only_tf, params)
     cfg_full = default_cfg()
-    mask = fam_mask(f, cfg_full.branch_config("temporal", "fine"), params.weight("temporal", "fine"))
+    mask = fam_mask(f, cfg_full.branch_config("temporal", "fine"), params[("temporal", "fine")])
     manual = ffm_apply(f, mask).data  # inactive spatial module passes through untouched
     assert out.data.shape == f.data.shape
     assert np.allclose(out.data, manual, atol=1e-10)
@@ -309,7 +303,7 @@ def test_strf_gradient_flows_to_all_weights(rng):
     f = t64(rng.normal(size=(8, 2, 3, 2)))
     cfg = default_cfg()
     params = make_params(8, cfg)
-    for w in params.tensors():
+    for w in params.values():
         w.requires_grad = True
     (strf_forward(f, cfg, params) ** 2).sum().backward()
     assert f.grad is not None and np.abs(f.grad).sum() > 0

@@ -201,7 +201,7 @@ def test_property_conv3d_matches_oracle_and_adjoint(case):
     for i in range(dims[0]):
         assert np.allclose(out.data[i], conv3d_loops(x[i], w, stride, padding), atol=1e-10)
     # the map is bilinear, so <conv(x, w), s> = <x, dX> = <w, dW> for any seed s
-    s = g.normal(size=out.dims)
+    s = g.normal(size=out.shape)
     (out * Tensor(s)).sum().backward()
     pairing = float(np.sum(out.data * s))
     assert np.isclose(np.sum(x * xt.grad), pairing, rtol=1e-10, atol=1e-10)

@@ -64,13 +64,13 @@ def test_little_endian_layout(tmp_path):
 
 
 def _toy_net(seed=0):
-    from strf.backbone import build_network, resnet50_spec
+    from strf.backbone import Network, resnet50_spec
 
     spec = resnet50_spec(
         classes=3, variant="p3d-c", strf_stages=(2,), variant_stages=(2,),
         width_div=16, blocks=(1, 1, 1, 1),
     )
-    return build_network(spec, seed=seed)
+    return Network(spec, seed=seed)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
