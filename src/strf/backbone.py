@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, no_grad, relu, sqrt as tensor_sqrt, transpose, matmul
+from .tensor import Tensor, no_grad, relu, transpose, matmul
 from .kernels import conv3d, strided_max_pool3d
 from .factorize import StrfConfig, init_strf_params, strf_forward
 
@@ -56,18 +56,53 @@ class BatchNorm3dLayer:
         self.eps = eps
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        shape = (1, self.gamma.size, 1, 1, 1)
+        """One tape node in both modes: ``(x - mean) * scale + beta`` per
+        channel, with ``scale = gamma / sqrt(var + eps)``. Training uses the
+        batch statistics (biased variance) and updates the running ones; eval
+        uses a copy of the running ones, so a later training call cannot
+        change them under a pending backward."""
+        n, c = x.shape[:2]
+        flat = x.data.reshape(n, c, -1)
+        count = flat.size // c
         if training:
-            mu = x.mean(axis=(0, 2, 3, 4), keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=(0, 2, 3, 4), keepdims=True)
-            self.running_mean += self.momentum * (mu.data.reshape(-1) - self.running_mean)
-            self.running_var += self.momentum * (var.data.reshape(-1) - self.running_var)
-            normed = centered / tensor_sqrt(var + self.eps)
+            mean = np.einsum("ncs->c", flat) / count
+            out = flat - mean[:, None]
+            var = np.einsum("ncs,ncs->c", out, out) / count
+            self.running_mean += self.momentum * (mean - self.running_mean)
+            self.running_var += self.momentum * (var - self.running_var)
         else:
-            denom = np.sqrt(self.running_var + self.eps).reshape(shape)
-            normed = (x - self.running_mean.reshape(shape)) / denom
-        return normed * self.gamma.reshape(shape) + self.beta.reshape(shape)
+            mean, var = self.running_mean.copy(), self.running_var
+            out = flat - mean[:, None]
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        scale = self.gamma.data * inv_std
+        out *= scale[:, None]
+        out += self.beta.data[:, None]
+        gamma, beta = self.gamma, self.beta
+
+        def grad_fn(g: np.ndarray) -> None:
+            g = g.reshape(flat.shape)
+            x_hat = flat - mean[:, None]
+            x_hat *= inv_std[:, None]
+            d_beta = np.einsum("ncs->c", g)
+            d_gamma = np.einsum("ncs,ncs->c", g, x_hat)
+            if x.requires_grad:
+                if training:
+                    # the batch mean and variance depend on x too:
+                    # dx = scale * (g - d_beta / M - x_hat * d_gamma / M), in x_hat's buffer
+                    dx = x_hat
+                    dx *= (-d_gamma / count)[:, None]
+                    dx += g
+                    dx -= (d_beta / count)[:, None]
+                    dx *= scale[:, None]
+                else:
+                    dx = g * scale[:, None]
+                x._accumulate(dx.reshape(x.shape))
+            if gamma.requires_grad:
+                gamma._accumulate(d_gamma)
+            if beta.requires_grad:
+                beta._accumulate(d_beta)
+
+        return Tensor._make(out.reshape(x.shape), [x, gamma, beta], grad_fn)
 
 
 class LinearLayer:

@@ -109,9 +109,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = parse_config(args.config)
     result = run_retrieval(cfg, args.checkpoint, args.out, manifest=args.manifest)
-    ranks = " ".join(
-        f"rank-{k}={result.rank_k(k):.4f}" for k in cfg.eval.ranks if k <= result.cmc.size
-    )
+    ranks = " ".join(f"rank-{k}={result.rank_k(k):.4f}" for k in cfg.eval.ranks)
     print(f"mAP={result.mean_ap:.4f} {ranks} (counted {result.counted}, skipped {result.skipped})")
     print(f"reports in {args.out}")
     return 0

@@ -236,6 +236,9 @@ def validate_config(cfg: RunConfig) -> None:
     ):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    for k in ev.ranks:
+        if k > ev.max_rank:
+            raise ConfigError(f"ranks entry {k} exceeds max_rank {ev.max_rank}")
     if not 0.0 <= train.flip_prob <= 1.0 or not 0.0 <= train.erase_prob <= 1.0:
         raise ConfigError("flip_prob and erase_prob must lie in [0, 1]")
     if len(cfg.data.norm_mean) != 3 or len(cfg.data.norm_std) != 3:

@@ -120,8 +120,8 @@ class RetrievalResult:
     skipped: int
 
     def rank_k(self, k: int) -> float:
-        if k < 1:
-            raise ContractError(f"rank k must be >= 1, got {k}")
+        if not 1 <= k <= self.cmc.size:
+            raise ContractError(f"rank k must lie in [1, {self.cmc.size}], got {k}")
         return float(self.cmc[k - 1])
 
 
@@ -184,9 +184,7 @@ def write_report(result: RetrievalResult, path: str, ranks=(1, 5, 10, 20)) -> No
         f"queries skipped (no cross-camera positive): {result.skipped}",
         f"mAP: {result.mean_ap:.6f}",
     ]
-    for k in ranks:
-        if k <= result.cmc.size:
-            lines.append(f"rank-{k}: {result.rank_k(k):.6f}")
+    lines += [f"rank-{k}: {result.rank_k(k):.6f}" for k in ranks]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, matmul, softmax_rows
+from .tensor import Tensor, as_tensor, matmul, softmax_rows
 from .kernels import conv3d, conv_channel_mix, pool3d
 from .gradcheck import grad_check
 from .factorize import StrfConfig, init_strf_params, strf_forward
-from .backbone import BlockSpec, build_block
+from .backbone import BatchNorm3dLayer, BlockSpec, build_block
 from .losses import batch_hard_triplet, cross_entropy
 
 TOLERANCE = 1e-6
@@ -102,6 +102,24 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
         lambda t: (conv3d(Tensor(valid_in), t, (2, 2, 3), "valid") ** 2).sum(),
         valid_w,
     )
+
+    # Batch norm on its own, in both modes, with gamma/beta away from 1/0 and
+    # running stats away from 0/1; drawn last for the same reason.
+    bn = BatchNorm3dLayer(3, np.float64)
+    bn.running_mean[:] = _fixed(rng, 3) * 0.5
+    bn.running_var[:] = 1.0 + _fixed(rng, 3) * 0.5
+    bn_in = _spread(rng, (2, 3, 3, 4, 2))
+    bn_target = Tensor(_fixed(rng, bn_in.shape))
+    gamma, beta = 1.0 + _fixed(rng, 3) * 0.5, _fixed(rng, 3)
+
+    def bn_map(x, g, b, training):
+        bn.gamma, bn.beta = as_tensor(g), as_tensor(b)
+        return ((bn(as_tensor(x), training) - bn_target) ** 2).sum()
+
+    check("batch_norm_train_input", lambda t: bn_map(t, gamma, beta, True), bn_in)
+    check("batch_norm_train_gamma", lambda t: bn_map(bn_in, t, beta, True), gamma)
+    check("batch_norm_train_beta", lambda t: bn_map(bn_in, gamma, t, True), beta)
+    check("batch_norm_eval_input", lambda t: bn_map(t, gamma, beta, False), bn_in)
 
     return results
 

@@ -55,7 +55,8 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
     The step budget is epochs x steps-per-epoch, where steps-per-epoch
     defaults to one pass over the train tracklets; ``max_steps`` caps the
     total when positive. Raises NumericError the moment any loss goes
-    non-finite."""
+    non-finite, and before the optimizer step when a gradient does, naming
+    the first such parameter."""
     t_cfg = cfg.train
     manifest_path, tracklets = _train_tracklets(cfg, manifest)
     mapping = class_index(tracklets)
@@ -106,6 +107,9 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
             if not all(np.isfinite(v) for v in values):
                 raise NumericError(f"non-finite loss at step {step}: ce={values[0]}, triplet={values[1]}")
             total.backward()
+            for name, param in net.named_params():
+                if param.grad is not None and not np.isfinite(param.grad).all():
+                    raise NumericError(f"non-finite gradient for {name} at step {step}")
             opt.step(lr=lr)
             last = {"ce": values[0], "triplet": values[1], "total": values[2]}
             if step % t_cfg.log_every == 0 or step == total_steps:

@@ -2,7 +2,9 @@
 
 Everything here is written with explicit Python loops and no imports from the
 package under test, so a bug in the fast paths cannot hide in its own oracle.
-Slow on purpose; keep instances small.
+Slow on purpose; keep instances small. The one exception is
+``batch_norm_composed``, which composes the elementary tape ops (each tested
+on its own in test_tensor.py) of the tensors it is handed.
 """
 from __future__ import annotations
 
@@ -233,3 +235,22 @@ def evaluate_loops(distances, query_ids, query_cams, gallery_ids, gallery_cams, 
     if counted == 0:
         raise ZeroDivisionError("all queries skipped")
     return [c / counted for c in cmc], sum(aps) / counted, counted, skipped
+
+
+def batch_norm_composed(bn, x, training: bool):
+    """Batch norm spelled out in elementary tape ops (mean, subtract, square,
+    mean, add, square root, divide, reshape, scale, shift) on the attributes
+    of a batch-norm layer ``bn``; a training call updates its running stats
+    the way the layer does."""
+    shape = (1, bn.gamma.size, 1, 1, 1)
+    if training:
+        mu = x.mean(axis=(0, 2, 3, 4), keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=(0, 2, 3, 4), keepdims=True)
+        bn.running_mean += bn.momentum * (mu.data.reshape(-1) - bn.running_mean)
+        bn.running_var += bn.momentum * (var.data.reshape(-1) - bn.running_var)
+        normed = centered / (var + bn.eps) ** 0.5
+    else:
+        denom = np.sqrt(bn.running_var + bn.eps).reshape(shape)
+        normed = (x - bn.running_mean.reshape(shape)) / denom
+    return normed * bn.gamma.reshape(shape) + bn.beta.reshape(shape)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from strf.backbone import (
+    BatchNorm3dLayer,
     BlockSpec,
     Network,
     attention_energy_maps,
@@ -14,6 +15,8 @@ from strf.backbone import (
 from strf.errors import ConfigError, ShapeError
 from strf.factorize import StrfConfig, strf_param_count
 from strf.tensor import Tensor
+
+from oracles import batch_norm_composed
 
 
 def toy_spec(**kw):
@@ -195,6 +198,87 @@ def test_train_mode_updates_running_stats(rng):
     net.forward(Tensor(rng.normal(size=(2, 3, 4, 32, 16)).astype(np.float32)))
     after = dict(net.named_buffers())
     assert any(not np.array_equal(before[name], after[name]) for name in before)
+
+
+# -- batch norm --------------------------------------------------------------
+
+def bn_layer(rng, dtype, channels=3):
+    """A layer with gamma/beta away from 1/0 and non-default running stats."""
+    bn = BatchNorm3dLayer(channels, dtype)
+    bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=channels)
+    bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=channels)
+    bn.running_mean[:] = rng.uniform(-0.3, 0.3, size=channels)
+    bn.running_var[:] = rng.uniform(0.5, 2.0, size=channels)
+    return bn
+
+
+def twin(bn):
+    """An independent layer in the same state as ``bn``."""
+    other = BatchNorm3dLayer(bn.gamma.size, bn.gamma.dtype, bn.momentum, bn.eps)
+    other.gamma.data[:], other.beta.data[:] = bn.gamma.data, bn.beta.data
+    other.running_mean[:], other.running_var[:] = bn.running_mean, bn.running_var
+    return other
+
+
+def bn_grads(apply, bn, x_data, upstream):
+    """Forward ``apply(bn, x)`` and backpropagate ``upstream``; return the
+    output and the gradients of x, gamma and beta."""
+    x = Tensor(x_data.copy(), requires_grad=True)
+    out = apply(bn, x)
+    (out * upstream).sum().backward()
+    return out.data, x.grad, bn.gamma.grad, bn.beta.grad
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_matches_composed_reference(training, rng):
+    bn = bn_layer(rng, np.float64)
+    ref = twin(bn)
+    x = rng.normal(1.0, 2.0, size=(2, 3, 3, 4, 2))
+    upstream = rng.normal(size=x.shape)
+    fused = bn_grads(lambda layer, t: layer(t, training), bn, x, upstream)
+    composed = bn_grads(lambda layer, t: batch_norm_composed(layer, t, training), ref, x, upstream)
+    for name, got, want in zip(("out", "dx", "dgamma", "dbeta"), fused, composed):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=name)
+
+
+def test_batch_norm_running_stats_match_reference(rng):
+    bn = bn_layer(rng, np.float64)
+    ref = twin(bn)
+    x = rng.normal(1.0, 2.0, size=(2, 3, 3, 4, 2))
+    bn(Tensor(x), training=True)
+    batch_norm_composed(ref, Tensor(x), training=True)
+    np.testing.assert_allclose(bn.running_mean, ref.running_mean, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(bn.running_var, ref.running_var, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_float32_rerun_is_bit_identical(training):
+    runs = []
+    for _ in range(2):
+        rng = np.random.Generator(np.random.PCG64(11))
+        bn = bn_layer(rng, np.float32, channels=4)
+        x = rng.normal(size=(3, 4, 2, 5, 3)).astype(np.float32)
+        upstream = rng.normal(size=x.shape).astype(np.float32)
+        runs.append(bn_grads(lambda layer, t: layer(t, training), bn, x, upstream) + (bn.running_var.copy(),))
+    for first, second in zip(*runs):
+        assert first.dtype == np.float32
+        assert np.array_equal(first, second)
+
+
+def test_batch_norm_eval_backward_uses_the_stats_its_forward_saw(rng):
+    bn = bn_layer(rng, np.float64)
+    ref = twin(bn)
+    x_data = rng.normal(size=(2, 3, 3, 4, 2))
+    upstream = rng.normal(size=x_data.shape)
+    x = Tensor(x_data.copy(), requires_grad=True)
+    out = bn(x, training=False)
+    # a training call in between moves the running stats in place
+    bn(Tensor(rng.normal(3.0, 4.0, size=x_data.shape)), training=True)
+    assert not np.allclose(bn.running_mean, ref.running_mean)
+    (out * upstream).sum().backward()
+    want = bn_grads(lambda layer, t: batch_norm_composed(layer, t, False), ref, x_data, upstream)
+    for name, got, expected in zip(("dx", "dgamma", "dbeta"), (x.grad, bn.gamma.grad, bn.beta.grad), want[1:]):
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12, err_msg=name)
 
 
 def test_feature_head_is_mean_pool(rng):

@@ -3,8 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from strf import train
 from strf.cli import dispatch
 from strf.netpbm import read_pgm
+from strf.tensor import Tensor
 
 CONFIG = """
 [model]
@@ -150,6 +152,7 @@ def test_malformed_config_exits_two(tmp_path, capsys):
         ("train", "seed = 7", "seed = 7\nlog_every = 0"),
         ("eval", "ranks = 1, 2", "ranks = 0, 2"),
         ("eval", "ranks = 1, 2", "ranks = 1, 2\nbatch_size = 0"),
+        ("eval", "ranks = 1, 2", "ranks = 1, 3"),
         ("params", "width_div = 16", "width_div = 0"),
         ("params", "synth_identities = 4", "synth_identities = 3"),
     ],
@@ -199,3 +202,30 @@ def test_divergent_training_exits_four(pipeline, tmp_path, capsys):
         ])
     assert rc == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_gradient_exits_four_naming_the_parameter(pipeline, tmp_path, capsys, monkeypatch):
+    # the loss stays finite; two parameters' gradients turn NaN after backward
+    nets = []
+    build = train.build_train_network
+
+    def recording_build(cfg, classes):
+        nets.append(build(cfg, classes))
+        return nets[-1]
+
+    backward = Tensor.backward
+
+    def poisoned(self):
+        backward(self)
+        params = dict(nets[-1].named_params())
+        params["classifier.w"].grad[0, 0] = np.inf
+        params["stage3.block1.bn3.gamma"].grad[1] = np.nan
+
+    monkeypatch.setattr(train, "build_train_network", recording_build)
+    monkeypatch.setattr(Tensor, "backward", poisoned)
+    rc = dispatch([
+        "train", "--config", pipeline["config"], "--out", str(tmp_path / "r"),
+        "--manifest", pipeline["manifest"],
+    ])
+    assert rc == 4
+    assert "non-finite gradient for stage3.block1.bn3.gamma at step 1" in capsys.readouterr().err

@@ -124,6 +124,7 @@ def test_semantic_validation():
         ("[eval]\nbatch_size = 0\n", "batch_size must be >= 1"),
         ("[eval]\nranks = 0, 2\n", "ranks entry must be >= 1, got 0"),
         ("[eval]\nranks = 1, -5\n", "ranks entry must be >= 1, got -5"),
+        ("[eval]\nranks = 1, 50\n", "ranks entry 50 exceeds max_rank 20"),
     ],
 )
 def test_rejected_at_parse(text, match):

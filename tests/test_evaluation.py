@@ -232,6 +232,9 @@ def test_rank_k_accessor():
     )
     assert result.rank_k(1) == 0.5
     assert result.rank_k(3) == 1.0
+    # past max_rank there is no curve to read
+    with pytest.raises(ContractError, match="rank k"):
+        result.rank_k(4)
 
 
 @pytest.mark.parametrize("k", [0, -1])
