@@ -1,7 +1,11 @@
 """Clip sampling, tracklet embeddings, and the retrieval protocol.
 
 Test-time features: a tracklet is cut into consecutive non-overlapping
-clips, each clip is embedded, and the embeddings are averaged. Retrieval
+clips, each clip is embedded, and the embeddings are averaged. Clips of
+consecutive tracklets share forward batches, which leaves every embedding as
+it is: each kernel treats batch items on their own (the conv is a stacked
+``W @ cols``, eval batch norm a per-channel affine, pooling and the attention
+unit per sample). Retrieval
 ranks gallery tracklets by cosine distance; gallery entries sharing both the
 query's identity and its camera are excluded before scoring, queries with no
 remaining positive are skipped (and tallied), and ties are broken stably by
@@ -10,11 +14,11 @@ gallery index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import ContractError, DomainError, EvaluationError
-from .tensor import Tensor
 from .backbone import Network, forward_features
 
 
@@ -77,22 +81,20 @@ def sample_clips(
     return np.stack(clips)
 
 
-def clip_features(net: Network, clips: np.ndarray, batch_size: int = 16) -> np.ndarray:
-    parts = [
-        forward_features(net, Tensor(clips[i : i + batch_size]))
-        for i in range(0, clips.shape[0], batch_size)
-    ]
-    return np.concatenate(parts, axis=0)
-
-
-def tracklet_feature(net: Network, tracklet: Tracklet, clip_len: int, batch_size: int = 16) -> np.ndarray:
-    """Mean embedding of the tracklet's test-protocol clips."""
-    clips = sample_clips(tracklet, clip_len, mode="test")
-    return clip_features(net, clips, batch_size).mean(axis=0)
-
-
 def stacked_features(net: Network, tracklets, clip_len: int, batch_size: int = 16) -> np.ndarray:
-    return np.stack([tracklet_feature(net, t, clip_len, batch_size) for t in tracklets])
+    """Mean embedding of each tracklet's test-protocol clips, one row per
+    tracklet. Only one forward batch of ``batch_size`` clips is held at a time."""
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
+    if not tracklets:
+        raise ContractError("cannot embed an empty list of tracklets")
+    clips = (clip for t in tracklets for clip in sample_clips(t, clip_len, mode="test"))
+    parts = []
+    while batch := list(islice(clips, batch_size)):
+        parts.append(forward_features(net, np.stack(batch)))
+    feats = np.concatenate(parts)
+    ends = np.cumsum([len(test_clip_indices(len(t), clip_len)) for t in tracklets])
+    return np.stack([feats[start:end].mean(axis=0) for start, end in zip(np.r_[0, ends[:-1]], ends)])
 
 
 def distance_matrix(query: np.ndarray, gallery: np.ndarray) -> np.ndarray:

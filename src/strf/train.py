@@ -22,7 +22,7 @@ from .evaluation import (
 )
 from .losses import total_loss
 from .optim import Adam, decayed_lr
-from .synthdata import augment_clip, dataset_channel_mean, load_tracklets, make_batch
+from .synthdata import augment_clip, dataset_channel_mean, load_manifest, load_tracklets, make_batch
 
 LOG_NAME = "metrics.csv"
 CHECKPOINT_DIR = "checkpoint"
@@ -129,12 +129,9 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
 
 def _eval_classes(cfg: RunConfig, manifest_path: str) -> int:
     """The class count the trained checkpoint was built with: derived from the
-    manifest's train split the same way training derives it."""
-    try:
-        train_split = load_tracklets(manifest_path, "train", cfg.data.norm_mean, cfg.data.norm_std)
-    except DataError:
-        train_split = []
-    return len(class_index(train_split)) if train_split else cfg.model.classes
+    manifest's train labels the same way training derives it, decoding no frame."""
+    train_records = [r for r in load_manifest(manifest_path) if r.split == "train"]
+    return len(class_index(train_records)) if train_records else cfg.model.classes
 
 
 def load_eval_network(cfg: RunConfig, checkpoint_dir: str, manifest_path: str) -> Network:

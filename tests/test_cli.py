@@ -1,10 +1,12 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from strf import train
 from strf.cli import dispatch
+from strf.config import parse_config
 from strf.netpbm import read_pgm
 from strf.tensor import Tensor
 
@@ -117,6 +119,20 @@ def test_params_command(pipeline, tmp_path, capsys):
     assert dispatch(["params", "--config", pipeline["config"], "--out", out]) == 0
     with open(out) as fh:
         assert fh.read() == report
+
+
+def test_eval_network_class_count_needs_no_train_frames(pipeline, tmp_path):
+    # the class count comes from the manifest's train labels, so a train
+    # frame that cannot be read does not change the network eval builds
+    data = tmp_path / "data"
+    shutil.copytree(os.path.dirname(pipeline["manifest"]), data)
+    manifest = str(data / "manifest.tsv")
+    with open(manifest) as fh:
+        train_frame = next(line.split("\t")[0] for line in fh if line.rstrip().endswith("\ttrain"))
+    os.remove(data / train_frame)
+    cfg = parse_config(pipeline["config"])
+    net = train.load_eval_network(cfg, pipeline["checkpoint"], manifest)
+    assert net.classifier.weight.shape[0] == 2  # synth_train_identities, not [model] classes
 
 
 # -- failure modes -----------------------------------------------------------

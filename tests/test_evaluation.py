@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strf.backbone import Network, resnet50_spec
+import strf.evaluation
+from strf.backbone import Network, forward_features, resnet50_spec
 from strf.errors import ContractError, DomainError, EvaluationError
 from strf.evaluation import (
     RetrievalResult,
@@ -13,7 +14,7 @@ from strf.evaluation import (
     distance_matrix,
     evaluate,
     sample_clips,
-    tracklet_feature,
+    stacked_features,
     train_clip_indices,
 )
 from strf.evaluation import test_clip_indices as gallery_clip_indices
@@ -89,18 +90,66 @@ def test_sample_clips_values_match_indices(rng):
     assert np.array_equal(clips[1], expect)
 
 
-def test_tracklet_feature_is_mean_of_clip_embeddings(rng):
-    spec = resnet50_spec(classes=3, variant="p3d-c", strf_stages=(2,), variant_stages=(2,),
-                         width_div=16, blocks=(1, 1, 1, 1))
-    net = Network(spec, seed=0)
-    frames = rng.normal(size=(9, 3, 32, 16)).astype(np.float32)
-    t = Tracklet(frames=frames, identity=0, camera=0)
-    feat = tracklet_feature(net, t, clip_len=4)
-    from strf.evaluation import clip_features
+# -- tracklet embeddings ------------------------------------------------------
 
-    manual = clip_features(net, sample_clips(t, 4, mode="test")).mean(axis=0)
-    assert np.allclose(feat, manual)
-    assert feat.shape == (128,)
+EMBED_SPECS = {
+    "p3d-c-strf": dict(variant="p3d-c", strf_stages=(2,), variant_stages=(2,)),
+    "c2d": dict(variant="c2d", strf_stages=(), variant_stages=()),
+}
+# 1 + 1 + 1 + 3 + 5 = 11 clips of 4 frames, so batches straddle tracklets
+UNEVEN_LENGTHS = (1, 3, 4, 9, 17)
+
+
+def _embed_setup(rng, model):
+    spec = resnet50_spec(classes=3, width_div=16, blocks=(1, 1, 1, 1), **EMBED_SPECS[model])
+    net = Network(spec, seed=0)
+    tracklets = [
+        Tracklet(frames=rng.normal(size=(n, 3, 32, 16)).astype(np.float32), identity=i, camera=0)
+        for i, n in enumerate(UNEVEN_LENGTHS)
+    ]
+    return net, tracklets
+
+
+@pytest.mark.parametrize("model", sorted(EMBED_SPECS))
+def test_stacked_features_is_mean_of_clip_embeddings(rng, model):
+    net, tracklets = _embed_setup(rng, model)
+    expect = np.stack([
+        np.concatenate([forward_features(net, clip[None]) for clip in sample_clips(t, 4, mode="test")])
+        .mean(axis=0)
+        for t in tracklets
+    ])
+    assert expect.shape == (len(UNEVEN_LENGTHS), 128)
+    for batch_size in (1, 3, 16):
+        assert np.array_equal(stacked_features(net, tracklets, 4, batch_size), expect), batch_size
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 16])
+def test_stacked_features_fills_batches_across_tracklets(rng, monkeypatch, batch_size):
+    net, tracklets = _embed_setup(rng, "c2d")
+    batches = []
+
+    def counting(net, clips):
+        batches.append(clips.shape[0])
+        return forward_features(net, clips)
+
+    monkeypatch.setattr(strf.evaluation, "forward_features", counting)
+    stacked_features(net, tracklets, 4, batch_size)
+    total = sum(len(gallery_clip_indices(n, 4)) for n in UNEVEN_LENGTHS)
+    assert sum(batches) == total
+    assert len(batches) == math.ceil(total / batch_size)
+    assert max(batches) <= batch_size
+
+
+def test_stacked_features_rejects_batch_size_below_one(rng):
+    net, tracklets = _embed_setup(rng, "c2d")
+    with pytest.raises(ContractError, match="batch_size"):
+        stacked_features(net, tracklets, 4, 0)
+
+
+def test_stacked_features_rejects_empty_tracklet_list(rng):
+    net, _ = _embed_setup(rng, "c2d")
+    with pytest.raises(ContractError, match="empty"):
+        stacked_features(net, [], 4)
 
 
 # -- distance matrix ---------------------------------------------------------
