@@ -17,7 +17,7 @@ and the classifier is a plain linear map on those features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class Conv3dLayer:
         self.stride = tuple(stride)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv3d(x, self.weight, self.stride, "same")
+        return conv3d(x, self.weight, self.stride)
 
 
 class BatchNorm3dLayer:
@@ -121,7 +121,8 @@ class LinearLayer:
 @dataclass(frozen=True)
 class BlockSpec:
     """One bottleneck residual block. The bottleneck width is always a
-    quarter of the output width."""
+    quarter of the output width; only a block with a temporal conv (any
+    variant but c2d) can carry an attention unit."""
 
     variant: str
     in_channels: int
@@ -242,42 +243,26 @@ def build_block(spec: BlockSpec, seed: int = 0, dtype=np.float32) -> Bottleneck:
 
 
 @dataclass(frozen=True)
-class StageSpec:
-    blocks: int
-    width: int
-    variant: str = "c2d"
-    strf: bool = False
-
-    def __post_init__(self):
-        if self.blocks < 1:
-            raise ConfigError(f"a stage needs at least one block, got {self.blocks}")
-        if self.strf and self.variant == "c2d":
-            raise ConfigError("attention units require a temporal conv; pick a p3d or i3d variant")
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
-    """Four-stage residual network layout.
-
-    Spatial strides are fixed at (1, 2, 2, 1) across the stages: the final
-    stage never downsamples, keeping its maps fine-grained. The feature
-    dimension equals the last stage width.
+    """Four-stage residual network layout: each stage's blocks in order. The
+    stem feeds the first block, so its width is that block's input width; the
+    feature dimension equals the last block's output width.
     """
 
     classes: int
-    stages: tuple[StageSpec, StageSpec, StageSpec, StageSpec]
-    stem_width: int = 64
-    strf_cfg: StrfConfig = field(default_factory=StrfConfig)
+    stages: tuple[tuple[BlockSpec, ...], ...]
 
     def __post_init__(self):
         if self.classes < 1:
             raise ConfigError(f"class count must be >= 1, got {self.classes}")
-        if len(self.stages) != 4:
-            raise ConfigError(f"expected exactly 4 stage specs, got {len(self.stages)}")
+
+    @property
+    def stem_width(self) -> int:
+        return self.stages[0][0].in_channels
 
     @property
     def feature_dim(self) -> int:
-        return self.stages[3].width
+        return self.stages[-1][-1].out_channels
 
 
 STAGE_STRIDES = (1, 2, 2, 1)
@@ -290,40 +275,42 @@ def resnet50_spec(
     variant_stages: tuple[int, ...] = (2, 3),
     width_div: int = 1,
     blocks: tuple[int, int, int, int] = (3, 4, 6, 3),
-    strf_cfg: StrfConfig | None = None,
+    strf_cfg: StrfConfig = StrfConfig(),
 ) -> NetworkSpec:
     """The standard 50-layer layout, optionally width-divided for desk-scale
-    runs. ``variant_stages`` pick which stages use the 3-d block flavor
-    (1-based); attention goes to ``strf_stages``, which must be a subset."""
+    runs, as one ``BlockSpec`` per block. Stage widths are 256, 512, 1024 and
+    2048; each stage's first block takes the previous width and the stage's
+    spatial stride (1, 2, 2, 1), the rest keep stride 1. ``variant_stages``
+    pick which stages use the 3-d block flavor (1-based); every block of the
+    ``strf_stages`` is promoted too and carries a ``strf_cfg`` unit."""
     if variant not in BLOCK_VARIANTS:
         raise ConfigError(f"variant must be one of {BLOCK_VARIANTS}, got {variant!r}")
     if width_div < 1:
         raise ConfigError(f"width divisor must be >= 1, got {width_div}")
-    if len(blocks) != 4:
-        raise ConfigError(f"blocks must list 4 stage depths, got {blocks}")
+    if len(blocks) != 4 or min(blocks) < 1:
+        raise ConfigError(f"blocks must list 4 stage depths >= 1, got {blocks}")
     widths = (256, 512, 1024, 2048)
     for width in widths + (64,):
         if width % (width_div * 4) != 0:
             raise ConfigError(f"width divisor {width_div} does not divide the stage widths evenly")
-    promoted = tuple(sorted(set(variant_stages) | set(strf_stages)))
+    promoted = set(variant_stages) | set(strf_stages)
     for stage in promoted:
         if stage not in (1, 2, 3, 4):
             raise ConfigError(f"stage numbers are 1..4, got {stage}")
-    stages = tuple(
-        StageSpec(
-            blocks=blocks[i],
-            width=widths[i] // width_div,
-            variant=variant if (i + 1) in promoted else "c2d",
-            strf=(i + 1) in strf_stages,
-        )
-        for i in range(4)
-    )
-    return NetworkSpec(
-        classes=classes,
-        stages=stages,
-        stem_width=64 // width_div,
-        strf_cfg=strf_cfg if strf_cfg is not None else StrfConfig(),
-    )
+    in_channels, stages = 64 // width_div, []
+    for stage, (depth, width, stride) in enumerate(zip(blocks, widths, STAGE_STRIDES), start=1):
+        stage_blocks = []
+        for block in range(depth):
+            stage_blocks.append(BlockSpec(
+                variant=variant if stage in promoted else "c2d",
+                in_channels=in_channels,
+                out_channels=width // width_div,
+                spatial_stride=stride if block == 0 else 1,
+                strf=strf_cfg if stage in strf_stages else None,
+            ))
+            in_channels = width // width_div
+        stages.append(tuple(stage_blocks))
+    return NetworkSpec(classes=classes, stages=tuple(stages))
 
 
 class _Registry:
@@ -350,22 +337,13 @@ class Network:
         registry.add_param("stem.conv.w", self.stem_conv.weight)
         self.stem_bn = _register_bn(registry, "stem.bn", BatchNorm3dLayer(spec.stem_width, dtype))
 
-        self.stages: list[list[Bottleneck]] = []
-        in_channels = spec.stem_width
-        for stage_idx, stage in enumerate(spec.stages):
-            stage_blocks = []
-            for block_idx in range(stage.blocks):
-                block_spec = BlockSpec(
-                    variant=stage.variant,
-                    in_channels=in_channels,
-                    out_channels=stage.width,
-                    spatial_stride=STAGE_STRIDES[stage_idx] if block_idx == 0 else 1,
-                    strf=spec.strf_cfg if stage.strf else None,
-                )
-                prefix = f"stage{stage_idx + 1}.block{block_idx + 1}"
-                stage_blocks.append(Bottleneck(block_spec, rng, dtype, registry, prefix))
-                in_channels = stage.width
-            self.stages.append(stage_blocks)
+        self.stages = [
+            [
+                Bottleneck(block, rng, dtype, registry, f"stage{i}.block{j}")
+                for j, block in enumerate(stage, start=1)
+            ]
+            for i, stage in enumerate(spec.stages, start=1)
+        ]
 
         self.classifier = LinearLayer(spec.feature_dim, spec.classes, rng, dtype)
         registry.add_param("classifier.w", self.classifier.weight)

@@ -217,6 +217,7 @@ def validate_config(cfg: RunConfig) -> None:
         ("lr", train.lr),
         ("weight_decay", train.weight_decay),
         ("margin", train.margin),
+        ("lr_decay_epochs", train.lr_decay_epochs),
         ("steps_per_epoch", train.steps_per_epoch),
         ("max_steps", train.max_steps),
         ("checkpoint_every", train.checkpoint_every),
@@ -239,6 +240,8 @@ def validate_config(cfg: RunConfig) -> None:
     for k in ev.ranks:
         if k > ev.max_rank:
             raise ConfigError(f"ranks entry {k} exceeds max_rank {ev.max_rank}")
+    if not 0.0 < train.lr_decay_factor <= 1.0:
+        raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {train.lr_decay_factor}")
     if not 0.0 <= train.flip_prob <= 1.0 or not 0.0 <= train.erase_prob <= 1.0:
         raise ConfigError("flip_prob and erase_prob must lie in [0, 1]")
     if len(cfg.data.norm_mean) != 3 or len(cfg.data.norm_std) != 3:

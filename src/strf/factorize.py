@@ -198,26 +198,14 @@ def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: dict[tuple[st
 def strf_forward(f: Tensor, cfg: StrfConfig, params: dict[tuple[str, str], Tensor]) -> Tensor:
     """Run the whole unit: both dimension modules, integrated per config.
 
-    Cascade modes feed one module's output to the other; parallel sums the
-    two module outputs computed on the same input. Output dims always equal
-    input dims.
+    Cascade modes feed one module's output to the other (a module with no
+    active branch passes its input through); parallel sums the outputs of the
+    modules with an active branch, each computed on the same input. Output
+    dims always equal input dims.
     """
-    has_temporal = bool(cfg.active_kinds("temporal"))
-    has_spatial = bool(cfg.active_kinds("spatial"))
     if cfg.integration == "temporal-then-spatial":
-        mid = ffm_branch(f, "temporal", cfg, params) if has_temporal else f
-        return ffm_branch(mid, "spatial", cfg, params) if has_spatial else mid
+        return ffm_branch(ffm_branch(f, "temporal", cfg, params), "spatial", cfg, params)
     if cfg.integration == "spatial-then-temporal":
-        mid = ffm_branch(f, "spatial", cfg, params) if has_spatial else f
-        return ffm_branch(mid, "temporal", cfg, params) if has_temporal else mid
-    parts = []
-    if has_temporal:
-        parts.append(ffm_branch(f, "temporal", cfg, params))
-    if has_spatial:
-        parts.append(ffm_branch(f, "spatial", cfg, params))
-    if not parts:
-        return f
-    out = parts[0]
-    for part in parts[1:]:
-        out = out + part
-    return out
+        return ffm_branch(ffm_branch(f, "spatial", cfg, params), "temporal", cfg, params)
+    parts = [ffm_branch(f, d, cfg, params) for d in DIMENSIONS if cfg.active_kinds(d)]
+    return sum(parts[1:], parts[0])

@@ -47,11 +47,10 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     mix_w = Tensor(_spread(rng, (2, 4)))
     check("conv_channel_mix", lambda t: (conv_channel_mix(t, mix_w) ** 2).sum(), vol)
     conv_w = Tensor(_spread(rng, (2, 4, 3, 3, 3)))
-    check("conv3d_same", lambda t: (conv3d(t, conv_w, (1, 2, 2), "same") ** 2).sum(), vol)
-    check("conv3d_valid", lambda t: (conv3d(t, conv_w, (1, 1, 1), "valid") ** 2).sum(), vol)
+    check("conv3d_same", lambda t: (conv3d(t, conv_w, (1, 2, 2)) ** 2).sum(), vol)
     check(
         "conv3d_weights",
-        lambda t: (conv3d(Tensor(vol), t, (1, 1, 1), "same") ** 2).sum(),
+        lambda t: (conv3d(Tensor(vol), t, (1, 1, 1)) ** 2).sum(),
         _spread(rng, (2, 4, 3, 1, 1)),
     )
 
@@ -80,27 +79,28 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     check("batch_hard_triplet", lambda t: batch_hard_triplet(t, ids, margin=0.3), emb)
 
     # Strided and pointwise conv geometry as the networks use it (stem,
-    # shortcut, valid windows), drawn last so the entries above keep their inputs.
+    # shortcut), plus a strided even kernel extent; drawn last so the entries
+    # above keep their inputs.
     clip = Tensor(_spread(rng, (2, 2, 7, 6)))
     check(
         "conv3d_weights_stem",
-        lambda t: (conv3d(clip, t, (1, 2, 2), "same") ** 2).sum(),
+        lambda t: (conv3d(clip, t, (1, 2, 2)) ** 2).sum(),
         _spread(rng, (3, 2, 1, 7, 7)),
     )
     shortcut_w = _spread(rng, (3, 4, 1, 1, 1))
-    check("conv3d_shortcut", lambda t: (conv3d(t, Tensor(shortcut_w), (1, 2, 2), "same") ** 2).sum(), vol)
+    check("conv3d_shortcut", lambda t: (conv3d(t, Tensor(shortcut_w), (1, 2, 2)) ** 2).sum(), vol)
     check(
         "conv3d_shortcut_weights",
-        lambda t: (conv3d(Tensor(vol), t, (1, 2, 2), "same") ** 2).sum(),
+        lambda t: (conv3d(Tensor(vol), t, (1, 2, 2)) ** 2).sum(),
         shortcut_w,
     )
-    valid_in = _spread(rng, (2, 5, 7, 6))
-    valid_w = _spread(rng, (3, 2, 2, 3, 2))
-    check("conv3d_valid_strided", lambda t: (conv3d(t, Tensor(valid_w), (2, 2, 3), "valid") ** 2).sum(), valid_in)
+    even_in = _spread(rng, (2, 5, 7, 6))
+    even_w = _spread(rng, (3, 2, 2, 3, 2))
+    check("conv3d_strided_even", lambda t: (conv3d(t, Tensor(even_w), (2, 2, 3)) ** 2).sum(), even_in)
     check(
-        "conv3d_valid_strided_weights",
-        lambda t: (conv3d(Tensor(valid_in), t, (2, 2, 3), "valid") ** 2).sum(),
-        valid_w,
+        "conv3d_strided_even_weights",
+        lambda t: (conv3d(Tensor(even_in), t, (2, 2, 3)) ** 2).sum(),
+        even_w,
     )
 
     # Batch norm on its own, in both modes, with gamma/beta away from 1/0 and

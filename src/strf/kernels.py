@@ -5,11 +5,12 @@ here also accepts a rank-5 batch ``(batch, channels, time, height, width)``
 and treats rank-4 input as a batch of one. All kernels participate in the
 autodiff tape.
 
-Convolution is im2col + GEMM: the strided windows of the padded input are
-copied once into columns of dims (n, c*kt*kh*kw, t'*h'*w'). Forward is one
-GEMM (weight matrix x columns). Backward reuses the columns: dW is one GEMM
-(grad x columns^T, summed over the batch) and dX is one GEMM (weight^T x grad)
-whose per-tap blocks are added back onto the padded grid (col2im). The
+Convolution has SAME geometry only (zero padding, output extent =
+ceil(input / stride)) and is im2col + GEMM: the strided windows of the padded
+input are copied once into columns of dims (n, c*kt*kh*kw, t'*h'*w'). Forward
+is one GEMM (weight matrix x columns). Backward reuses the columns: dW is one
+GEMM (grad x columns^T, summed over the batch) and dX is one GEMM (weight^T x
+grad) whose per-tap blocks are added back onto the padded grid (col2im). The
 pointwise channel mix is the 1x1x1 case of the same path.
 """
 from __future__ import annotations
@@ -140,19 +141,13 @@ def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
     Kernel extents must be odd so the output grid aligns with the input grid.
     Max pooling pads conceptually with negative infinity, so padding can never
     win a window; average pooling divides by the in-bounds element count only.
-    A kernel of (1, 1, 1) passes the input through bit-identically.
+    A kernel of (1, 1, 1) returns ``x`` itself.
     """
     kernel = _check_triple(kernel, "pool kernel")
     if any(k % 2 == 0 for k in kernel):
         raise ConfigError(f"pool kernel extents must be odd, got {kernel}")
     if kernel == (1, 1, 1):
-        vol = x
-
-        def identity_grad(g: np.ndarray) -> None:
-            if vol.requires_grad:
-                vol._accumulate(g)
-
-        return Tensor._make(x.data, [x], identity_grad)
+        return x
     return _pool_forward(x, kernel, mode, (1, 1, 1))
 
 
@@ -168,22 +163,21 @@ def conv_channel_mix(x: Tensor, weight: Tensor) -> Tensor:
     at every spatio-temporal site. ``weight`` has dims (out_channels, in_channels)."""
     if weight.ndim != 2:
         raise ShapeError(f"channel mix weight must be a matrix, got dims {weight.shape}")
-    return _conv(x, weight, (1, 1, 1), (1, 1, 1), "same")
+    return _conv(x, weight, (1, 1, 1), (1, 1, 1))
 
 
-def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1), padding: str = "same") -> Tensor:
-    """3-d cross-correlation with a bank of kernels.
+def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1)) -> Tensor:
+    """3-d cross-correlation with a bank of kernels, SAME geometry: zero
+    padding, output extent = ceil(input / stride).
 
-    ``weight`` has dims (out_channels, in_channels, kt, kh, kw). ``padding``
-    is "same" (zero padding, output extent = ceil(input / stride)) or "valid"
-    (no padding, kernel must fit).
+    ``weight`` has dims (out_channels, in_channels, kt, kh, kw).
     """
     if weight.ndim != 5:
         raise ShapeError(f"conv weight must be rank-5, got dims {weight.shape}")
-    return _conv(x, weight, weight.shape[2:], _check_triple(stride, "conv stride"), padding)
+    return _conv(x, weight, weight.shape[2:], _check_triple(stride, "conv stride"))
 
 
-def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple, padding: str) -> Tensor:
+def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
     """im2col + GEMM. ``weight`` is (out_channels, in_channels, ...) with the
     kernel taps, if any, in its trailing dims; it is used as an
     (out_channels, in_channels * taps) matrix."""
@@ -193,17 +187,7 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple, padding: st
 
     data = vol.data
     sizes = data.shape[2:]
-    if padding == "same":
-        pads = [_same_padding(e, k, s) for e, k, s in zip(sizes, kernel, stride)]
-    elif padding == "valid":
-        for e, k in zip(sizes, kernel):
-            if e < k:
-                raise ShapeError(
-                    f"valid convolution needs input dims {vol.shape} to cover kernel dims {weight.shape}"
-                )
-        pads = [((e - k) // s + 1, 0, 0) for e, k, s in zip(sizes, kernel, stride)]
-    else:
-        raise ConfigError(f"conv padding must be 'same' or 'valid', got {padding!r}")
+    pads = [_same_padding(e, k, s) for e, k, s in zip(sizes, kernel, stride)]
 
     n, c = data.shape[:2]
     out_sizes = tuple(p[0] for p in pads)

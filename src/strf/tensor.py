@@ -106,15 +106,14 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(dims={self.shape}, dtype={self.data.dtype.name}{flag})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- autodiff ----------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: ``g`` may be shared with another parent or a read-only view
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from a scalar. Populates ``grad`` on every reachable

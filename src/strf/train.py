@@ -206,11 +206,11 @@ def params_report(cfg: RunConfig) -> str:
         strf_cfg = strf_config_from(cfg.model)
         for stage_number in sorted(set(cfg.model.strf_stages)):
             stage = spec.stages[stage_number - 1]
-            width = stage.width // 4  # units sit at the bottleneck width
+            width = stage[0].mid_channels  # units sit at the bottleneck width
             per_unit = strf_param_count(width, strf_cfg.reduction, len(strf_cfg.branches))
-            formula_delta += stage.blocks * per_unit
+            formula_delta += len(stage) * per_unit
             unit_lines.append(
-                f"stage {stage_number}: {stage.blocks} units x {per_unit} params (channels={width})"
+                f"stage {stage_number}: {len(stage)} units x {per_unit} params (channels={width})"
             )
 
     lines = ["name\tdims\tcount"]

@@ -75,22 +75,19 @@ def channel_mix_loops(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv3d_loops(
-    x: np.ndarray, w: np.ndarray, stride: tuple[int, int, int], padding: str
-) -> np.ndarray:
-    """Direct-summation cross-correlation. same mode zero-pads with the total
-    split as before = total // 2; output extent = ceil(in / stride)."""
+def conv3d_loops(x: np.ndarray, w: np.ndarray, stride: tuple[int, int, int]) -> np.ndarray:
+    """Direct-summation cross-correlation with SAME geometry: zero padding
+    with the total split as before = total // 2; output extent =
+    ceil(in / stride)."""
     c_in, t, h, wd = x.shape
     c_out, c_in2, kt, kh, kw = w.shape
     assert c_in == c_in2
     st, sh, sw = stride
 
     def geometry(extent, kernel, s):
-        if padding == "same":
-            out = -(-extent // s)
-            total = max((out - 1) * s + kernel - extent, 0)
-            return out, total // 2
-        return (extent - kernel) // s + 1, 0
+        out = -(-extent // s)
+        total = max((out - 1) * s + kernel - extent, 0)
+        return out, total // 2
 
     ot, pt = geometry(t, kt, st)
     oh, ph = geometry(h, kh, sh)

@@ -305,10 +305,25 @@ def test_strf_weight_perturbation_changes_embedding(rng):
 def test_variant_stage_promotion():
     spec = resnet50_spec(classes=5, variant="p3d-c", strf_stages=(3,), variant_stages=(2,),
                          width_div=16, blocks=(1, 1, 1, 1))
-    variants = [stage.variant for stage in spec.stages]
+    variants = [stage[0].variant for stage in spec.stages]
     # stage 3 carries strf, so it gets promoted off c2d too
     assert variants == ["c2d", "p3d-c", "p3d-c", "c2d"]
-    assert [stage.strf for stage in spec.stages] == [False, False, True, False]
+    assert [stage[0].strf is not None for stage in spec.stages] == [False, False, True, False]
+
+
+def test_spec_lays_out_every_block():
+    unit = StrfConfig(integration="parallel")
+    spec = resnet50_spec(classes=5, variant="i3d", strf_stages=(2,), variant_stages=(2, 3),
+                         width_div=16, blocks=(2, 2, 1, 1), strf_cfg=unit)
+    assert [len(stage) for stage in spec.stages] == [2, 2, 1, 1]
+    # the first block of a stage takes the previous width and the stage stride
+    assert [[b.in_channels for b in stage] for stage in spec.stages] == [[4, 16], [16, 32], [32], [64]]
+    assert [[b.out_channels for b in stage] for stage in spec.stages] == [[16, 16], [32, 32], [64], [128]]
+    assert [[b.spatial_stride for b in stage] for stage in spec.stages] == [[1, 1], [2, 1], [2], [1]]
+    assert [[b.variant for b in stage] for stage in spec.stages] == [
+        ["c2d", "c2d"], ["i3d", "i3d"], ["i3d"], ["c2d"]]
+    assert [[b.strf for b in stage] for stage in spec.stages] == [[None, None], [unit, unit], [None], [None]]
+    assert spec.stem_width == 4 and spec.feature_dim == 128
 
 
 def test_strf_on_c2d_stage_rejected():

@@ -166,6 +166,8 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     [
         ("train", "steps_per_epoch = 2", "steps_per_epoch = -1"),
         ("train", "seed = 7", "seed = 7\nlog_every = 0"),
+        ("train", "seed = 7", "seed = 7\nlr_decay_factor = -1"),
+        ("train", "seed = 7", "seed = 7\nlr_decay_epochs = -4"),
         ("eval", "ranks = 1, 2", "ranks = 0, 2"),
         ("eval", "ranks = 1, 2", "ranks = 1, 2\nbatch_size = 0"),
         ("eval", "ranks = 1, 2", "ranks = 1, 3"),

@@ -114,6 +114,11 @@ def test_semantic_validation():
         ("[model]\nwidth_div = 3\n", "width divisor 3 does not divide"),
         ("[model]\nvariant = bogus\nvariant_stages =\nstrf_stages =\n", "variant must be one of"),
         ("[model]\nblocks = 1, 1, 1\n", "blocks must list 4"),
+        ("[model]\nblocks = 1, 0, 1, 1\n", "stage depths >= 1, got \\(1, 0, 1, 1\\)"),
+        ("[train]\nlr_decay_factor = -1\n", "lr_decay_factor must lie in \\(0, 1\\]"),
+        ("[train]\nlr_decay_factor = 0\n", "lr_decay_factor must lie in \\(0, 1\\]"),
+        ("[train]\nlr_decay_factor = 1.5\n", "lr_decay_factor must lie in \\(0, 1\\]"),
+        ("[train]\nlr_decay_epochs = -4\n", "lr_decay_epochs must be >= 0"),
         ("[model]\nr_fine = 2\nr_coarse = 3\n", "odd and positive"),
         ("[data]\nsynth_identities = 3\n", "even identity count"),
         ("[data]\nsynth_pairing = twins\n", "pairing"),
@@ -168,7 +173,7 @@ def test_network_spec_builder():
     cfg = parse_config_text("[model]\nwidth_div = 16\nblocks = 1, 1, 1, 1\nclasses = 9\n")
     spec = network_spec_from(cfg.model)
     assert spec.classes == 9
-    assert [s.width for s in spec.stages] == [16, 32, 64, 128]
+    assert [s[0].out_channels for s in spec.stages] == [16, 32, 64, 128]
     assert network_spec_from(cfg.model, classes=3).classes == 3
     with pytest.raises(ConfigError, match="blocks"):
         network_spec_from(cfg.model.__class__(blocks=(1, 1)))

@@ -287,6 +287,18 @@ def test_branch_subset_configs(rng):
     assert np.allclose(out.data, manual, atol=1e-10)
 
 
+@pytest.mark.parametrize("integration", ("temporal-then-spatial", "spatial-then-temporal", "parallel"))
+@pytest.mark.parametrize("dimension", ("temporal", "spatial"))
+def test_one_dimension_unit_is_its_branch(rng, integration, dimension):
+    # the dimension with no active branch passes its input through in a
+    # cascade and adds nothing, not even that input, in parallel
+    f = t64(rng.normal(size=(8, 3, 3, 2)))
+    cfg = default_cfg(integration=integration, branches=((dimension, "fine"), (dimension, "coarse")))
+    params = make_params(8, cfg)
+    out = strf_forward(f, cfg, params)
+    assert np.array_equal(out.data, ffm_branch(f, dimension, cfg, params).data)
+
+
 def test_branch_subset_validation():
     with pytest.raises(ConfigError):
         default_cfg(branches=())

@@ -99,33 +99,25 @@ def test_conv_channel_mix_shape_error():
         conv_channel_mix(vol(np.zeros((3, 1, 1, 1))), Tensor(np.zeros((2, 4))))
 
 
-def test_conv3d_valid_ones_gives_kernel_volume():
-    x = vol(np.ones((1, 1, 3, 3)))
-    w = Tensor(np.ones((1, 1, 1, 3, 3)))
-    out = conv3d(x, w, (1, 1, 1), "valid")
-    assert out.data.shape == (1, 1, 1, 1)
-    assert np.isclose(out.data.item(), 9.0)
-
-
 def test_conv3d_identity_kernel(rng):
     x = rng.normal(size=(3, 2, 4, 4))
     w = np.zeros((3, 3, 1, 1, 1))
     for c in range(3):
         w[c, c, 0, 0, 0] = 1.0
-    out = conv3d(vol(x), Tensor(w), (1, 1, 1), "same").data
+    out = conv3d(vol(x), Tensor(w), (1, 1, 1)).data
     assert np.allclose(out, x)
 
 
 def test_conv3d_zero_kernel(rng):
     x = rng.normal(size=(2, 2, 3, 3))
-    out = conv3d(vol(x), Tensor(np.zeros((4, 2, 3, 3, 3))), (1, 1, 1), "same").data
+    out = conv3d(vol(x), Tensor(np.zeros((4, 2, 3, 3, 3))), (1, 1, 1)).data
     assert np.array_equal(out, np.zeros((4, 2, 3, 3)))
 
 
 def test_conv3d_same_geometry_is_ceil():
     x = vol(np.zeros((1, 5, 7, 7)))
     w = Tensor(np.zeros((2, 1, 3, 3, 3)))
-    out = conv3d(x, w, (2, 2, 2), "same")
+    out = conv3d(x, w, (2, 2, 2))
     assert out.data.shape == (2, 3, 4, 4)
 
 
@@ -133,31 +125,29 @@ def test_conv3d_matches_loop_oracle(rng):
     x = rng.normal(size=(3, 4, 5, 4))
     w = rng.normal(size=(2, 3, 3, 3, 3))
     for stride in ((1, 1, 1), (1, 2, 2), (2, 2, 2)):
-        got = conv3d(vol(x), Tensor(w), stride, "same").data
-        assert np.allclose(got, conv3d_loops(x, w, stride, "same"), atol=1e-10), stride
-    got = conv3d(vol(x), Tensor(w), (1, 1, 1), "valid").data
-    assert np.allclose(got, conv3d_loops(x, w, (1, 1, 1), "valid"), atol=1e-10)
+        got = conv3d(vol(x), Tensor(w), stride).data
+        assert np.allclose(got, conv3d_loops(x, w, stride), atol=1e-10), stride
 
 
 def test_conv3d_asymmetric_kernels(rng):
     x = rng.normal(size=(2, 4, 3, 3))
     for kshape in ((3, 1, 1), (1, 3, 3)):
         w = rng.normal(size=(2, 2) + kshape)
-        got = conv3d(vol(x), Tensor(w), (1, 1, 1), "same").data
-        assert np.allclose(got, conv3d_loops(x, w, (1, 1, 1), "same"), atol=1e-10)
+        got = conv3d(vol(x), Tensor(w), (1, 1, 1)).data
+        assert np.allclose(got, conv3d_loops(x, w, (1, 1, 1)), atol=1e-10)
 
 
 def test_conv3d_channel_mismatch():
     with pytest.raises(ShapeError):
-        conv3d(vol(np.zeros((3, 2, 2, 2))), Tensor(np.zeros((1, 4, 1, 1, 1))), (1, 1, 1), "same")
+        conv3d(vol(np.zeros((3, 2, 2, 2))), Tensor(np.zeros((1, 4, 1, 1, 1))), (1, 1, 1))
 
 
 def test_conv3d_batched_matches_per_item(rng):
     x = rng.normal(size=(3, 2, 3, 4, 4))
     w = rng.normal(size=(2, 2, 1, 3, 3))
-    batched = conv3d(vol(x), Tensor(w), (1, 2, 2), "same").data
+    batched = conv3d(vol(x), Tensor(w), (1, 2, 2)).data
     for i in range(3):
-        single = conv3d(vol(x[i]), Tensor(w), (1, 2, 2), "same").data
+        single = conv3d(vol(x[i]), Tensor(w), (1, 2, 2)).data
         assert np.allclose(batched[i], single, atol=1e-12)
 
 
@@ -169,7 +159,7 @@ def test_conv3d_float32_reruns_are_bit_identical():
 
     def run():
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        out = conv3d(xt, wt, (1, 2, 2), "same")
+        out = conv3d(xt, wt, (1, 2, 2))
         (out * Tensor(upstream)).sum().backward()
         return out.data, xt.grad, wt.grad
 
@@ -180,26 +170,24 @@ def test_conv3d_float32_reruns_are_bit_identical():
 
 @st.composite
 def conv_cases(draw):
-    padding = draw(st.sampled_from(["same", "valid"]))
     kernel = tuple(draw(st.integers(1, 3)) for _ in range(3))
     stride = tuple(draw(st.integers(1, 3)) for _ in range(3))
-    low = kernel if padding == "valid" else (1, 1, 1)
-    sizes = tuple(draw(st.integers(k, 5)) for k in low)
+    sizes = tuple(draw(st.integers(1, 5)) for _ in range(3))
     dims = (draw(st.integers(1, 2)), draw(st.integers(1, 3))) + sizes
-    return dims, draw(st.integers(1, 3)), kernel, stride, padding, draw(st.integers(0, 2**31 - 1))
+    return dims, draw(st.integers(1, 3)), kernel, stride, draw(st.integers(0, 2**31 - 1))
 
 
 @settings(max_examples=40, deadline=None)
 @given(conv_cases())
 def test_property_conv3d_matches_oracle_and_adjoint(case):
-    dims, c_out, kernel, stride, padding, seed = case
+    dims, c_out, kernel, stride, seed = case
     g = np.random.Generator(np.random.PCG64(seed))
     x = g.normal(size=dims)
     w = g.normal(size=(c_out, dims[1]) + kernel)
     xt, wt = vol(x), Tensor(w, requires_grad=True)
-    out = conv3d(xt, wt, stride, padding)
+    out = conv3d(xt, wt, stride)
     for i in range(dims[0]):
-        assert np.allclose(out.data[i], conv3d_loops(x[i], w, stride, padding), atol=1e-10)
+        assert np.allclose(out.data[i], conv3d_loops(x[i], w, stride), atol=1e-10)
     # the map is bilinear, so <conv(x, w), s> = <x, dX> = <w, dW> for any seed s
     s = g.normal(size=out.shape)
     (out * Tensor(s)).sum().backward()

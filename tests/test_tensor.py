@@ -204,6 +204,20 @@ def test_grad_accumulates_across_uses():
     assert np.isclose(x.grad, 5.0)
 
 
+def test_first_gradient_is_a_private_copy(rng):
+    a = t(rng.normal(size=(3, 2)))
+    w = rng.normal(size=(3, 2))
+    z = a + a
+    (z * Tensor(w)).sum().backward()
+    assert np.array_equal(a.grad, 2 * w)
+    # add hands z's gradient array to both parents, so a must not alias it
+    assert np.array_equal(z.grad, w)
+    # sum and mean hand out read-only broadcast views; a second use adds onto the copy
+    b = t(rng.normal(size=(2, 3)))
+    (b.sum() + b.mean() * 3.0).backward()
+    assert np.allclose(b.grad, np.full((2, 3), 1.5))
+
+
 def test_float32_stays_float32():
     a = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     out = relu(a * 2.0 + 1.0)
