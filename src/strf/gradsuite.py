@@ -121,6 +121,24 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     check("batch_norm_train_beta", lambda t: bn_map(bn_in, gamma, t, True), beta)
     check("batch_norm_eval_input", lambda t: bn_map(t, gamma, beta, False), bn_in)
 
+    # The fused epilogue relu(bn(x) + skip) in training mode, on the same input
+    # and gamma/beta. The skip is a target pre-activation minus bn(x), with
+    # every target at least 0.1 from 0, so no probe crosses the relu's kink.
+    act = BatchNorm3dLayer(3, np.float64, relu=True)
+    mean = bn_in.mean(axis=(0, 2, 3, 4), keepdims=True)
+    var = bn_in.var(axis=(0, 2, 3, 4), keepdims=True)
+    normed = (bn_in - mean) / np.sqrt(var + act.eps) * gamma[:, None, None, None] + beta[:, None, None, None]
+    target = rng.uniform(0.1, 1.0, size=bn_in.shape) * rng.choice((-1.0, 1.0), size=bn_in.shape)
+    skip = target - normed
+
+    def act_map(x, s, g):
+        act.gamma, act.beta = as_tensor(g), as_tensor(beta)
+        return ((act(as_tensor(x), True, as_tensor(s)) - bn_target) ** 2).sum()
+
+    check("bn_relu_skip_train_input", lambda t: act_map(t, skip, gamma), bn_in)
+    check("bn_relu_skip_train_skip", lambda t: act_map(bn_in, t, gamma), skip)
+    check("bn_relu_skip_train_gamma", lambda t: act_map(bn_in, skip, t), gamma)
+
     return results
 
 

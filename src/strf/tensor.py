@@ -6,6 +6,12 @@ Each operation that participates in differentiation records its parents and a
 closure that scatters the incoming gradient back to them; ``Tensor.backward``
 replays those closures in reverse topological order.
 
+The replay consumes the graph: once a node's closure has run, the node drops
+the closure, its parents and its gradient, so the buffers a closure holds are
+freed as soon as nothing later in the walk needs them. Only the root and the
+leaves keep their gradients, and a second ``backward`` that reaches a consumed
+node raises ``ContractError`` instead of silently stopping there.
+
 Recording can be suspended with the ``no_grad`` context manager, which turns
 every operation into plain array math (useful for inference loops).
 """
@@ -116,8 +122,13 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar. Populates ``grad`` on every reachable
-        tensor that requires gradients."""
+        """Backpropagate from a scalar. Populates ``grad`` on ``self`` and on
+        every reachable leaf that requires gradients.
+
+        The walk consumes the graph: each interior node gives up its closure,
+        its parents and its ``grad`` once its closure has run. Calling
+        ``backward`` again from this root, or from any graph built on one of
+        its interior nodes, raises ``ContractError``."""
         if self.data.size != 1:
             raise ContractError(f"backward() starts from a scalar, got dims {self.shape}")
         order: list[Tensor] = []
@@ -130,15 +141,23 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._grad_fn is _consumed:
+                raise ContractError("backward() reached a node whose graph an earlier backward() consumed")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
+        while order:
+            # popping drops the walk's own reference, so a consumed node's data
+            # goes as soon as no closure still waiting to run holds it
+            node = order.pop()
             if node._grad_fn is not None:
                 node._grad_fn(node.grad)
+                node._grad_fn, node._parents = _consumed, ()
+                if node is not self:
+                    node.grad = None
 
     # -- operator sugar ------------------------------------------------------
 
@@ -184,6 +203,11 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
+
+
+def _consumed(g: np.ndarray) -> None:
+    """Stands in for a closure that ``Tensor.backward`` has run and released."""
+    raise ContractError("this node's graph was consumed by an earlier backward()")
 
 
 def as_tensor(value, dtype=None) -> Tensor:

@@ -14,7 +14,7 @@ from strf.backbone import (
 )
 from strf.errors import ConfigError, ShapeError
 from strf.factorize import StrfConfig, strf_param_count
-from strf.tensor import Tensor
+from strf.tensor import Tensor, relu
 
 from oracles import batch_norm_composed
 
@@ -202,9 +202,9 @@ def test_train_mode_updates_running_stats(rng):
 
 # -- batch norm --------------------------------------------------------------
 
-def bn_layer(rng, dtype, channels=3):
+def bn_layer(rng, dtype, channels=3, relu=False):
     """A layer with gamma/beta away from 1/0 and non-default running stats."""
-    bn = BatchNorm3dLayer(channels, dtype)
+    bn = BatchNorm3dLayer(channels, dtype, relu=relu)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=channels)
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=channels)
     bn.running_mean[:] = rng.uniform(-0.3, 0.3, size=channels)
@@ -279,6 +279,62 @@ def test_batch_norm_eval_backward_uses_the_stats_its_forward_saw(rng):
     want = bn_grads(lambda layer, t: batch_norm_composed(layer, t, False), ref, x_data, upstream)
     for name, got, expected in zip(("dx", "dgamma", "dbeta"), (x.grad, bn.gamma.grad, bn.beta.grad), want[1:]):
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12, err_msg=name)
+
+
+def epilogue_grads(apply, bn, x_data, skip_data, upstream):
+    """``bn_grads`` for ``apply(bn, x, skip)``, plus the skip's gradient
+    (None when ``skip_data`` is None)."""
+    skip = None if skip_data is None else Tensor(skip_data.copy(), requires_grad=True)
+    out, dx, dgamma, dbeta = bn_grads(lambda layer, x: apply(layer, x, skip), bn, x_data, upstream)
+    return out, dx, None if skip is None else skip.grad, dgamma, dbeta
+
+
+def composed_epilogue(bn, x, skip, training):
+    y = batch_norm_composed(bn, x, training)
+    return relu(y if skip is None else y + skip)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("with_skip", [False, True])
+def test_fused_epilogue_matches_composed_reference(training, with_skip, rng):
+    bn = bn_layer(rng, np.float64, relu=True)
+    ref = twin(bn)
+    x = rng.normal(1.0, 2.0, size=(2, 3, 3, 4, 2))
+    skip = rng.normal(size=x.shape) if with_skip else None
+    upstream = rng.normal(size=x.shape)
+    fused = epilogue_grads(lambda layer, t, s: layer(t, training, s), bn, x, skip, upstream)
+    composed = epilogue_grads(lambda layer, t, s: composed_epilogue(layer, t, s, training), ref, x, skip, upstream)
+    assert (fused[0] == 0).any() and (fused[0] > 0).any()
+    for name, got, want in zip(("out", "dx", "dskip", "dgamma", "dbeta"), fused, composed):
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_fused_epilogue_float32_rerun_is_bit_identical(training):
+    runs = []
+    for _ in range(2):
+        rng = np.random.Generator(np.random.PCG64(12))
+        bn = bn_layer(rng, np.float32, channels=4, relu=True)
+        x, skip, upstream = rng.normal(size=(3, 3, 4, 2, 5, 3)).astype(np.float32)
+        runs.append(epilogue_grads(lambda layer, t, s: layer(t, training, s), bn, x, skip, upstream))
+    for first, second in zip(*runs):
+        assert first.dtype == np.float32
+        assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_fused_epilogue_passes_a_nan_through(training, rng):
+    # a relu that maps NaN to 0 would hide a poisoned input from the
+    # non-finite loss and gradient checks
+    bn = bn_layer(rng, np.float64, relu=True)
+    x = rng.normal(size=(2, 3, 3, 4, 2))
+    poisoned = x.copy()
+    poisoned[1, 2, 0, 3, 1] = np.nan
+    assert np.isnan(bn(Tensor(poisoned), training).data[1, 2, 0, 3, 1])
+    assert np.isnan(bn(Tensor(x), training, Tensor(poisoned)).data[1, 2, 0, 3, 1])
 
 
 def test_feature_head_is_mean_pool(rng):

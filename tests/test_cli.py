@@ -1,9 +1,12 @@
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import strf
 from strf import train
 from strf.cli import dispatch
 from strf.config import parse_config
@@ -151,6 +154,15 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     rc = dispatch(["params", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    # ``python -m strf.cli`` must dispatch like the console script, not import and exit 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(strf.__file__)))
+    argv = ["train", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "run")]
+    done = subprocess.run([sys.executable, "-m", "strf.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "config error" in done.stderr
 
 
 def test_malformed_config_exits_two(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,17 +207,57 @@ def test_grad_accumulates_across_uses():
 
 
 def test_first_gradient_is_a_private_copy(rng):
-    a = t(rng.normal(size=(3, 2)))
-    w = rng.normal(size=(3, 2))
-    z = a + a
-    (z * Tensor(w)).sum().backward()
-    assert np.array_equal(a.grad, 2 * w)
-    # add hands z's gradient array to both parents, so a must not alias it
-    assert np.array_equal(z.grad, w)
+    # add hands one gradient array to both parents; a later contribution to
+    # one leaf must not leak into the other through a shared buffer, whichever
+    # order the walk takes
+    w, v = rng.normal(size=(2, 3, 2))
+    for mul_first in (False, True):
+        a, b = t(rng.normal(size=(3, 2))), t(rng.normal(size=(3, 2)))
+        via_add = ((a + b) * Tensor(w)).sum()
+        via_mul = (a * Tensor(v)).sum()
+        (via_mul + via_add if mul_first else via_add + via_mul).backward()
+        assert np.array_equal(b.grad, w)
+        assert np.allclose(a.grad, w + v)
     # sum and mean hand out read-only broadcast views; a second use adds onto the copy
     b = t(rng.normal(size=(2, 3)))
     (b.sum() + b.mean() * 3.0).backward()
     assert np.allclose(b.grad, np.full((2, 3), 1.5))
+
+
+def test_backward_releases_the_interior_of_the_graph(rng):
+    a, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=(4, 2)))
+    hidden = relu(matmul(a, b))
+    loss = (softmax_rows(hidden * 2.0) * hidden).sum()
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    interior = [node for node in nodes.values() if node._grad_fn is not None]
+    assert len(interior) == 6
+    assert {id(node) for node in nodes.values() if node._grad_fn is None} == {id(a), id(b)}
+    closures = [weakref.ref(node._grad_fn) for node in interior]
+    loss.backward()
+    assert all(ref() is None for ref in closures)
+    assert all(node._parents == () for node in interior)
+    assert all(node.grad is None for node in interior if node is not loss)
+    assert loss.grad == 1.0
+    assert a.grad.shape == (3, 4) and b.grad.shape == (4, 2)
+
+
+def test_second_backward_through_a_consumed_graph_raises(rng):
+    a = t(rng.normal(size=(3,)))
+    hidden = a * 2.0
+    loss = (hidden * hidden).sum()
+    loss.backward()
+    kept = a.grad.copy()
+    with pytest.raises(ContractError):
+        loss.backward()
+    with pytest.raises(ContractError):
+        (hidden * 3.0).sum().backward()
+    assert np.array_equal(a.grad, kept)
+    assert loss.grad == 1.0
 
 
 def test_float32_stays_float32():
