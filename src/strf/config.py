@@ -2,8 +2,9 @@
 
 Files hold ``key = value`` lines under ``[model]``, ``[train]``, ``[data]``
 and ``[eval]`` sections; ``#`` starts a comment. Unknown sections or keys are
-rejected with their line number, as are values that fail to parse. Every key
-has a default, so the empty file is a valid configuration.
+rejected with their line number, as are values that fail to parse and a key
+given twice in one section (also across a repeated ``[section]`` header).
+Every key has a default, so the empty file is a valid configuration.
 """
 from __future__ import annotations
 
@@ -115,6 +116,7 @@ def _field_parser(section_cls, key: str):
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     sections: dict[str, dict] = {name: {} for name in _SECTION_TYPES}
+    first_seen: dict[tuple[str, str], int] = {}
     current: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,6 +136,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         parser = _field_parser(_SECTION_TYPES[current], key)
         if parser is None:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r} in [{current}]")
+        if (current, key) in first_seen:
+            raise ConfigError(
+                f"{source}:{line_no}: key {key!r} in [{current}] repeats line {first_seen[current, key]}"
+            )
+        first_seen[current, key] = line_no
         try:
             sections[current][key] = parser(value)
         except ValueError:

@@ -13,6 +13,10 @@ where T is the pooled volume flattened to (reduced_channels * time) rows by
 input volume, mixing spatial sites; a branch sums its fine and coarse
 outputs. Temporal and spatial branches combine in cascade (either order) or
 in parallel.
+
+``StrfConfig`` is the unit's one config and checks every setting once:
+``fam_mask`` takes a branch's dimension, resolution, pool mode and
+temperature as plain arguments, and the reduction is the shape of its weight.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from .tensor import Tensor, matmul, softmax_rows
 from .kernels import conv_channel_mix, pool3d
 
 DIMENSIONS = ("temporal", "spatial")
-KINDS = ("fine", "coarse")
 BRANCH_ORDER: tuple[tuple[str, str], ...] = (
     ("temporal", "fine"),
     ("temporal", "coarse"),
@@ -37,41 +40,13 @@ POOL_MODES = ("max", "avg")
 
 
 @dataclass(frozen=True)
-class FamConfig:
-    """One attention branch: which dimension it pools along, at what
-    resolution, with which pooling mode."""
-
-    dimension: str
-    resolution: int
-    pool: str = "max"
-    reduction: int = 16
-    temperature: float = 4.0
-
-    def __post_init__(self):
-        if self.dimension not in DIMENSIONS:
-            raise ConfigError(f"dimension must be one of {DIMENSIONS}, got {self.dimension!r}")
-        if self.resolution < 1 or self.resolution % 2 == 0:
-            raise ConfigError(f"pooling resolution must be odd and positive, got {self.resolution}")
-        if self.pool not in POOL_MODES:
-            raise ConfigError(f"pool must be one of {POOL_MODES}, got {self.pool!r}")
-        if self.reduction < 1:
-            raise ConfigError(f"channel reduction must be >= 1, got {self.reduction}")
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-
-    @property
-    def kernel(self) -> tuple[int, int, int]:
-        r = self.resolution
-        return (r, 1, 1) if self.dimension == "temporal" else (1, r, r)
-
-
-@dataclass(frozen=True)
 class StrfConfig:
     """Configuration of a whole four-branch unit.
 
-    ``fine`` branches pool at ``r_fine`` and ``coarse`` at ``r_coarse``;
-    the coarse resolution may not be finer than the fine one. ``branches``
-    selects a subset of the four for ablation runs; the default keeps all.
+    ``fine`` branches pool at ``r_fine`` with ``pool_fine`` and ``coarse`` at
+    ``r_coarse`` with ``pool_coarse``; resolutions are odd and the coarse one
+    may not be finer than the fine one. ``branches`` selects a subset of the
+    four for ablation runs; the default keeps all.
     """
 
     r_fine: int = 1
@@ -84,9 +59,17 @@ class StrfConfig:
     branches: tuple[tuple[str, str], ...] = field(default=BRANCH_ORDER)
 
     def __post_init__(self):
-        # each branch config checks its own resolution, pool, reduction and temperature
-        FamConfig("temporal", self.r_fine, self.pool_fine, self.reduction, self.temperature)
-        FamConfig("temporal", self.r_coarse, self.pool_coarse, self.reduction, self.temperature)
+        for name in ("r_fine", "r_coarse"):
+            r = getattr(self, name)
+            if r < 1 or r % 2 == 0:
+                raise ConfigError(f"pooling resolution {name} must be odd and positive, got {r}")
+        for name in ("pool_fine", "pool_coarse"):
+            if getattr(self, name) not in POOL_MODES:
+                raise ConfigError(f"{name} must be one of {POOL_MODES}, got {getattr(self, name)!r}")
+        if self.reduction < 1:
+            raise ConfigError(f"channel reduction must be >= 1, got {self.reduction}")
+        if not self.temperature > 0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if self.r_coarse < self.r_fine:
             raise ConfigError(
                 f"coarse resolution {self.r_coarse} may not be finer than fine resolution {self.r_fine}"
@@ -98,15 +81,13 @@ class StrfConfig:
             raise ConfigError(f"branches must be a non-empty subset of {BRANCH_ORDER}, got {self.branches}")
         object.__setattr__(self, "branches", ordered)
 
-    def branch_config(self, dimension: str, kind: str) -> FamConfig:
-        if kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-        resolution = self.r_fine if kind == "fine" else self.r_coarse
-        pool = self.pool_fine if kind == "fine" else self.pool_coarse
-        return FamConfig(dimension, resolution, pool, self.reduction, self.temperature)
-
     def active_kinds(self, dimension: str) -> tuple[str, ...]:
         return tuple(k for d, k in self.branches if d == dimension)
+
+
+def _check_dimension(dimension: str) -> None:
+    if dimension not in DIMENSIONS:
+        raise ConfigError(f"dimension must be one of {DIMENSIONS}, got {dimension!r}")
 
 
 def reduced_channels(channels: int, reduction: int) -> int:
@@ -146,23 +127,23 @@ def reshape_to_matrix(f: Tensor) -> Tensor:
     raise ShapeError(f"expected a rank-4 or rank-5 feature volume, got dims {f.shape}")
 
 
-def fam_mask(f: Tensor, cfg: FamConfig, weight: Tensor) -> Tensor:
+def fam_mask(
+    f: Tensor, weight: Tensor, dimension: str, resolution: int, pool: str = "max", temperature: float = 4.0
+) -> Tensor:
     """Compute one branch's attention mask over spatial sites.
 
     Returns a (sites, sites) matrix whose rows are probability vectors, or a
-    batch of such matrices for batched input. ``weight`` must be a
-    (reduced_channels, channels) matrix.
+    batch of such matrices for batched input. ``weight`` is the branch's
+    (reduced_channels, channels) matrix. The reduced volume is pooled with an
+    odd ``resolution``: over a (r, 1, 1) kernel for the temporal dimension and
+    a (1, r, r) kernel for the spatial one.
     """
-    if f.ndim not in (4, 5):
-        raise ShapeError(f"expected a rank-4 or rank-5 feature volume, got dims {f.shape}")
-    channels = f.shape[-4]
-    if weight.ndim != 2 or weight.shape[1] != channels:
-        raise ShapeError(f"reduction weight dims {weight.shape} do not match input dims {f.shape}")
-    reduced = conv_channel_mix(f, weight)
-    pooled = pool3d(reduced, cfg.kernel, cfg.pool)
+    _check_dimension(dimension)
+    kernel = (resolution, 1, 1) if dimension == "temporal" else (1, resolution, resolution)
+    pooled = pool3d(conv_channel_mix(f, weight), kernel, pool)
     flat = reshape_to_matrix(pooled)
     flat_t = flat.transpose() if flat.ndim == 2 else flat.transpose(0, 2, 1)
-    covariance = matmul(flat_t, flat) * cfg.temperature
+    covariance = matmul(flat_t, flat) * temperature
     return softmax_rows(covariance)
 
 
@@ -173,26 +154,20 @@ def ffm_apply(f: Tensor, mask: Tensor) -> Tensor:
     sites = flat.shape[-1]
     if mask.shape[-1] != sites or mask.shape[-2] != sites:
         raise ShapeError(f"mask dims {mask.shape} do not cover the {sites} spatial sites of input dims {f.shape}")
-    if flat.ndim != mask.ndim:
-        raise ShapeError(f"mask dims {mask.shape} do not match the batching of input dims {f.shape}")
     return matmul(flat, mask).reshape(f.shape)
 
 
 def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: dict[tuple[str, str], Tensor]) -> Tensor:
     """Sum of the active fine/coarse attention outputs along one dimension.
     With no active branch for the dimension, the input passes through."""
-    if dimension not in DIMENSIONS:
-        raise ConfigError(f"dimension must be one of {DIMENSIONS}, got {dimension!r}")
-    kinds = cfg.active_kinds(dimension)
-    if not kinds:
-        return f
+    _check_dimension(dimension)
     out: Tensor | None = None
-    for kind in kinds:
-        branch_cfg = cfg.branch_config(dimension, kind)
-        mask = fam_mask(f, branch_cfg, params[(dimension, kind)])
+    for kind in cfg.active_kinds(dimension):
+        resolution, pool = (cfg.r_fine, cfg.pool_fine) if kind == "fine" else (cfg.r_coarse, cfg.pool_coarse)
+        mask = fam_mask(f, params[(dimension, kind)], dimension, resolution, pool, cfg.temperature)
         applied = ffm_apply(f, mask)
         out = applied if out is None else out + applied
-    return out
+    return f if out is None else out
 
 
 def strf_forward(f: Tensor, cfg: StrfConfig, params: dict[tuple[str, str], Tensor]) -> Tensor:

@@ -86,8 +86,6 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
         kh, kw = kernel[1], kernel[2]
 
         def grad_fn(g: np.ndarray) -> None:
-            if not vol.requires_grad:
-                return
             gpad = np.zeros_like(padded)
             dt = arg // (kh * kw)
             rem = arg % (kh * kw)
@@ -101,7 +99,7 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
             )
             vol._accumulate(_crop(gpad, pads, (t, h, w)))
 
-    elif mode == "avg":
+    else:  # "avg"; pool3d checks the mode
         padded = np.pad(data, pad_spec)
         win = _window_view(padded, kernel, stride)
         sums = win.sum(axis=(-3, -2, -1))
@@ -109,14 +107,9 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
         out_data = sums / counts
 
         def grad_fn(g: np.ndarray) -> None:
-            if not vol.requires_grad:
-                return
             gdiv = (g / counts)[:, :, None, None, None]
             taps = np.broadcast_to(gdiv, (n, c) + kernel + out_data.shape[2:])
             vol._accumulate(_crop(_scatter_windows(taps, padded.shape, stride), pads, (t, h, w)))
-
-    else:
-        raise ConfigError(f"pool mode must be 'max' or 'avg', got {mode!r}")
 
     out = Tensor._make(out_data.astype(data.dtype, copy=False), [vol], grad_fn)
     return out.reshape(out.shape[1:]) if squeeze else out
@@ -146,6 +139,8 @@ def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
     kernel = _check_triple(kernel, "pool kernel")
     if any(k % 2 == 0 for k in kernel):
         raise ConfigError(f"pool kernel extents must be odd, got {kernel}")
+    if mode not in ("max", "avg"):
+        raise ConfigError(f"pool mode must be 'max' or 'avg', got {mode!r}")
     if kernel == (1, 1, 1):
         return x
     return _pool_forward(x, kernel, mode, (1, 1, 1))

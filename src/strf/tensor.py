@@ -74,6 +74,8 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], grad_fn) -> "Tensor":
+        # the closure is kept only when a parent requires gradients, so a
+        # one-parent op's closure may accumulate into that parent unguarded
         out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -100,10 +102,9 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_error()
-
-    def _item_error(self):
-        raise ContractError(f"item() needs a single-element tensor, got dims {self.shape}")
+        if self.data.size != 1:
+            raise ContractError(f"item() needs a single-element tensor, got dims {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def __float__(self) -> float:
         return self.item()
@@ -297,8 +298,7 @@ def div(a: Tensor, b) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(-g)
+        a._accumulate(-g)
 
     return Tensor._make(-a.data, [a], grad_fn)
 
@@ -308,8 +308,7 @@ def power(a: Tensor, exponent: float) -> Tensor:
     out_data = a.data ** p
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * p * a.data ** (p - 1.0))
+        a._accumulate(g * p * a.data ** (p - 1.0))
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -318,16 +317,14 @@ def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * out_data)
+        a._accumulate(g * out_data)
 
     return Tensor._make(out_data, [a], grad_fn)
 
 
 def log(a: Tensor) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g / a.data)
+        a._accumulate(g / a.data)
 
     return Tensor._make(np.log(a.data), [a], grad_fn)
 
@@ -336,8 +333,7 @@ def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / out_data)
+        a._accumulate(g * 0.5 / out_data)
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -347,8 +343,7 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.where(mask, a.data, 0.0).astype(a.data.dtype, copy=False)
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * mask)
+        a._accumulate(g * mask)
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -361,8 +356,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
+        a._accumulate(g.reshape(a.data.shape))
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -373,8 +367,7 @@ def transpose(a: Tensor, axes: Iterable[int] | None = None) -> Tensor:
     out_data = a.data.transpose(axes_t)
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
+        a._accumulate(g.transpose(inverse))
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -394,8 +387,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_restore_reduced(g, a.data.shape, axis, keepdims).astype(a.data.dtype, copy=False))
+        a._accumulate(_restore_reduced(g, a.data.shape, axis, keepdims).astype(a.data.dtype, copy=False))
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -405,9 +397,8 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size / max(out_data.size, 1)
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            spread = _restore_reduced(g, a.data.shape, axis, keepdims)
-            a._accumulate((spread / count).astype(a.data.dtype, copy=False))
+        spread = _restore_reduced(g, a.data.shape, axis, keepdims)
+        a._accumulate((spread / count).astype(a.data.dtype, copy=False))
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -447,9 +438,8 @@ def softmax_rows(a: Tensor) -> Tensor:
     out_data = expd / expd.sum(axis=-1, keepdims=True)
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            inner = (g * out_data).sum(axis=-1, keepdims=True)
-            a._accumulate(out_data * (g - inner))
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
+        a._accumulate(out_data * (g - inner))
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -463,10 +453,9 @@ def select_entries(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     out_data = a.data[rows, cols]
 
     def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            scatter = np.zeros_like(a.data)
-            np.add.at(scatter, (rows, cols), g)
-            a._accumulate(scatter)
+        scatter = np.zeros_like(a.data)
+        np.add.at(scatter, (rows, cols), g)
+        a._accumulate(scatter)
 
     return Tensor._make(out_data, [a], grad_fn)
 

@@ -22,7 +22,6 @@ from strf.config import RunConfig, parse_config_text, synth_spec_from, with_over
 from strf.evaluation import evaluate
 from strf.factorize import (
     BRANCH_ORDER,
-    FamConfig,
     StrfConfig,
     fam_mask,
     init_strf_params,
@@ -107,16 +106,14 @@ def test_mask_row_stochasticity_and_constant_laws(rng):
         c = f.shape[0]
         c_r = c // min(reduction, c)
         weight = Tensor(rng.normal(size=(c_r, c)))
-        cfg = FamConfig(dimension=dimension, resolution=resolution, pool=pool,
-                        reduction=reduction, temperature=4.0)
-        mask = fam_mask(f, cfg, weight)
+        mask = fam_mask(f, weight, dimension, resolution, pool=pool, temperature=4.0)
         sums = mask.data.sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) <= MASK_TOLERANCE), f"trial {trial}"
 
     # constant input: every mask row is uniform and the unit is multiply-by-4
     const = Tensor(np.full((4, 2, 3, 2), 1.7, dtype=np.float32))
     weight = Tensor(np.random.default_rng(0).normal(size=(1, 4)).astype(np.float32))
-    mask = fam_mask(const, FamConfig("temporal", 3), weight)
+    mask = fam_mask(const, weight, "temporal", 3)
     assert np.allclose(mask.data, 1.0 / 6.0, atol=MASK_TOLERANCE)
     for integration in ("temporal-then-spatial", "spatial-then-temporal", "parallel"):
         cfg = StrfConfig(integration=integration)
@@ -140,8 +137,8 @@ def test_pooling_identity_cases(rng):
         f = Tensor(rng.normal(size=(4, 2, 3, 2)))
         weight = Tensor(rng.normal(size=(2, 4)))
         for dimension in ("temporal", "spatial"):
-            via_max = fam_mask(f, FamConfig(dimension, 1, pool="max"), weight)
-            via_avg = fam_mask(f, FamConfig(dimension, 1, pool="avg"), weight)
+            via_max = fam_mask(f, weight, dimension, 1, pool="max")
+            via_avg = fam_mask(f, weight, dimension, 1, pool="avg")
             assert np.array_equal(via_max.data, via_avg.data)
 
 
@@ -157,8 +154,7 @@ def test_brute_force_oracle_agreement(rng):
         dimension = ("temporal", "spatial")[trial % 2]
         resolution = (1, 3)[(trial // 2) % 2]
         pool = ("max", "avg")[trial % 2]
-        cfg = FamConfig(dimension, resolution, pool=pool, reduction=reduction, temperature=4.0)
-        ours = fam_mask(Tensor(f), cfg, Tensor(weight)).data
+        ours = fam_mask(Tensor(f), Tensor(weight), dimension, resolution, pool=pool, temperature=4.0).data
         ref = fam_mask_loops(f, dimension, resolution, pool, reduction, 4.0, weight)
         assert np.max(np.abs(ours - np.asarray(ref))) <= ORACLE_TOLERANCE
 

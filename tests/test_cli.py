@@ -185,6 +185,8 @@ def test_malformed_config_exits_two(tmp_path, capsys):
         ("eval", "ranks = 1, 2", "ranks = 1, 3"),
         ("params", "width_div = 16", "width_div = 0"),
         ("params", "synth_identities = 4", "synth_identities = 3"),
+        ("train", "seed = 7", "seed = 7\nseed = 8"),
+        ("params", "[eval]", "[model]\nwidth_div = 16\n\n[eval]"),
     ],
 )
 def test_out_of_range_setting_exits_two(pipeline, tmp_path, capsys, command, old, new):

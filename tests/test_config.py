@@ -130,6 +130,9 @@ def test_semantic_validation():
         ("[eval]\nranks = 0, 2\n", "ranks entry must be >= 1, got 0"),
         ("[eval]\nranks = 1, -5\n", "ranks entry must be >= 1, got -5"),
         ("[eval]\nranks = 1, 50\n", "ranks entry 50 exceeds max_rank 20"),
+        ("[train]\nlr = 0.1\nlr = 0.2\n", ":3: key 'lr' in \\[train\\] repeats line 2"),
+        ("[train]\nlr = 0.1\n[eval]\nmax_rank = 5\n[train]\nlr = 0.1\n",
+         ":6: key 'lr' in \\[train\\] repeats line 2"),
     ],
 )
 def test_rejected_at_parse(text, match):

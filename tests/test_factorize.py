@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from strf.errors import ConfigError, ShapeError
 from strf.factorize import (
     BRANCH_ORDER,
-    FamConfig,
     StrfConfig,
     fam_mask,
     ffm_apply,
@@ -63,9 +62,7 @@ def test_reshape_rejects_wrong_rank():
 
 def test_fam_mask_worked_example():
     f = t64([[[[1.0, 2.0]]], [[[3.0, 4.0]]]])  # c=2,t=1,h=1,w=2
-    cfg = FamConfig(dimension="temporal", resolution=1, pool="max",
-                    reduction=2, temperature=4.0)
-    mask = fam_mask(f, cfg, Tensor(np.array([[1.0, 1.0]])))
+    mask = fam_mask(f, Tensor(np.array([[1.0, 1.0]])), "temporal", 1, pool="max", temperature=4.0)
     assert np.allclose(mask.data, WORKED_MASK, rtol=1e-12, atol=0)
 
 
@@ -73,8 +70,7 @@ def test_fam_mask_constant_input_is_uniform():
     for dimension in ("temporal", "spatial"):
         for pool in ("max", "avg"):
             f = t64(np.full((4, 2, 3, 2), 2.75))
-            cfg = FamConfig(dimension=dimension, resolution=3, pool=pool)
-            mask = fam_mask(f, cfg, Tensor(np.ones((1, 4))))
+            mask = fam_mask(f, Tensor(np.ones((1, 4))), dimension, 3, pool=pool)
             assert np.allclose(mask.data, 1.0 / 6.0, atol=1e-7)
 
 
@@ -82,8 +78,7 @@ def test_fam_mask_rows_stochastic(rng):
     f = t64(rng.normal(size=(8, 2, 3, 2)))
     w = Tensor(rng.normal(size=(1, 8)))
     for dimension in ("temporal", "spatial"):
-        cfg = FamConfig(dimension=dimension, resolution=1)
-        mask = fam_mask(f, cfg, w)
+        mask = fam_mask(f, w, dimension, 1)
         assert mask.data.shape == (6, 6)
         assert np.allclose(mask.data.sum(axis=1), 1.0, atol=1e-5)
         assert np.all(mask.data > 0)
@@ -95,8 +90,7 @@ def test_fam_mask_matches_loop_oracle(rng):
         w = rng.normal(size=(1, 8)) * 0.5
         for dimension in ("temporal", "spatial"):
             for resolution, pool in ((1, "max"), (3, "max"), (3, "avg")):
-                cfg = FamConfig(dimension=dimension, resolution=resolution, pool=pool)
-                got = fam_mask(t64(f), cfg, Tensor(w)).data
+                got = fam_mask(t64(f), Tensor(w), dimension, resolution, pool=pool).data
                 want = fam_mask_loops(f, dimension, resolution, pool, 16, 4.0, w)
                 assert np.allclose(got, want, atol=1e-6)
 
@@ -105,29 +99,27 @@ def test_fam_mask_identity_resolution_skips_pooling(rng):
     # r=1 means the pooling stage must not move a single bit
     f = rng.normal(size=(4, 2, 3, 2))
     w = rng.normal(size=(1, 4))
-    fine = fam_mask(t64(f), FamConfig(dimension="temporal", resolution=1), Tensor(w))
+    fine = fam_mask(t64(f), Tensor(w), "temporal", 1)
     want = fam_mask_loops(f, "temporal", 1, "max", 16, 4.0, w)
     assert np.allclose(fine.data, want, atol=1e-9)
-    spatial = fam_mask(t64(f), FamConfig(dimension="spatial", resolution=1), Tensor(w))
+    spatial = fam_mask(t64(f), Tensor(w), "spatial", 1)
     assert np.allclose(spatial.data, fine.data, atol=1e-12)  # r=1 erases the axis choice
 
 
 def test_fam_mask_even_resolution_rejected():
     with pytest.raises(ConfigError):
-        FamConfig(dimension="temporal", resolution=2)
+        StrfConfig(r_fine=2)
 
 
 def test_fam_mask_weight_shape_error(rng):
     f = t64(rng.normal(size=(8, 2, 2, 2)))
-    cfg = FamConfig(dimension="temporal", resolution=1)
     with pytest.raises(ShapeError):
-        fam_mask(f, cfg, Tensor(np.zeros((1, 5))))
+        fam_mask(f, Tensor(np.zeros((1, 5))), "temporal", 1)
 
 
 def test_zero_weight_gives_uniform_mask(rng):
     f = t64(rng.normal(size=(8, 2, 3, 2)))
-    cfg = FamConfig(dimension="spatial", resolution=3)
-    mask = fam_mask(f, cfg, Tensor(np.zeros((1, 8))))
+    mask = fam_mask(f, Tensor(np.zeros((1, 8))), "spatial", 3)
     assert np.allclose(mask.data, 1.0 / 6.0, atol=1e-12)
 
 
@@ -179,8 +171,23 @@ def test_branch_identical_kinds_double_single(rng):
         ("spatial", "coarse"): params[("spatial", "coarse")],
     }
     out = ffm_branch(f, "temporal", cfg, forced)
-    single = ffm_apply(f, fam_mask(f, cfg.branch_config("temporal", "fine"), shared))
+    single = ffm_apply(f, fam_mask(f, shared, "temporal", cfg.r_fine, cfg.pool_fine, cfg.temperature))
     assert np.allclose(out.data, 2 * single.data, atol=1e-10)
+
+
+def test_branch_reads_each_kinds_settings(rng):
+    # every kind pools at its own resolution and mode, at the unit's temperature
+    f = rng.normal(size=(8, 3, 3, 2))
+    cfg = default_cfg(r_fine=3, r_coarse=5, pool_fine="avg", pool_coarse="max", temperature=2.5)
+    params = make_params(8, cfg)
+    for dimension in ("temporal", "spatial"):
+        want = 0.0
+        for kind, resolution, pool in (("fine", 3, "avg"), ("coarse", 5, "max")):
+            w = params[(dimension, kind)].data.astype(np.float64)
+            mask = fam_mask_loops(f, dimension, resolution, pool, 16, 2.5, w)
+            want = want + np.asarray(ffm_apply_loops(f, mask))
+        out = ffm_branch(t64(f), dimension, cfg, params).data
+        assert np.allclose(out, want, atol=1e-6), dimension
 
 
 def test_strf_constant_input_quadruples_all_integrations():
@@ -281,7 +288,8 @@ def test_branch_subset_configs(rng):
     params = make_params(8, only_tf)
     out = strf_forward(f, only_tf, params)
     cfg_full = default_cfg()
-    mask = fam_mask(f, cfg_full.branch_config("temporal", "fine"), params[("temporal", "fine")])
+    mask = fam_mask(f, params[("temporal", "fine")], "temporal", cfg_full.r_fine, cfg_full.pool_fine,
+                    cfg_full.temperature)
     manual = ffm_apply(f, mask).data  # inactive spatial module passes through untouched
     assert out.data.shape == f.data.shape
     assert np.allclose(out.data, manual, atol=1e-10)
@@ -311,6 +319,34 @@ def test_resolution_ordering_enforced():
         default_cfg(r_fine=5, r_coarse=3)
 
 
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        ("r_fine", 0, "r_fine must be odd and positive"),
+        ("r_coarse", 4, "r_coarse must be odd and positive"),
+        ("pool_fine", "min", "pool_fine must be one of"),
+        ("pool_coarse", "min", "pool_coarse must be one of"),
+        ("reduction", 0, "reduction must be >= 1"),
+        ("temperature", 0.0, "temperature must be positive"),
+        ("temperature", -1.0, "temperature must be positive"),
+        ("temperature", float("nan"), "temperature must be positive"),
+    ],
+)
+def test_strf_config_rejects(name, value, match):
+    with pytest.raises(ConfigError, match=match):
+        StrfConfig(**{name: value})
+
+
+def test_unknown_dimension_rejected(rng):
+    f = t64(rng.normal(size=(8, 2, 3, 2)))
+    cfg = default_cfg()
+    params = make_params(8, cfg)
+    with pytest.raises(ConfigError, match="dimension"):
+        fam_mask(f, params[("temporal", "fine")], "diagonal", 1)
+    with pytest.raises(ConfigError, match="dimension"):
+        ffm_branch(f, "diagonal", cfg, params)
+
+
 def test_strf_gradient_flows_to_all_weights(rng):
     f = t64(rng.normal(size=(8, 2, 3, 2)))
     cfg = default_cfg()
@@ -333,8 +369,7 @@ def test_property_masks_row_stochastic(seed):
     dimension = ("temporal", "spatial")[int(g.integers(0, 2))]
     resolution = int(g.choice([1, 3, 5]))
     pool = ("max", "avg")[int(g.integers(0, 2))]
-    cfg = FamConfig(dimension=dimension, resolution=resolution, pool=pool)
-    mask = fam_mask(f, cfg, w)
+    mask = fam_mask(f, w, dimension, resolution, pool=pool)
     assert np.allclose(mask.data.sum(axis=1), 1.0, atol=1e-5)
 
 

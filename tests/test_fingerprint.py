@@ -1,0 +1,36 @@
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "fingerprint.py")
+INTEGRATIONS = ("temporal-then-spatial", "spatial-then-temporal", "parallel")
+
+
+def run_tool(*args):
+    return subprocess.run([sys.executable, TOOL, *args], capture_output=True, text=True, timeout=300)
+
+
+def test_fingerprint_prints_one_digest_per_output():
+    done = run_tool(os.path.join(ROOT, "src"))
+    assert done.returncode == 0, done.stderr
+    rows = [line.split(" ") for line in done.stdout.splitlines()]
+    assert all(len(row) == 2 and re.fullmatch("[0-9a-f]{64}", row[1]) for row in rows), rows
+    digests = dict(rows)
+    assert len(digests) == len(rows) == 9 * 2 + 1 + 3
+    assert "features/p3d-c-strf" in digests
+    assert [name for name in digests if name.startswith("eval/")] == [
+        "eval/c2d/report.txt", "eval/c2d/cmc.csv", "eval/c2d/ap.csv"]
+    # a unit with one active dimension is that dimension's branch in every integration
+    for branches in ("temporal-fine", "spatial-coarse"):
+        for part in ("checkpoint", "metrics.csv"):
+            assert len({digests[f"train/{i}/{branches}/{part}"] for i in INTEGRATIONS}) == 1
+    # with both dimensions active the three integrations train differently
+    assert len({digests[f"train/{i}/all/checkpoint"] for i in INTEGRATIONS}) == 3
+
+
+def test_fingerprint_takes_exactly_a_source_directory():
+    done = run_tool()
+    assert done.returncode == 2
+    assert "usage" in done.stderr

@@ -48,6 +48,13 @@ def test_pool_even_kernel_rejected():
         pool3d(x, (1, 4, 4), "avg")
 
 
+@pytest.mark.parametrize("kernel", [(1, 1, 1), (3, 1, 1)])
+def test_pool_unknown_mode_rejected(kernel):
+    # also where a (1, 1, 1) kernel makes pooling the identity
+    with pytest.raises(ConfigError, match="pool mode"):
+        pool3d(vol(np.zeros((1, 3, 3, 3))), kernel, "median")
+
+
 def test_pool_matches_loop_oracle(rng):
     x = rng.normal(size=(4, 3, 4, 3))
     for mode in ("max", "avg"):
