@@ -17,7 +17,7 @@ from .backbone import attention_export
 from .config import parse_config
 from .gradsuite import TOLERANCE, run_suite, suite_passes
 from .netpbm import write_pgm
-from .synthdata import load_tracklets
+from .synthdata import load_manifest, load_tracklets
 from .train import load_eval_network, params_report, run_retrieval, run_training
 
 
@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-attn", help="write per-frame attention energy maps as PGM")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--tracklet", required=True, help="tracklet name (manifest directory)")
+    p.add_argument("--tracklet", required=True,
+                   help="tracklet name (manifest directory, or its last part if that is unique)")
     p.add_argument("--stage", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", default=None)
@@ -120,14 +121,17 @@ def _cmd_export_attn(args) -> int:
     manifest_path = args.manifest or cfg.data.manifest
     if not manifest_path:
         raise ConfigError("no dataset manifest configured; set [data] manifest or pass --manifest")
-    pool = []
-    for split in ("train", "query", "gallery"):
-        pool.extend(load_tracklets(manifest_path, split, cfg.data.norm_mean, cfg.data.norm_std))
-    matches = [t for t in pool if t.name == args.tracklet or os.path.basename(t.name) == args.tracklet]
+    records = load_manifest(manifest_path)
+    matches = [r for r in records if args.tracklet in (r.directory, os.path.basename(r.directory))]
     if not matches:
-        known = ", ".join(t.name for t in pool[:5])
+        known = ", ".join(r.directory for r in records[:5])
         raise DataError(f"tracklet {args.tracklet!r} is not in the manifest (known: {known}, ...)")
-    tracklet = matches[0]
+    if len(matches) > 1:
+        candidates = ", ".join(r.directory for r in matches)
+        raise DataError(f"tracklet {args.tracklet!r} is ambiguous; it matches {candidates}")
+    record = matches[0]
+    pool = load_tracklets(manifest_path, record.split, cfg.data.norm_mean, cfg.data.norm_std)
+    tracklet = next(t for t in pool if t.name == record.directory)
     net = load_eval_network(cfg, args.checkpoint, manifest_path)
     clip = tracklet.frames.transpose(1, 0, 2, 3)
     maps = attention_export(net, clip, args.stage)

@@ -61,23 +61,9 @@ def test_clip_indices(length: int, clip_len: int) -> list[np.ndarray]:
     ]
 
 
-def sample_clips(
-    tracklet: Tracklet,
-    clip_len: int,
-    stride: int = 8,
-    mode: str = "test",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Materialize clips as (count, 3, clip_len, height, width)."""
-    if mode == "train":
-        if rng is None:
-            raise ContractError("train-mode sampling needs a random generator")
-        index_lists = [train_clip_indices(len(tracklet), clip_len, stride, rng)]
-    elif mode == "test":
-        index_lists = test_clip_indices(len(tracklet), clip_len)
-    else:
-        raise ContractError(f"mode must be 'train' or 'test', got {mode!r}")
-    clips = [tracklet.frames[idx].transpose(1, 0, 2, 3) for idx in index_lists]
+def sample_clips(tracklet: Tracklet, clip_len: int) -> np.ndarray:
+    """Materialize the test-protocol clips as (count, 3, clip_len, height, width)."""
+    clips = [tracklet.frames[idx].transpose(1, 0, 2, 3) for idx in test_clip_indices(len(tracklet), clip_len)]
     return np.stack(clips)
 
 
@@ -88,7 +74,7 @@ def stacked_features(net: Network, tracklets, clip_len: int, batch_size: int = 1
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     if not tracklets:
         raise ContractError("cannot embed an empty list of tracklets")
-    clips = (clip for t in tracklets for clip in sample_clips(t, clip_len, mode="test"))
+    clips = (clip for t in tracklets for clip in sample_clips(t, clip_len))
     parts = []
     while batch := list(islice(clips, batch_size)):
         parts.append(forward_features(net, np.stack(batch)))

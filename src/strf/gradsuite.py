@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import Tensor, as_tensor, matmul, softmax_rows
-from .kernels import conv3d, conv_channel_mix, pool3d
+from .kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
 from .gradcheck import grad_check
 from .factorize import StrfConfig, init_strf_params, strf_forward
 from .backbone import BatchNorm3dLayer, BlockSpec, build_block
@@ -138,6 +138,11 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     check("bn_relu_skip_train_input", lambda t: act_map(t, skip, gamma), bn_in)
     check("bn_relu_skip_train_skip", lambda t: act_map(bn_in, t, gamma), skip)
     check("bn_relu_skip_train_gamma", lambda t: act_map(bn_in, skip, t), gamma)
+
+    # The stem max-pool, whose stride-2 windows overlap; drawn last for the
+    # same reason.
+    stem_in = _spread(rng, (2, 3, 7, 6))
+    check("strided_max_pool3d", lambda t: (strided_max_pool3d(t, (1, 3, 3), (1, 2, 2)) ** 2).sum(), stem_in)
 
     return results
 

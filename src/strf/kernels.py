@@ -5,13 +5,15 @@ here also accepts a rank-5 batch ``(batch, channels, time, height, width)``
 and treats rank-4 input as a batch of one. All kernels participate in the
 autodiff tape.
 
-Convolution has SAME geometry only (zero padding, output extent =
-ceil(input / stride)) and is im2col + GEMM: the strided windows of the padded
-input are copied once into columns of dims (n, c*kt*kh*kw, t'*h'*w'). Forward
-is one GEMM (weight matrix x columns). Backward reuses the columns: dW is one
-GEMM (grad x columns^T, summed over the batch) and dX is one GEMM (weight^T x
-grad) whose per-tap blocks are added back onto the padded grid (col2im). The
-pointwise channel mix is the 1x1x1 case of the same path.
+Every kernel has SAME geometry (output extent = ceil(input / stride)), and
+``_windows`` owns it: it pads the input and returns the strided window view
+plus that view's adjoint, which every backward pass goes through.
+
+Convolution is im2col + GEMM: the windows are copied once into columns of
+dims (n, c*kt*kh*kw, t'*h'*w'). Forward is one GEMM (weight matrix x
+columns); dW is one GEMM (grad x columns^T, summed over the batch) and dX is
+one GEMM (weight^T x grad) whose per-tap blocks go through the adjoint
+(col2im). The pointwise channel mix is the 1x1x1 case of the same path.
 """
 from __future__ import annotations
 
@@ -41,91 +43,64 @@ def _check_triple(value, name: str) -> Triple:
     return triple
 
 
-def _same_padding(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
-    """Output extent plus (before, after) zero padding for SAME geometry."""
-    out = -(-extent // stride)
-    total = max((out - 1) * stride + kernel - extent, 0)
-    before = total // 2
-    return out, before, total - before
+def _same_padding(extent: int, kernel: int, stride: int) -> tuple[int, int]:
+    """(before, after) padding for SAME geometry: output extent ceil(extent / stride)."""
+    total = max((-(-extent // stride) - 1) * stride + kernel - extent, 0)
+    return total // 2, total - total // 2
 
 
-def _window_view(padded: np.ndarray, kernel: Triple, stride: Triple) -> np.ndarray:
-    win = sliding_window_view(padded, kernel, axis=(2, 3, 4))
-    return win[:, :, :: stride[0], :: stride[1], :: stride[2]]
+def _windows(data: np.ndarray, kernel: Triple, stride: Triple, fill: float = 0.0):
+    """Pad ``data`` (n, c, t, h, w) with ``fill`` for SAME geometry; return the
+    window view, dims (n, c, t', h', w', kt, kh, kw), and its adjoint. The
+    adjoint adds per-tap values, dims (n, c, kt, kh, kw, t', h', w'), onto a
+    zero padded grid (tap (dt, dh, dw) of output (i, j, k) at padded site
+    (i*st + dt, j*sh + dh, k*sw + dw)) and crops it to (n, c, t, h, w)."""
+    sizes = data.shape[2:]
+    pads = [_same_padding(e, k, s) for e, k, s in zip(sizes, kernel, stride)]
+    padded = np.pad(data, [(0, 0), (0, 0)] + pads, constant_values=fill) if any(map(any, pads)) else data
+    view = sliding_window_view(padded, kernel, axis=(2, 3, 4))[:, :, :: stride[0], :: stride[1], :: stride[2]]
+    grid_shape = padded.shape
+    crop = (...,) + tuple(slice(before, before + e) for (before, _), e in zip(pads, sizes))
 
+    def adjoint(taps: np.ndarray) -> np.ndarray:
+        grid = np.zeros(grid_shape, dtype=taps.dtype)
+        for tap in np.ndindex(*kernel):
+            window = tuple(slice(d, d + o * s, s) for d, o, s in zip(tap, taps.shape[5:], stride))
+            grid[(...,) + window] += taps[(slice(None), slice(None)) + tap]
+        return grid[crop]
 
-def _scatter_windows(taps: np.ndarray, shape, stride: Triple) -> np.ndarray:
-    """Adjoint of ``_window_view``: add per-tap blocks onto a zero padded grid.
-
-    ``taps`` has dims (n, c, kt, kh, kw, t', h', w'); tap (dt, dh, dw) of output
-    site (i, j, k) lands on padded site (i*st + dt, j*sh + dh, k*sw + dw).
-    """
-    grid = np.zeros(shape, dtype=taps.dtype)
-    for tap in np.ndindex(*taps.shape[2:5]):
-        window = tuple(slice(d, d + o * s, s) for d, o, s in zip(tap, taps.shape[5:], stride))
-        grid[(...,) + window] += taps[(slice(None), slice(None)) + tap]
-    return grid
+    return view, adjoint
 
 
 def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tensor:
     vol, squeeze = _as_batched(x)
     data = vol.data
-    n, c, t, h, w = data.shape
-    pads = [_same_padding(e, k, s) for e, k, s in zip((t, h, w), kernel, stride)]
-    pad_spec = ((0, 0), (0, 0)) + tuple((p[1], p[2]) for p in pads)
 
     if mode == "max":
-        fill = -np.inf
-        padded = np.pad(data, pad_spec, constant_values=fill)
-        win = _window_view(padded, kernel, stride)
+        win, adjoint = _windows(data, kernel, stride, fill=-np.inf)
         flat = win.reshape(win.shape[:5] + (-1,))
         # first maximal element in window scan order wins, by argmax semantics
         arg = flat.argmax(axis=-1)
         out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
-        kh, kw = kernel[1], kernel[2]
-
         def grad_fn(g: np.ndarray) -> None:
-            gpad = np.zeros_like(padded)
-            dt = arg // (kh * kw)
-            rem = arg % (kh * kw)
-            dh = rem // kw
-            dw = rem % kw
-            ni, ci, ti, hi, wi = np.indices(arg.shape, sparse=True)
-            np.add.at(
-                gpad,
-                (ni, ci, ti * stride[0] + dt, hi * stride[1] + dh, wi * stride[2] + dw),
-                g,
-            )
-            vol._accumulate(_crop(gpad, pads, (t, h, w)))
+            # one-hot taps: each output's gradient sits on its winning tap
+            taps = np.zeros(g.shape[:2] + (math.prod(kernel),) + g.shape[2:], dtype=g.dtype)
+            np.put_along_axis(taps, arg[:, :, None], g[:, :, None], axis=2)
+            vol._accumulate(adjoint(taps.reshape(g.shape[:2] + kernel + g.shape[2:])))
 
     else:  # "avg"; pool3d checks the mode
-        padded = np.pad(data, pad_spec)
-        win = _window_view(padded, kernel, stride)
-        sums = win.sum(axis=(-3, -2, -1))
-        counts = _inbounds_counts((t, h, w), kernel, stride, pads, data.dtype)
-        out_data = sums / counts
+        win, adjoint = _windows(data, kernel, stride)
+        ones, _ = _windows(np.ones((1, 1) + data.shape[2:], dtype=data.dtype), kernel, stride)
+        counts = ones.sum(axis=(-3, -2, -1))[0, 0]  # in-bounds elements per window
+        out_data = win.sum(axis=(-3, -2, -1)) / counts
 
         def grad_fn(g: np.ndarray) -> None:
             gdiv = (g / counts)[:, :, None, None, None]
-            taps = np.broadcast_to(gdiv, (n, c) + kernel + out_data.shape[2:])
-            vol._accumulate(_crop(_scatter_windows(taps, padded.shape, stride), pads, (t, h, w)))
+            vol._accumulate(adjoint(np.broadcast_to(gdiv, g.shape[:2] + kernel + g.shape[2:])))
 
     out = Tensor._make(out_data.astype(data.dtype, copy=False), [vol], grad_fn)
     return out.reshape(out.shape[1:]) if squeeze else out
-
-
-def _crop(gpad: np.ndarray, pads, sizes: Triple) -> np.ndarray:
-    (pt, _), (ph, _), (pw, _) = ((p[1], p[2]) for p in pads)
-    t, h, w = sizes
-    return gpad[:, :, pt : pt + t, ph : ph + h, pw : pw + w]
-
-
-def _inbounds_counts(sizes: Triple, kernel: Triple, stride: Triple, pads, dtype) -> np.ndarray:
-    ones = np.ones((1, 1) + sizes, dtype=dtype)
-    pad_spec = ((0, 0), (0, 0)) + tuple((p[1], p[2]) for p in pads)
-    win = _window_view(np.pad(ones, pad_spec), kernel, stride)
-    return win.sum(axis=(-3, -2, -1))[0, 0]
 
 
 def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
@@ -181,16 +156,11 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
         raise ShapeError(f"conv weight dims {weight.shape} do not match input channels in {vol.shape}")
 
     data = vol.data
-    sizes = data.shape[2:]
-    pads = [_same_padding(e, k, s) for e, k, s in zip(sizes, kernel, stride)]
-
     n, c = data.shape[:2]
-    out_sizes = tuple(p[0] for p in pads)
-    pad_spec = ((0, 0), (0, 0)) + tuple((p[1], p[2]) for p in pads)
-    padded = np.pad(data, pad_spec) if any(map(any, pad_spec)) else data
+    win, adjoint = _windows(data, kernel, stride)
+    out_sizes = win.shape[2:5]
     # (n, c, t', h', w', kt, kh, kw) -> columns (n, c * kt*kh*kw, t'*h'*w')
-    win = _window_view(padded, kernel, stride).transpose(0, 1, 5, 6, 7, 2, 3, 4)
-    cols = np.ascontiguousarray(win).reshape(n, -1, math.prod(out_sizes))
+    cols = np.ascontiguousarray(win.transpose(0, 1, 5, 6, 7, 2, 3, 4)).reshape(n, -1, math.prod(out_sizes))
     w_mat = weight.data.reshape(weight.shape[0], -1)
     out_data = np.matmul(w_mat, cols).reshape((n, -1) + out_sizes)
 
@@ -201,7 +171,7 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
             weight._accumulate(d_w.reshape(weight.shape))
         if vol.requires_grad:
             taps = np.matmul(w_mat.T, g_mat).reshape((n, c) + kernel + out_sizes)
-            vol._accumulate(_crop(_scatter_windows(taps, padded.shape, stride), pads, sizes))
+            vol._accumulate(adjoint(taps))
 
     out = Tensor._make(out_data.astype(data.dtype, copy=False), [vol, weight], grad_fn)
     return out.reshape(out.shape[1:]) if squeeze else out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
-from .evaluation import Tracklet, sample_clips
+from .evaluation import Tracklet, train_clip_indices
 from .netpbm import read_ppm, write_ppm
 
 PAIRINGS = ("appearance", "motion", "none")
@@ -406,7 +406,8 @@ def make_batch(
         pool = by_identity[int(identity)]
         picks = rng.choice(len(pool), size=k, replace=len(pool) < k)
         for pick in picks:
-            clip = sample_clips(pool[int(pick)], clip_len, stride, mode="train", rng=rng)[0]
+            tracklet = pool[int(pick)]
+            clip = tracklet.frames[train_clip_indices(len(tracklet), clip_len, stride, rng)].transpose(1, 0, 2, 3)
             if augment is not None:
                 clip = augment(clip, rng)
             clips.append(clip)

@@ -223,6 +223,20 @@ def test_unknown_tracklet_exits_three(pipeline, tmp_path, capsys):
     assert "nosuch/tracklet" in capsys.readouterr().err
 
 
+def test_ambiguous_tracklet_exits_three(pipeline, tmp_path, capsys):
+    # every identity has a cam0_trk00, so the bare name picks none of them
+    rc = dispatch([
+        "export-attn", "--config", pipeline["config"], "--checkpoint", pipeline["checkpoint"],
+        "--tracklet", "cam0_trk00", "--stage", "2",
+        "--out", str(tmp_path / "m"), "--manifest", pipeline["manifest"],
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "ambiguous" in err
+    assert "train/id_0000/cam0_trk00" in err and "query/id_0002/cam0_trk00" in err
+    assert not os.path.exists(tmp_path / "m")
+
+
 def test_divergent_training_exits_four(pipeline, tmp_path, capsys):
     boom = tmp_path / "boom.cfg"
     boom.write_text(CONFIG.replace("lr = 0.0005", "lr = 1e30").replace(

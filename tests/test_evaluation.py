@@ -71,20 +71,13 @@ def test_train_indices_deterministic_under_seed():
 def test_sample_clips_shapes(rng):
     frames = rng.normal(size=(10, 3, 8, 4)).astype(np.float32)
     t = Tracklet(frames=frames, identity=0, camera=0)
-    test_clips = sample_clips(t, clip_len=4, mode="test")
-    assert test_clips.shape == (3, 3, 4, 8, 4)
-    train_clips = sample_clips(t, clip_len=4, stride=2, mode="train", rng=rng)
-    assert train_clips.shape == (1, 3, 4, 8, 4)
-    with pytest.raises(ContractError):
-        sample_clips(t, clip_len=4, mode="train")  # rng required
-    with pytest.raises(ContractError):
-        sample_clips(t, clip_len=4, mode="valid")
+    assert sample_clips(t, clip_len=4).shape == (3, 3, 4, 8, 4)
 
 
 def test_sample_clips_values_match_indices(rng):
     frames = rng.normal(size=(6, 3, 4, 2)).astype(np.float32)
     t = Tracklet(frames=frames, identity=1, camera=0)
-    clips = sample_clips(t, clip_len=4, mode="test")
+    clips = sample_clips(t, clip_len=4)
     # second chunk is frames [4, 5, 5, 5], channel-first
     expect = frames[[4, 5, 5, 5]].transpose(1, 0, 2, 3)
     assert np.array_equal(clips[1], expect)
@@ -114,7 +107,7 @@ def _embed_setup(rng, model):
 def test_stacked_features_is_mean_of_clip_embeddings(rng, model):
     net, tracklets = _embed_setup(rng, model)
     expect = np.stack([
-        np.concatenate([forward_features(net, clip[None]) for clip in sample_clips(t, 4, mode="test")])
+        np.concatenate([forward_features(net, clip[None]) for clip in sample_clips(t, 4)])
         .mean(axis=0)
         for t in tracklets
     ])

@@ -18,7 +18,7 @@ def test_fingerprint_prints_one_digest_per_output():
     rows = [line.split(" ") for line in done.stdout.splitlines()]
     assert all(len(row) == 2 and re.fullmatch("[0-9a-f]{64}", row[1]) for row in rows), rows
     digests = dict(rows)
-    assert len(digests) == len(rows) == 9 * 2 + 1 + 3
+    assert len(digests) == len(rows) == 10 * 2 + 1 + 3
     assert "features/p3d-c-strf" in digests
     assert [name for name in digests if name.startswith("eval/")] == [
         "eval/c2d/report.txt", "eval/c2d/cmc.csv", "eval/c2d/ap.csv"]
@@ -28,6 +28,10 @@ def test_fingerprint_prints_one_digest_per_output():
             assert len({digests[f"train/{i}/{branches}/{part}"] for i in INTEGRATIONS}) == 1
     # with both dimensions active the three integrations train differently
     assert len({digests[f"train/{i}/all/checkpoint"] for i in INTEGRATIONS}) == 3
+    # the default max-pooling coarse branches train differently from avg-pooling ones
+    for part in ("checkpoint", "metrics.csv"):
+        assert digests[f"train/temporal-then-spatial/all-max-pool/{part}"] != digests[
+            f"train/temporal-then-spatial/all/{part}"]
 
 
 def test_fingerprint_takes_exactly_a_source_directory():

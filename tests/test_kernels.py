@@ -222,6 +222,25 @@ def test_strided_max_pool_values(rng):
     assert np.allclose(out, expect)
 
 
+def test_strided_max_pool_grad_routes_to_first_max():
+    # kernel 3 at stride 2 pads 0 before / 1 after: windows cover rows and
+    # columns {0, 1, 2} and {2, 3}, so row and column 2 lie in two windows
+    x = vol(np.array([
+        [0.0, 1.0, 9.0, 2.0],
+        [3.0, 0.0, 1.0, 0.0],
+        [1.0, 2.0, 0.0, 0.0],
+        [4.0, 4.0, 1.0, 5.0],
+    ]).reshape(1, 1, 4, 4))
+    out = strided_max_pool3d(x, (1, 3, 3), (1, 2, 2))
+    assert np.array_equal(out.data.reshape(2, 2), [[9.0, 9.0], [4.0, 5.0]])
+    (out * Tensor(np.array([1.0, 10.0, 100.0, 1000.0]).reshape(1, 1, 2, 2))).sum().backward()
+    expect = np.zeros((4, 4))
+    expect[0, 2] = 1.0 + 10.0  # the max of both top windows takes both grads
+    expect[3, 0] = 100.0  # tie at (3, 0) and (3, 1): the earlier scan position wins
+    expect[3, 3] = 1000.0
+    assert np.array_equal(x.grad.reshape(4, 4), expect)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from(["max", "avg"]))
 def test_property_pool_identity_kernel(seed, mode):

@@ -11,6 +11,9 @@ train/<integration>/<branches>/metrics.csv  without its timestamp line
     and the branch sets ``all``, ``temporal-fine`` and ``spatial-coarse``
     (coarse branches avg-pool and the temperature is 2.5, so a unit that
     drops either setting changes the digests)
+train/temporal-then-spatial/all-max-pool/...
+    the same run for all branches with the coarse branches at their default
+    max pooling, so the unit's max-pool backward is covered too
 features/p3d-c-strf
     the full-width p3d-c+STRF features of one seeded 4x256x128 clip
 eval/c2d/<file>
@@ -42,7 +45,7 @@ strf_stages = {stages}
 variant_stages = {stages}
 integration = {integration}
 branches = {branches}
-pool_coarse = avg
+{pool}
 temperature = 2.5
 
 [train]
@@ -98,9 +101,9 @@ def main(argv: list[str]) -> int:
         print(f"strf imported from {strf.__file__}, not from {src}", file=sys.stderr)
         return 2
 
-    def toy(variant, stages, integration="temporal-then-spatial", branches="all"):
+    def toy(variant, stages, integration="temporal-then-spatial", branches="all", pool="pool_coarse = avg"):
         return parse_config_text(TOY.format(variant=variant, stages=stages,
-                                            integration=integration, branches=branches))
+                                            integration=integration, branches=branches, pool=pool))
 
     lines = []
     with tempfile.TemporaryDirectory() as work:
@@ -120,6 +123,9 @@ def main(argv: list[str]) -> int:
                 cfg = toy("p3d-c", "2, 3", integration, branches)
                 _, ckpt_sha, log_sha = train(cfg, os.path.join(work, name))
                 lines += [(f"{name}/checkpoint", ckpt_sha), (f"{name}/metrics.csv", log_sha)]
+        name = "train/temporal-then-spatial/all-max-pool"
+        _, ckpt_sha, log_sha = train(toy("p3d-c", "2, 3", pool=""), os.path.join(work, name))
+        lines += [(f"{name}/checkpoint", ckpt_sha), (f"{name}/metrics.csv", log_sha)]
 
         net = Network(resnet50_spec(625), seed=3)
         clip = np.random.Generator(np.random.PCG64(3)).random((1, 3, 4, 256, 128), dtype=np.float32)
