@@ -17,7 +17,7 @@ from .backbone import attention_export
 from .config import parse_config
 from .gradsuite import TOLERANCE, run_suite, suite_passes
 from .netpbm import write_pgm
-from .synthdata import load_manifest, load_tracklets
+from .synthdata import load_manifest, load_tracklet
 from .train import load_eval_network, params_report, run_retrieval, run_training
 
 
@@ -129,9 +129,7 @@ def _cmd_export_attn(args) -> int:
     if len(matches) > 1:
         candidates = ", ".join(r.directory for r in matches)
         raise DataError(f"tracklet {args.tracklet!r} is ambiguous; it matches {candidates}")
-    record = matches[0]
-    pool = load_tracklets(manifest_path, record.split, cfg.data.norm_mean, cfg.data.norm_std)
-    tracklet = next(t for t in pool if t.name == record.directory)
+    tracklet = load_tracklet(manifest_path, matches[0], cfg.data.norm_mean, cfg.data.norm_std)
     net = load_eval_network(cfg, args.checkpoint, manifest_path)
     clip = tracklet.frames.transpose(1, 0, 2, 3)
     maps = attention_export(net, clip, args.stage)

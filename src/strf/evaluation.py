@@ -5,16 +5,15 @@ clips, each clip is embedded, and the embeddings are averaged. Clips of
 consecutive tracklets share forward batches, which leaves every embedding as
 it is: each kernel treats batch items on their own (the conv is a stacked
 ``W @ cols``, eval batch norm a per-channel affine, pooling and the attention
-unit per sample). Retrieval
-ranks gallery tracklets by cosine distance; gallery entries sharing both the
-query's identity and its camera are excluded before scoring, queries with no
-remaining positive are skipped (and tallied), and ties are broken stably by
-gallery index.
+unit per sample). Clips of different frame dims never share a batch.
+Retrieval ranks gallery tracklets by cosine distance; gallery entries sharing
+both the query's identity and its camera are excluded before scoring, queries
+with no remaining positive are skipped (and tallied), and ties are broken
+stably by gallery index.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -69,15 +68,19 @@ def sample_clips(tracklet: Tracklet, clip_len: int) -> np.ndarray:
 
 def stacked_features(net: Network, tracklets, clip_len: int, batch_size: int = 16) -> np.ndarray:
     """Mean embedding of each tracklet's test-protocol clips, one row per
-    tracklet. Only one forward batch of ``batch_size`` clips is held at a time."""
+    tracklet. Only one forward batch of at most ``batch_size`` clips is held at
+    a time, and a clip whose dims differ from the batch's starts a new batch."""
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     if not tracklets:
         raise ContractError("cannot embed an empty list of tracklets")
-    clips = (clip for t in tracklets for clip in sample_clips(t, clip_len))
-    parts = []
-    while batch := list(islice(clips, batch_size)):
-        parts.append(forward_features(net, np.stack(batch)))
+    parts, batch = [], []
+    for clip in (clip for t in tracklets for clip in sample_clips(t, clip_len)):
+        if len(batch) == batch_size or (batch and clip.shape != batch[0].shape):
+            parts.append(forward_features(net, np.stack(batch)))
+            batch = []
+        batch.append(clip)
+    parts.append(forward_features(net, np.stack(batch)))
     feats = np.concatenate(parts)
     ends = np.cumsum([len(test_clip_indices(len(t), clip_len)) for t in tracklets])
     return np.stack([feats[start:end].mean(axis=0) for start, end in zip(np.r_[0, ends[:-1]], ends)])

@@ -1,9 +1,19 @@
 """Minimal binary netpbm codecs: P6 color frames, P5 gray maps."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import DataError
+
+# The three header tokens, each after any whitespace and '#' comments; the
+# second and third are optional so that a short header still matches its
+# leading tokens. A comment runs to the end of its line or of the data, and a
+# token never starts with '#', so a match cannot backtrack into a comment.
+_SKIP = rb"(?:\s|#[^\n]*(?:\n|\Z))*"
+_TOKEN = _SKIP + rb"([^\s#]\S*)"
+_HEADER = re.compile(_TOKEN + rb"(?:" + _TOKEN + rb"(?:" + _TOKEN + rb")?)?")
 
 
 def write_ppm(path: str, image: np.ndarray) -> None:
@@ -28,60 +38,45 @@ def write_pgm(path: str, image: np.ndarray) -> None:
         fh.write(image.tobytes())
 
 
-def _read_tokens(data: bytes, count: int, path: str) -> tuple[list[int], int]:
-    """Parse whitespace/comment-separated header integers; returns values and
-    the offset just past the single whitespace byte that ends the header."""
-    values: list[int] = []
-    i = 0
-    while len(values) < count:
-        if i >= len(data):
-            raise DataError(f"{path}: truncated netpbm header")
-        ch = data[i : i + 1]
-        if ch == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            token = data[i:j]
-            if not token.isdigit():
-                raise DataError(f"{path}: malformed netpbm header token {token!r}")
-            values.append(int(token))
-            i = j
-    return values, i + 1
+def read_header(data: bytes, path: str) -> tuple[int, int, int, int]:
+    """Width, height and maxval of the header after the 2-byte magic, and the
+    payload offset: just past the single whitespace byte that ends the header."""
+    match = _HEADER.match(data, 2)
+    values = []
+    for token in match.groups() if match else ():
+        if token is None:
+            break
+        if not token.isdigit():
+            raise DataError(f"{path}: malformed netpbm header token {token!r}")
+        values.append(int(token))
+    if len(values) < 3:
+        raise DataError(f"{path}: truncated netpbm header")
+    w, h, maxval = values
+    return w, h, maxval, match.end() + 1
+
+
+def _read_payload(path: str, magic: bytes, kind: str, channels: int) -> np.ndarray:
+    """The pixels of a binary netpbm file as a read-only (height, width,
+    channels) uint8 view."""
+    with open(path, "rb", buffering=0) as fh:  # one whole-file read needs no buffer
+        data = fh.read()
+    if not data.startswith(magic):
+        raise DataError(f"{path}: not a binary {kind} (bad magic)")
+    w, h, maxval, offset = read_header(data, path)
+    if maxval != 255:
+        raise DataError(f"{path}: unsupported {kind} maxval {maxval}")
+    expected = w * h * channels
+    pixels = data[offset : offset + expected]
+    if len(pixels) != expected:
+        raise DataError(f"{path}: {kind} payload is short ({len(pixels)} of {expected} bytes)")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, channels)
 
 
 def read_ppm(path: str) -> np.ndarray:
     """Read a binary PPM into (3, height, width) uint8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P6"):
-        raise DataError(f"{path}: not a binary PPM (bad magic)")
-    (w, h, maxval), offset = _read_tokens(data[2:], 3, path)
-    offset += 2
-    if maxval != 255:
-        raise DataError(f"{path}: unsupported PPM maxval {maxval}")
-    expected = w * h * 3
-    pixels = data[offset : offset + expected]
-    if len(pixels) != expected:
-        raise DataError(f"{path}: PPM payload is short ({len(pixels)} of {expected} bytes)")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1).copy()
+    return _read_payload(path, b"P6", "PPM", 3).transpose(2, 0, 1).copy()
 
 
 def read_pgm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5"):
-        raise DataError(f"{path}: not a binary PGM (bad magic)")
-    (w, h, maxval), offset = _read_tokens(data[2:], 3, path)
-    offset += 2
-    if maxval != 255:
-        raise DataError(f"{path}: unsupported PGM maxval {maxval}")
-    expected = w * h
-    pixels = data[offset : offset + expected]
-    if len(pixels) != expected:
-        raise DataError(f"{path}: PGM payload is short ({len(pixels)} of {expected} bytes)")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).copy()
+    """Read a binary PGM into (height, width) uint8."""
+    return _read_payload(path, b"P5", "PGM", 1)[:, :, 0].copy()

@@ -270,11 +270,14 @@ def generate(spec: SynthSpec, root: str) -> DatasetManifest:
 def load_manifest(manifest_path: str) -> list[TrackletRecord]:
     """Parse a manifest back into per-tracklet records. Frames belong to one
     tracklet when they share a directory; labels must agree within it."""
-    if not os.path.exists(manifest_path):
-        raise DataError(f"{manifest_path}: manifest not found")
-    groups: dict[str, TrackletRecord] = {}
-    order: list[str] = []
-    with open(manifest_path, encoding="utf-8") as fh:
+    groups: dict[str, tuple[tuple[int, int, str], list[str]]] = {}
+    try:
+        fh = open(manifest_path, encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"{manifest_path}: manifest not found") from None
+    except OSError as exc:
+        raise DataError(f"{manifest_path}: cannot read manifest: {exc.strerror}") from None
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("path\t"):
@@ -284,25 +287,61 @@ def load_manifest(manifest_path: str) -> list[TrackletRecord]:
                 raise DataError(f"{manifest_path}:{line_no}: expected 4 tab-separated fields")
             rel_path, id_text, cam_text, split = parts
             try:
-                identity, camera = int(id_text), int(cam_text)
+                labels = (int(id_text), int(cam_text), split)
             except ValueError:
                 raise DataError(f"{manifest_path}:{line_no}: non-integer id or camera") from None
             if split not in ("train", "query", "gallery"):
                 raise DataError(f"{manifest_path}:{line_no}: unknown split {split!r}")
             directory = os.path.dirname(rel_path)
-            if directory not in groups:
-                groups[directory] = TrackletRecord(directory, (rel_path,), identity, camera, split)
-                order.append(directory)
-            else:
-                prev = groups[directory]
-                if (prev.identity, prev.camera, prev.split) != (identity, camera, split):
-                    raise DataError(
-                        f"{manifest_path}:{line_no}: labels disagree within tracklet {directory}"
-                    )
-                groups[directory] = TrackletRecord(
-                    directory, prev.frame_paths + (rel_path,), identity, camera, split
+            group = groups.setdefault(directory, (labels, []))
+            if group[0] != labels:
+                raise DataError(
+                    f"{manifest_path}:{line_no}: labels disagree within tracklet {directory}"
                 )
-    return [groups[d] for d in order]
+            group[1].append(rel_path)
+    return [TrackletRecord(d, tuple(paths), *labels) for d, (labels, paths) in groups.items()]
+
+
+def _normalization(mean, std) -> tuple[np.ndarray, np.ndarray]:
+    mean_arr = np.asarray(mean, dtype=np.float32).reshape(1, 3, 1, 1)
+    std_arr = np.asarray(std, dtype=np.float32).reshape(1, 3, 1, 1)
+    if np.any(std_arr == 0):
+        raise ConfigError("normalization std must be non-zero")
+    return mean_arr, std_arr
+
+
+def _decode(manifest_path: str, root: str, record: TrackletRecord, mean_arr, std_arr) -> Tracklet:
+    """Read one record's frames and normalize them as one stack."""
+    frames = []
+    for rel_path in record.frame_paths:
+        try:
+            frame = read_ppm(os.path.join(root, rel_path))
+        except FileNotFoundError:
+            raise DataError(f"{manifest_path}: referenced frame {rel_path} does not exist") from None
+        except OSError as exc:
+            raise DataError(f"{manifest_path}: cannot read frame {rel_path}: {exc.strerror}") from None
+        if frames and frame.shape != frames[0].shape:
+            raise DataError(
+                f"{manifest_path}: frame {rel_path} is {frame.shape[1]}x{frame.shape[2]}, but the "
+                f"tracklet's first frame is {frames[0].shape[1]}x{frames[0].shape[2]}"
+            )
+        frames.append(frame)
+    stack = np.stack(frames).astype(np.float32)
+    stack /= 255.0
+    stack -= mean_arr
+    stack /= std_arr
+    return Tracklet(frames=stack, identity=record.identity, camera=record.camera, name=record.directory)
+
+
+def load_tracklet(
+    manifest_path: str,
+    record: TrackletRecord,
+    mean: tuple[float, float, float] = (0.0, 0.0, 0.0),
+    std: tuple[float, float, float] = (1.0, 1.0, 1.0),
+) -> Tracklet:
+    """Load one manifest record the way ``load_tracklets`` loads each of a split's."""
+    root = os.path.dirname(os.path.abspath(manifest_path))
+    return _decode(manifest_path, root, record, *_normalization(mean, std))
 
 
 def load_tracklets(
@@ -311,27 +350,15 @@ def load_tracklets(
     mean: tuple[float, float, float] = (0.0, 0.0, 0.0),
     std: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> list[Tracklet]:
-    """Load one split as float32 tracklets in [0, 1], normalized per channel."""
+    """Load one split as float32 tracklets in [0, 1], normalized per channel.
+    Frames of one tracklet must share their dims; tracklets may differ."""
     root = os.path.dirname(os.path.abspath(manifest_path))
-    mean_arr = np.asarray(mean, dtype=np.float32).reshape(1, 3, 1, 1)
-    std_arr = np.asarray(std, dtype=np.float32).reshape(1, 3, 1, 1)
-    if np.any(std_arr == 0):
-        raise ConfigError("normalization std must be non-zero")
-    tracklets = []
-    for record in load_manifest(manifest_path):
-        if record.split != split:
-            continue
-        frames = []
-        for rel_path in record.frame_paths:
-            full = os.path.join(root, rel_path)
-            if not os.path.exists(full):
-                raise DataError(f"{manifest_path}: referenced frame {rel_path} does not exist")
-            frames.append(read_ppm(full).astype(np.float32) / 255.0)
-        stack = (np.stack(frames) - mean_arr) / std_arr
-        tracklets.append(
-            Tracklet(frames=stack, identity=record.identity, camera=record.camera, name=record.directory)
-        )
-    return tracklets
+    mean_arr, std_arr = _normalization(mean, std)
+    return [
+        _decode(manifest_path, root, record, mean_arr, std_arr)
+        for record in load_manifest(manifest_path)
+        if record.split == split
+    ]
 
 
 def dataset_channel_mean(tracklets: list[Tracklet]) -> np.ndarray:

@@ -234,6 +234,34 @@ def evaluate_loops(distances, query_ids, query_cams, gallery_ids, gallery_cams, 
     return [c / counted for c in cmc], sum(aps) / counted, counted, skipped
 
 
+def netpbm_tokens_loops(data: bytes, count: int, path: str) -> tuple[list[int], int]:
+    """The byte-at-a-time netpbm header scan: ``count`` whitespace- or
+    comment-separated integers of ``data`` and the offset just past the single
+    whitespace byte that ends the header. Raises ValueError with the message
+    the package's DataError carries."""
+    values: list[int] = []
+    i = 0
+    while len(values) < count:
+        if i >= len(data):
+            raise ValueError(f"{path}: truncated netpbm header")
+        ch = data[i : i + 1]
+        if ch == b"#":
+            while i < len(data) and data[i : i + 1] != b"\n":
+                i += 1
+        elif ch.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j : j + 1].isspace():
+                j += 1
+            token = data[i:j]
+            if not token.isdigit():
+                raise ValueError(f"{path}: malformed netpbm header token {token!r}")
+            values.append(int(token))
+            i = j
+    return values, i + 1
+
+
 def batch_norm_composed(bn, x, training: bool):
     """Batch norm spelled out in elementary tape ops (mean, subtract, square,
     mean, add, square root, divide, reshape, scale, shift) on the attributes

@@ -10,7 +10,7 @@ import strf
 from strf import train
 from strf.cli import dispatch
 from strf.config import parse_config
-from strf.netpbm import read_pgm
+from strf.netpbm import read_pgm, read_ppm, write_ppm
 from strf.tensor import Tensor
 
 CONFIG = """
@@ -98,7 +98,14 @@ def test_eval_command(pipeline, tmp_path, capsys):
         assert os.path.exists(os.path.join(out, name))
 
 
-def test_export_attn_command(pipeline, tmp_path, capsys):
+def test_export_attn_command(pipeline, tmp_path, capsys, monkeypatch):
+    decoded = []
+
+    def counting(path):
+        decoded.append(path)
+        return read_ppm(path)
+
+    monkeypatch.setattr(strf.synthdata, "read_ppm", counting)
     out = str(tmp_path / "maps")
     rc = dispatch([
         "export-attn", "--config", pipeline["config"], "--checkpoint", pipeline["checkpoint"],
@@ -106,6 +113,9 @@ def test_export_attn_command(pipeline, tmp_path, capsys):
         "--out", out, "--manifest", pipeline["manifest"],
     ])
     assert rc == 0
+    # only the chosen tracklet's frames are decoded
+    assert len(decoded) == 8
+    assert all(os.sep.join(("query", "id_0002", "cam0_trk00", "")) in p for p in decoded)
     files = sorted(os.listdir(out))
     assert len(files) == 8  # one map per frame
     assert files[0].endswith("_3_00000.pgm")
@@ -211,6 +221,26 @@ def test_missing_manifest_exits_three(pipeline, tmp_path, capsys):
     ])
     assert rc == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["mixed frame dims", "manifest is a directory"])
+def test_eval_loader_faults_exit_three(pipeline, tmp_path, capsys, fault):
+    data = str(tmp_path / "data")
+    shutil.copytree(os.path.dirname(pipeline["manifest"]), data)
+    if fault == "mixed frame dims":
+        frame = "query/id_0002/cam0_trk00/frame_00003.ppm"
+        write_ppm(os.path.join(data, frame), np.zeros((3, 64, 32), dtype=np.uint8))
+        manifest, named = os.path.join(data, "manifest.tsv"), frame
+    else:
+        manifest, named = data, "cannot read manifest"
+    rc = dispatch([
+        "eval", "--config", pipeline["config"], "--checkpoint", pipeline["checkpoint"],
+        "--out", str(tmp_path / "e"), "--manifest", manifest,
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and manifest in err and named in err
+    assert not os.path.exists(tmp_path / "e")
 
 
 def test_unknown_tracklet_exits_three(pipeline, tmp_path, capsys):

@@ -133,6 +133,17 @@ def test_stacked_features_fills_batches_across_tracklets(rng, monkeypatch, batch
     assert max(batches) <= batch_size
 
 
+def test_stacked_features_splits_batches_at_frame_dims(rng):
+    net, _ = _embed_setup(rng, "c2d")
+    tracklets = [
+        Tracklet(frames=rng.normal(size=(n, 3, h, w)).astype(np.float32), identity=i, camera=0)
+        for i, (n, h, w) in enumerate([(5, 32, 16), (3, 64, 32), (4, 64, 32), (6, 32, 16)])
+    ]
+    alone = np.concatenate([stacked_features(net, [t], 4) for t in tracklets])
+    for batch_size in (1, 3, 16):
+        assert np.array_equal(stacked_features(net, tracklets, 4, batch_size), alone), batch_size
+
+
 def test_stacked_features_rejects_batch_size_below_one(rng):
     net, tracklets = _embed_setup(rng, "c2d")
     with pytest.raises(ContractError, match="batch_size"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from strf.errors import ConfigError, ContractError, DataError
-from strf.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
+from strf.netpbm import read_header, read_pgm, read_ppm, write_pgm, write_ppm
 from strf.synthdata import (
     SynthSpec,
     augment_clip,
@@ -15,6 +15,8 @@ from strf.synthdata import (
     load_tracklets,
     make_batch,
 )
+
+from oracles import netpbm_tokens_loops
 
 
 def tiny_spec(**kw):
@@ -72,6 +74,67 @@ def test_netpbm_skips_header_comments(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"P5\n# a comment line\n2 1\n255\n\x07\x09")
     assert read_pgm(path).tolist() == [[7, 9]]
+
+
+HEADERS = [
+    b"P6\n2 3\n255\n",
+    b"P6#right after the magic\n2 3 255\n",
+    b"P6\n# a comment\n2 # between\n3\n#\n255\n",
+    b"P6\t2\r3\r\n255\t",
+    b"P6\x0b2\x0c3 255 ",
+    b"P6 2x 3 255\n",
+    b"P6 2#3 4 255\n",
+    b"P6 -1 2 255\n",
+    b"P6 2 3 #12",
+    b"P6 2 3 # 4 5",
+    b"P61 2 255",
+    b"P6 2 3 255",
+    b"P6",
+]
+SEPARATORS = [b" ", b"\t", b"\r", b"\n", b"\r\n", b"#c\n", b"# 7 8\n", b"\n#\n", b"#"]
+TOKENS = [b"0", b"12", b"255", b"007", b"2x", b"x", b"1#2", b"+3"]
+
+
+def _generated_headers():
+    """The fixed headers, every prefix of them, and seeded random ones."""
+    headers = set(HEADERS)
+    for header in HEADERS:
+        headers.update(header[:n] for n in range(2, len(header)))
+    rng = np.random.Generator(np.random.PCG64(7))
+    for _ in range(300):
+        parts = [b"P6"]
+        for _ in range(int(rng.integers(1, 5))):
+            parts.append(SEPARATORS[rng.integers(len(SEPARATORS))])
+            parts.append(TOKENS[rng.integers(len(TOKENS))])
+        parts.append(SEPARATORS[rng.integers(len(SEPARATORS))])
+        header = b"".join(parts)
+        headers.add(header[: int(rng.integers(2, len(header) + 1))])
+    return sorted(headers)
+
+
+def _oracle_header(data):
+    try:
+        (w, h, maxval), offset = netpbm_tokens_loops(data[2:], 3, "f.ppm")
+    except ValueError as exc:
+        return "error", str(exc)
+    return w, h, maxval, offset + 2
+
+
+def _parsed_header(data):
+    try:
+        return read_header(data, "f.ppm")
+    except DataError as exc:
+        return "error", str(exc)
+
+
+def test_header_parser_matches_the_byte_loop():
+    headers = _generated_headers()
+    outcomes = {_oracle_header(h)[0] == "error" for h in headers}
+    assert outcomes == {True, False}
+    for header in headers:
+        assert _parsed_header(header) == _oracle_header(header), header
+    assert _parsed_header(b"P61 2 255") == (1, 2, 255, 10)
+    assert _parsed_header(b"P6 2 3 #12") == ("error", "f.ppm: truncated netpbm header")
 
 
 def test_ppm_writer_validates_input(tmp_path):
@@ -254,7 +317,32 @@ def test_load_tracklets_missing_frame_names_file(tmp_path, rng):
     with open(path, "w") as fh:
         fh.write("train/x/f0.ppm\t0\t0\ttrain\n")
         fh.write("train/x/f1.ppm\t0\t0\ttrain\n")
-    with pytest.raises(DataError, match="f1.ppm"):
+    with pytest.raises(DataError, match="referenced frame train/x/f1.ppm does not exist"):
+        load_tracklets(path, "train")
+
+
+def test_load_tracklets_rejects_mixed_frame_dims(tmp_path, rng):
+    root = str(tmp_path)
+    os.makedirs(os.path.join(root, "train/x"))
+    for name, (h, w) in (("f0.ppm", (32, 16)), ("f1.ppm", (64, 32))):
+        frame = rng.integers(0, 256, size=(3, h, w)).astype(np.uint8)
+        write_ppm(os.path.join(root, "train/x", name), frame)
+    path = os.path.join(root, "manifest.tsv")
+    with open(path, "w") as fh:
+        fh.write("train/x/f0.ppm\t0\t0\ttrain\n")
+        fh.write("train/x/f1.ppm\t0\t0\ttrain\n")
+    with pytest.raises(DataError, match="manifest.tsv: frame train/x/f1.ppm is 64x32.*32x16"):
+        load_tracklets(path, "train")
+
+
+def test_paths_that_name_a_directory(tmp_path):
+    with pytest.raises(DataError, match="cannot read manifest"):
+        load_manifest(str(tmp_path))
+    os.makedirs(tmp_path / "train/x/f0.ppm")
+    path = str(tmp_path / "manifest.tsv")
+    with open(path, "w") as fh:
+        fh.write("train/x/f0.ppm\t0\t0\ttrain\n")
+    with pytest.raises(DataError, match="manifest.tsv: cannot read frame train/x/f0.ppm"):
         load_tracklets(path, "train")
 
 

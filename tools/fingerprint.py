@@ -5,6 +5,10 @@
 imports ``strf`` from ``SRC_DIR`` and prints one ``name sha256`` line per
 output, in a fixed order:
 
+data/<split>                                the frames, dims and labels of every
+    tracklet ``load_tracklets`` returns for the train, query and gallery
+    splits of the toy dataset, normalized with the ImageNet mean and std so
+    that the normalization's arithmetic is covered too
 train/<integration>/<branches>/checkpoint   every checkpoint file, by name
 train/<integration>/<branches>/metrics.csv  without its timestamp line
     a 3-step toy p3d-c+STRF ``run_training`` for each of the 3 integrations
@@ -35,6 +39,7 @@ import numpy as np
 
 INTEGRATIONS = ("temporal-then-spatial", "spatial-then-temporal", "parallel")
 BRANCH_SETS = ("all", "temporal-fine", "spatial-coarse")
+NORM_MEAN, NORM_STD = (0.485, 0.456, 0.406), (0.229, 0.224, 0.225)
 
 TOY = """
 [model]
@@ -94,7 +99,7 @@ def main(argv: list[str]) -> int:
     import strf
     from strf.backbone import Network, forward_features, resnet50_spec
     from strf.config import parse_config_text, synth_spec_from
-    from strf.synthdata import generate
+    from strf.synthdata import generate, load_tracklets
     from strf.train import run_retrieval, run_training
 
     if not os.path.abspath(strf.__file__).startswith(src + os.sep):
@@ -108,6 +113,12 @@ def main(argv: list[str]) -> int:
     lines = []
     with tempfile.TemporaryDirectory() as work:
         manifest = generate(synth_spec_from(toy("c2d", "").data), os.path.join(work, "data")).path
+        for split in ("train", "query", "gallery"):
+            h = hashlib.sha256()
+            for t in load_tracklets(manifest, split, NORM_MEAN, NORM_STD):
+                h.update(f"{t.name}\0{t.identity}\0{t.camera}\0{t.frames.dtype}{t.frames.shape}\0".encode())
+                h.update(t.frames.tobytes())
+            lines.append((f"data/{split}", h.hexdigest()))
 
         def train(cfg, out):
             summary = run_training(cfg, out, manifest=manifest)
