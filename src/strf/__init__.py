@@ -15,7 +15,7 @@ from .errors import (
     ShapeError,
     StrfError,
 )
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, no_grad
 from .gradcheck import grad_check
 from .kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
 from .factorize import (
@@ -35,7 +35,7 @@ from .backbone import (
     forward_features,
     resnet50_spec,
 )
-from .losses import batch_hard_triplet, cosine_distance, cross_entropy, total_loss
+from .losses import batch_hard_triplet, cross_entropy, total_loss
 from .evaluation import RetrievalResult, Tracklet, evaluate
 from .synthdata import SynthSpec, generate, load_manifest, load_tracklets, make_batch
 from .config import RunConfig, parse_config, parse_config_text
@@ -65,11 +65,9 @@ __all__ = [
     "Tensor",
     "Tracklet",
     "attention_export",
-    "backward",
     "batch_hard_triplet",
     "conv3d",
     "conv_channel_mix",
-    "cosine_distance",
     "count_params",
     "cross_entropy",
     "decayed_lr",

@@ -352,8 +352,6 @@ class _Registry:
 class Network:
     def __init__(self, spec: NetworkSpec, seed: int = 0, dtype=np.float32):
         self.spec = spec
-        self.training = True
-        self.captured: dict[int, np.ndarray] = {}
         registry = _Registry()
         rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -375,10 +373,7 @@ class Network:
         self._params = registry.params
         self._buffers = registry.buffers
 
-    # -- modes and parameters -------------------------------------------
-
-    def set_train(self, flag: bool) -> None:
-        self.training = bool(flag)
+    # -- parameters -------------------------------------------------------
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return list(self._params)
@@ -391,20 +386,24 @@ class Network:
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, clips: Tensor, capture: tuple[int, ...] = ()) -> tuple[Tensor, Tensor]:
-        """Run clips (batch, 3, time, height, width) through the network.
-        Returns (features, logits). Stage outputs listed in ``capture``
-        (1-based) are stored in ``self.captured`` as plain arrays."""
+    def stage_output(self, clips: Tensor, training: bool, stage: int) -> Tensor:
+        """Run clips (batch, 3, time, height, width) through the stem and
+        stages ``1..stage`` and return that stage's output; later stages do
+        not run. ``training`` selects batch or running statistics in every
+        batch norm, and only training updates the running ones."""
         if clips.ndim != 5 or clips.shape[1] != 3:
             raise ShapeError(f"expected clips of dims (n, 3, t, h, w), got {clips.shape}")
-        self.captured = {}
-        x = self.stem_bn(self.stem_conv(clips), self.training)
+        x = self.stem_bn(self.stem_conv(clips), training)
         x = strided_max_pool3d(x, (1, 3, 3), (1, 2, 2))
-        for stage_idx, stage_blocks in enumerate(self.stages):
+        for stage_blocks in self.stages[:stage]:
             for block in stage_blocks:
-                x = block(x, self.training)
-            if (stage_idx + 1) in capture:
-                self.captured[stage_idx + 1] = x.data
+                x = block(x, training)
+        return x
+
+    def forward(self, clips: Tensor, training: bool) -> tuple[Tensor, Tensor]:
+        """Run clips (batch, 3, time, height, width) through every stage.
+        Returns (features, logits)."""
+        x = self.stage_output(clips, training, len(self.stages))
         features = x.mean(axis=(3, 4)).mean(axis=2)
         logits = self.classifier(features)
         return features, logits
@@ -413,13 +412,8 @@ class Network:
 def forward_features(net: Network, clips) -> np.ndarray:
     """Inference-mode embedding extraction: no gradient tape, no batch-norm
     statistics updates."""
-    was_training = net.training
-    net.set_train(False)
-    try:
-        with no_grad():
-            features, _ = net.forward(clips if isinstance(clips, Tensor) else Tensor(clips))
-    finally:
-        net.set_train(was_training)
+    with no_grad():
+        features, _ = net.forward(clips if isinstance(clips, Tensor) else Tensor(clips), training=False)
     return features.data.copy()
 
 
@@ -452,11 +446,6 @@ def attention_export(net: Network, clip, stage: int) -> np.ndarray:
     arr = clip.data if isinstance(clip, Tensor) else np.asarray(clip, dtype=np.float32)
     if arr.ndim != 4 or arr.shape[0] != 3:
         raise ShapeError(f"expected one clip of dims (3, t, h, w), got {arr.shape}")
-    was_training = net.training
-    net.set_train(False)
-    try:
-        with no_grad():
-            net.forward(Tensor(arr[None]), capture=(stage,))
-    finally:
-        net.set_train(was_training)
-    return attention_energy_maps(net.captured[stage][0])
+    with no_grad():
+        activation = net.stage_output(Tensor(arr[None]), training=False, stage=stage)
+    return attention_energy_maps(activation.data[0])

@@ -53,7 +53,12 @@ def load_checkpoint(net: Network, directory: str) -> None:
             if len(parts) != 5:
                 raise DataError(f"{manifest_path}:{line_no}: expected 5 tab-separated fields")
             name, kind, dims_text, filename, _offset = parts
-            dims = tuple(int(d) for d in dims_text.split("x")) if dims_text else ()
+            try:
+                dims = tuple(int(d) for d in dims_text.split("x")) if dims_text else ()
+            except ValueError:
+                raise DataError(
+                    f"{manifest_path}:{line_no}: dims {dims_text!r} are not integers joined by 'x'"
+                ) from None
             stored[name] = (kind, dims, filename)
 
     expected = {name: (kind, array) for name, kind, array in _entries(net)}
@@ -71,7 +76,11 @@ def load_checkpoint(net: Network, directory: str) -> None:
             raise DataError(f"{directory}: entry {name} is a {kind}, expected {target_kind}")
         if dims != target.shape:
             raise DataError(f"{directory}: entry {name} has dims {dims}, network expects {target.shape}")
-        value = read_tensor(os.path.join(directory, filename))
+        path = os.path.join(directory, filename)
+        try:
+            value = read_tensor(path)
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read the tensor file for {name}: {exc.strerror}") from None
         if value.shape != target.shape:
             raise DataError(f"{directory}: file for {name} holds dims {value.shape}, manifest says {dims}")
         target[...] = value.astype(target.dtype, copy=False)

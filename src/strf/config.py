@@ -211,7 +211,7 @@ def synth_spec_from(data: DataConfig) -> SynthSpec:
         pairing=data.synth_pairing,
         occlusion_prob=data.synth_occlusion,
         jitter_px=data.synth_jitter,
-        train_identities=None if data.synth_train_identities < 0 else data.synth_train_identities,
+        train_identities=None if data.synth_train_identities == -1 else data.synth_train_identities,
         seed=data.synth_seed,
     )
 

@@ -8,11 +8,12 @@ attention mask over spatial sites via a scaled covariance:
 
     mask = softmax_rows(temperature * T^t T)
 
-where T is the pooled volume flattened to (reduced_channels * time) rows by
-(height * width) columns. Applying a mask right-multiplies the flattened
-input volume, mixing spatial sites; a branch sums its fine and coarse
-outputs. Temporal and spatial branches combine in cascade (either order) or
-in parallel.
+where T is a pooled volume flattened to (reduced_channels * time) rows by
+(height * width) columns. The unit takes a batch of volumes (batch,
+channels, time, height, width) and builds one mask per volume. Applying a
+mask right-multiplies the flattened input volume, mixing spatial sites; a
+branch sums its fine and coarse outputs. Temporal and spatial branches
+combine in cascade (either order) or in parallel.
 
 ``StrfConfig`` is the unit's one config and checks every setting once:
 ``fam_mask`` takes a branch's dimension, resolution, pool mode and
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, matmul, softmax_rows
-from .kernels import conv_channel_mix, pool3d
+from .kernels import check_batch, conv_channel_mix, pool3d
 
 DIMENSIONS = ("temporal", "spatial")
 BRANCH_ORDER: tuple[tuple[str, str], ...] = (
@@ -116,15 +117,10 @@ def strf_param_count(channels: int, reduction: int = 16, n_branches: int = 4) ->
 
 
 def reshape_to_matrix(f: Tensor) -> Tensor:
-    """Flatten a feature volume to (channels*time) x (height*width); batched
-    input gains a leading batch axis."""
-    if f.ndim == 4:
-        c, t, h, w = f.shape
-        return f.reshape((c * t, h * w))
-    if f.ndim == 5:
-        n, c, t, h, w = f.shape
-        return f.reshape((n, c * t, h * w))
-    raise ShapeError(f"expected a rank-4 or rank-5 feature volume, got dims {f.shape}")
+    """Flatten each volume of a batch to (channels*time) x (height*width)."""
+    check_batch(f)
+    n, c, t, h, w = f.shape
+    return f.reshape((n, c * t, h * w))
 
 
 def fam_mask(
@@ -132,8 +128,8 @@ def fam_mask(
 ) -> Tensor:
     """Compute one branch's attention mask over spatial sites.
 
-    Returns a (sites, sites) matrix whose rows are probability vectors, or a
-    batch of such matrices for batched input. ``weight`` is the branch's
+    Returns a batch of (sites, sites) matrices whose rows are probability
+    vectors, one per volume of ``f``. ``weight`` is the branch's
     (reduced_channels, channels) matrix. The reduced volume is pooled with an
     odd ``resolution``: over a (r, 1, 1) kernel for the temporal dimension and
     a (1, r, r) kernel for the spatial one.
@@ -142,14 +138,14 @@ def fam_mask(
     kernel = (resolution, 1, 1) if dimension == "temporal" else (1, resolution, resolution)
     pooled = pool3d(conv_channel_mix(f, weight), kernel, pool)
     flat = reshape_to_matrix(pooled)
-    flat_t = flat.transpose() if flat.ndim == 2 else flat.transpose(0, 2, 1)
-    covariance = matmul(flat_t, flat) * temperature
+    covariance = matmul(flat.transpose(0, 2, 1), flat) * temperature
     return softmax_rows(covariance)
 
 
 def ffm_apply(f: Tensor, mask: Tensor) -> Tensor:
-    """Mix the spatial sites of ``f`` with an attention mask: flatten, right-
-    multiply by the mask, restore the volume layout."""
+    """Mix the spatial sites of each volume of ``f`` with its attention mask
+    (``mask`` holds one per volume): flatten, right-multiply by the mask,
+    restore the volume layout."""
     flat = reshape_to_matrix(f)
     sites = flat.shape[-1]
     if mask.shape[-1] != sites or mask.shape[-2] != sites:

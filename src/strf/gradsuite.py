@@ -40,7 +40,7 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     soft_w = Tensor(_fixed(rng, (3, 4)))
     check("softmax_rows", lambda t: (softmax_rows(t) * soft_w).sum(), a)
 
-    vol = _spread(rng, (4, 3, 4, 3))
+    vol = _spread(rng, (1, 4, 3, 4, 3))
     check("pool3d_max", lambda t: (pool3d(t, (3, 1, 1), "max") * 0.5 + pool3d(t, (1, 3, 3), "max") * 0.25).sum(), vol)
     check("pool3d_avg", lambda t: (pool3d(t, (3, 3, 3), "avg") ** 2).sum(), vol)
 
@@ -55,7 +55,7 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     )
 
     cfg = StrfConfig()
-    unit_in = _spread(rng, (8, 4, 6, 3))
+    unit_in = _spread(rng, (1, 8, 4, 6, 3))
     params = init_strf_params(8, cfg, rng, dtype=np.float64)
     check("strf_forward_input", lambda t: (strf_forward(t, cfg, params) ** 2).sum(), unit_in)
     fixed_in = Tensor(unit_in)
@@ -81,7 +81,7 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     # Strided and pointwise conv geometry as the networks use it (stem,
     # shortcut), plus a strided even kernel extent; drawn last so the entries
     # above keep their inputs.
-    clip = Tensor(_spread(rng, (2, 2, 7, 6)))
+    clip = Tensor(_spread(rng, (1, 2, 2, 7, 6)))
     check(
         "conv3d_weights_stem",
         lambda t: (conv3d(clip, t, (1, 2, 2)) ** 2).sum(),
@@ -94,7 +94,7 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
         lambda t: (conv3d(Tensor(vol), t, (1, 2, 2)) ** 2).sum(),
         shortcut_w,
     )
-    even_in = _spread(rng, (2, 5, 7, 6))
+    even_in = _spread(rng, (1, 2, 5, 7, 6))
     even_w = _spread(rng, (3, 2, 2, 3, 2))
     check("conv3d_strided_even", lambda t: (conv3d(t, Tensor(even_w), (2, 2, 3)) ** 2).sum(), even_in)
     check(
@@ -141,7 +141,7 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
 
     # The stem max-pool, whose stride-2 windows overlap; drawn last for the
     # same reason.
-    stem_in = _spread(rng, (2, 3, 7, 6))
+    stem_in = _spread(rng, (1, 2, 3, 7, 6))
     check("strided_max_pool3d", lambda t: (strided_max_pool3d(t, (1, 3, 3), (1, 2, 2)) ** 2).sum(), stem_in)
 
     return results

@@ -1,9 +1,8 @@
 """Pooling and convolution over feature volumes.
 
-A feature volume is rank-4 ``(channels, time, height, width)``; every kernel
-here also accepts a rank-5 batch ``(batch, channels, time, height, width)``
-and treats rank-4 input as a batch of one. All kernels participate in the
-autodiff tape.
+Every kernel takes a batch of feature volumes, rank-5 ``(batch, channels,
+time, height, width)``, and nothing else; a single volume is a batch of one.
+All kernels participate in the autodiff tape.
 
 Every kernel has SAME geometry (output extent = ceil(input / stride)), and
 ``_windows`` owns it: it pads the input and returns the strided window view
@@ -28,12 +27,10 @@ from .tensor import Tensor
 Triple = tuple[int, int, int]
 
 
-def _as_batched(x: Tensor) -> tuple[Tensor, bool]:
-    if x.ndim == 5:
-        return x, False
-    if x.ndim == 4:
-        return x.reshape((1,) + x.shape), True
-    raise ShapeError(f"expected a rank-4 or rank-5 feature volume, got dims {x.shape}")
+def check_batch(x: Tensor) -> None:
+    """The one rank rule of every volume op: a rank-5 batch."""
+    if x.ndim != 5:
+        raise ShapeError(f"expected a (batch, channels, time, height, width) volume, got dims {x.shape}")
 
 
 def _check_triple(value, name: str) -> Triple:
@@ -73,8 +70,8 @@ def _windows(data: np.ndarray, kernel: Triple, stride: Triple, fill: float = 0.0
 
 
 def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tensor:
-    vol, squeeze = _as_batched(x)
-    data = vol.data
+    check_batch(x)
+    data = x.data
 
     if mode == "max":
         win, adjoint = _windows(data, kernel, stride, fill=-np.inf)
@@ -87,7 +84,7 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
             # one-hot taps: each output's gradient sits on its winning tap
             taps = np.zeros(g.shape[:2] + (math.prod(kernel),) + g.shape[2:], dtype=g.dtype)
             np.put_along_axis(taps, arg[:, :, None], g[:, :, None], axis=2)
-            vol._accumulate(adjoint(taps.reshape(g.shape[:2] + kernel + g.shape[2:])))
+            x._accumulate(adjoint(taps.reshape(g.shape[:2] + kernel + g.shape[2:])))
 
     else:  # "avg"; pool3d checks the mode
         win, adjoint = _windows(data, kernel, stride)
@@ -97,10 +94,9 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
 
         def grad_fn(g: np.ndarray) -> None:
             gdiv = (g / counts)[:, :, None, None, None]
-            vol._accumulate(adjoint(np.broadcast_to(gdiv, g.shape[:2] + kernel + g.shape[2:])))
+            x._accumulate(adjoint(np.broadcast_to(gdiv, g.shape[:2] + kernel + g.shape[2:])))
 
-    out = Tensor._make(out_data.astype(data.dtype, copy=False), [vol], grad_fn)
-    return out.reshape(out.shape[1:]) if squeeze else out
+    return Tensor._make(out_data.astype(data.dtype, copy=False), [x], grad_fn)
 
 
 def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
@@ -117,6 +113,7 @@ def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
     if mode not in ("max", "avg"):
         raise ConfigError(f"pool mode must be 'max' or 'avg', got {mode!r}")
     if kernel == (1, 1, 1):
+        check_batch(x)
         return x
     return _pool_forward(x, kernel, mode, (1, 1, 1))
 
@@ -151,11 +148,11 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
     """im2col + GEMM. ``weight`` is (out_channels, in_channels, ...) with the
     kernel taps, if any, in its trailing dims; it is used as an
     (out_channels, in_channels * taps) matrix."""
-    vol, squeeze = _as_batched(x)
-    if weight.shape[1] != vol.shape[1]:
-        raise ShapeError(f"conv weight dims {weight.shape} do not match input channels in {vol.shape}")
+    check_batch(x)
+    if weight.shape[1] != x.shape[1]:
+        raise ShapeError(f"conv weight dims {weight.shape} do not match input channels in {x.shape}")
 
-    data = vol.data
+    data = x.data
     n, c = data.shape[:2]
     win, adjoint = _windows(data, kernel, stride)
     out_sizes = win.shape[2:5]
@@ -169,9 +166,8 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
         if weight.requires_grad:
             d_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(d_w.reshape(weight.shape))
-        if vol.requires_grad:
+        if x.requires_grad:
             taps = np.matmul(w_mat.T, g_mat).reshape((n, c) + kernel + out_sizes)
-            vol._accumulate(adjoint(taps))
+            x._accumulate(adjoint(taps))
 
-    out = Tensor._make(out_data.astype(data.dtype, copy=False), [vol, weight], grad_fn)
-    return out.reshape(out.shape[1:]) if squeeze else out
+    return Tensor._make(out_data.astype(data.dtype, copy=False), [x, weight], grad_fn)

@@ -31,19 +31,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return (log_norm - picked).mean()
 
 
-def cosine_distance(u, v) -> float:
-    """1 - cos(angle) between two vectors; 0 for parallel, 2 for opposite."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if u.shape != v.shape:
-        raise ContractError(f"cosine_distance needs equal-length vectors, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine distance is undefined for a zero vector")
-    return 1.0 - float(u @ v) / (nu * nv)
-
-
 def _validate_batch_labels(labels: np.ndarray) -> None:
     values, counts = np.unique(labels, return_counts=True)
     if values.size < 2:

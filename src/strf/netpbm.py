@@ -73,10 +73,12 @@ def _read_payload(path: str, magic: bytes, kind: str, channels: int) -> np.ndarr
 
 
 def read_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM into (3, height, width) uint8."""
-    return _read_payload(path, b"P6", "PPM", 3).transpose(2, 0, 1).copy()
+    """Read a binary PPM as a read-only (3, height, width) uint8 view of the
+    file's bytes; copy it to write to it."""
+    return _read_payload(path, b"P6", "PPM", 3).transpose(2, 0, 1)
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read a binary PGM into (height, width) uint8."""
-    return _read_payload(path, b"P5", "PGM", 1)[:, :, 0].copy()
+    """Read a binary PGM as a read-only (height, width) uint8 view of the
+    file's bytes; copy it to write to it."""
+    return _read_payload(path, b"P5", "PGM", 1)[:, :, 0]

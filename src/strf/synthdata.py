@@ -326,7 +326,9 @@ def _decode(manifest_path: str, root: str, record: TrackletRecord, mean_arr, std
                 f"tracklet's first frame is {frames[0].shape[1]}x{frames[0].shape[2]}"
             )
         frames.append(frame)
-    stack = np.stack(frames).astype(np.float32)
+    # the frames are views of the files' channel-interleaved bytes: the stack
+    # keeps that layout and the float conversion writes (frames, 3, h, w)
+    stack = np.stack(frames).astype(np.float32, order="C")
     stack /= 255.0
     stack -= mean_arr
     stack /= std_arr

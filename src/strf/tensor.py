@@ -458,16 +458,3 @@ def select_entries(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
         a._accumulate(scatter)
 
     return Tensor._make(out_data, [a], grad_fn)
-
-
-def backward(loss: Tensor, leaves: Sequence[Tensor]) -> dict[int, np.ndarray]:
-    """Run backpropagation from ``loss`` and collect gradients for ``leaves``.
-
-    Returns a map keyed by ``id(leaf)``; leaves that are unreachable from the
-    loss get zero gradients of their own shape.
-    """
-    loss.backward()
-    out: dict[int, np.ndarray] = {}
-    for leaf in leaves:
-        out[id(leaf)] = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-    return out

@@ -82,7 +82,6 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
     log_path = os.path.join(out_dir, LOG_NAME)
     ckpt_path = os.path.join(out_dir, CHECKPOINT_DIR)
 
-    net.set_train(True)
     last = {"ce": float("nan"), "triplet": float("nan"), "total": float("nan")}
     with open(log_path, "w", encoding="utf-8") as log:
         log.write(f"# run started {datetime.datetime.now().isoformat()}\n")
@@ -101,7 +100,7 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
             )
             labels = np.array([mapping[int(v)] for v in raw_labels], dtype=np.int64)
             opt.zero_grad()
-            features, logits = net.forward(Tensor(clips))
+            features, logits = net.forward(Tensor(clips), training=True)
             total, ce, triplet = total_loss(logits, features, labels, t_cfg.margin)
             values = (float(ce.data), float(triplet.data), float(total.data))
             if not all(np.isfinite(v) for v in values):
@@ -137,7 +136,6 @@ def _eval_classes(cfg: RunConfig, manifest_path: str) -> int:
 def load_eval_network(cfg: RunConfig, checkpoint_dir: str, manifest_path: str) -> Network:
     net = build_train_network(cfg, classes=_eval_classes(cfg, manifest_path))
     load_checkpoint(net, checkpoint_dir)
-    net.set_train(False)
     return net
 
 
@@ -168,16 +166,6 @@ def run_retrieval(cfg: RunConfig, checkpoint_dir: str, out_dir: str, manifest: s
     write_cmc_csv(result, os.path.join(out_dir, "cmc.csv"))
     write_ap_csv(result, os.path.join(out_dir, "ap.csv"))
     return result
-
-
-def evaluate_tracklet_pool(net: Network, tracklets, clip_len: int, max_rank: int = 20) -> RetrievalResult:
-    """Self-retrieval over one pool (each tracklet queries all the others);
-    the protocol's same-camera exclusion removes the self match. Used for
-    train-split sanity checks."""
-    feats = stacked_features(net, tracklets, clip_len)
-    ids = [t.identity for t in tracklets]
-    cams = [t.camera for t in tracklets]
-    return evaluate(distance_matrix(feats, feats), ids, cams, ids, cams, max_rank=max_rank)
 
 
 def params_report(cfg: RunConfig) -> str:

@@ -19,7 +19,7 @@ import pytest
 from strf.backbone import Network, count_params, resnet50_spec
 from strf.cli import dispatch
 from strf.config import RunConfig, parse_config_text, synth_spec_from, with_overrides
-from strf.evaluation import evaluate
+from strf.evaluation import distance_matrix, evaluate, stacked_features
 from strf.factorize import (
     BRANCH_ORDER,
     StrfConfig,
@@ -34,13 +34,7 @@ from strf.kernels import pool3d
 from strf.losses import batch_hard_triplet
 from strf.synthdata import generate, load_tracklets
 from strf.tensor import Tensor
-from strf.train import (
-    evaluate_tracklet_pool,
-    load_eval_network,
-    params_report,
-    run_retrieval,
-    run_training,
-)
+from strf.train import load_eval_network, params_report, run_retrieval, run_training
 
 from oracles import batch_hard_loops, evaluate_loops, fam_mask_loops, ffm_apply_loops
 
@@ -98,12 +92,13 @@ def test_gradient_fidelity():
 
 def test_mask_row_stochasticity_and_constant_laws(rng):
     for trial in range(1000):
-        f = Tensor(random_volume(rng))
+        volume = random_volume(rng)
+        f = Tensor(volume[None])
         dimension = ("temporal", "spatial")[trial % 2]
         resolution = (1, 3)[(trial // 2) % 2]
         pool = ("max", "avg")[(trial // 4) % 2]
         reduction = (2, 16)[(trial // 8) % 2]
-        c = f.shape[0]
+        c = volume.shape[0]
         c_r = c // min(reduction, c)
         weight = Tensor(rng.normal(size=(c_r, c)))
         mask = fam_mask(f, weight, dimension, resolution, pool=pool, temperature=4.0)
@@ -111,7 +106,7 @@ def test_mask_row_stochasticity_and_constant_laws(rng):
         assert np.all(np.abs(sums - 1.0) <= MASK_TOLERANCE), f"trial {trial}"
 
     # constant input: every mask row is uniform and the unit is multiply-by-4
-    const = Tensor(np.full((4, 2, 3, 2), 1.7, dtype=np.float32))
+    const = Tensor(np.full((1, 4, 2, 3, 2), 1.7, dtype=np.float32))
     weight = Tensor(np.random.default_rng(0).normal(size=(1, 4)).astype(np.float32))
     mask = fam_mask(const, weight, "temporal", 3)
     assert np.allclose(mask.data, 1.0 / 6.0, atol=MASK_TOLERANCE)
@@ -127,14 +122,14 @@ def test_mask_row_stochasticity_and_constant_laws(rng):
 def test_pooling_identity_cases(rng):
     for mode in ("max", "avg"):
         for _ in range(20):
-            x = Tensor(rng.normal(size=tuple(rng.integers(1, 5, size=4))))
+            x = Tensor(rng.normal(size=(1,) + tuple(rng.integers(1, 5, size=4))))
             out = pool3d(x, (1, 1, 1), mode)
             assert np.array_equal(out.data, x.data), mode  # bit-identical
 
     # resolution 1 makes the branch's pooling stage the exact identity: the
     # pool kind can no longer influence the mask a single bit
     for _ in range(20):
-        f = Tensor(rng.normal(size=(4, 2, 3, 2)))
+        f = Tensor(rng.normal(size=(1, 4, 2, 3, 2)))
         weight = Tensor(rng.normal(size=(2, 4)))
         for dimension in ("temporal", "spatial"):
             via_max = fam_mask(f, weight, dimension, 1, pool="max")
@@ -154,13 +149,14 @@ def test_brute_force_oracle_agreement(rng):
         dimension = ("temporal", "spatial")[trial % 2]
         resolution = (1, 3)[(trial // 2) % 2]
         pool = ("max", "avg")[trial % 2]
-        ours = fam_mask(Tensor(f), Tensor(weight), dimension, resolution, pool=pool, temperature=4.0).data
+        ours = fam_mask(Tensor(f[None]), Tensor(weight), dimension, resolution, pool=pool,
+                        temperature=4.0).data[0]
         ref = fam_mask_loops(f, dimension, resolution, pool, reduction, 4.0, weight)
         assert np.max(np.abs(ours - np.asarray(ref))) <= ORACLE_TOLERANCE
 
         sites = f.shape[2] * f.shape[3]
         mask = rng.dirichlet(np.ones(sites), size=sites)
-        mixed = ffm_apply(Tensor(f), Tensor(mask)).data
+        mixed = ffm_apply(Tensor(f[None]), Tensor(mask[None])).data[0]
         ref_mixed = ffm_apply_loops(f, mask)
         assert np.max(np.abs(mixed - np.asarray(ref_mixed))) <= ORACLE_TOLERANCE
 
@@ -221,6 +217,15 @@ def test_parameter_accounting():
 
 
 # 6 ----------------------------------------------------------------------------
+
+def evaluate_tracklet_pool(net, tracklets, clip_len, max_rank):
+    """Self-retrieval over one pool (each tracklet queries all the others);
+    the protocol's same-camera exclusion removes the self match."""
+    feats = stacked_features(net, tracklets, clip_len)
+    ids = [t.identity for t in tracklets]
+    cams = [t.camera for t in tracklets]
+    return evaluate(distance_matrix(feats, feats), ids, cams, ids, cams, max_rank=max_rank)
+
 
 def overfit_config():
     return with_overrides(

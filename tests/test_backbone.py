@@ -135,9 +135,8 @@ def test_block_backward_runs(variant, strf, rng):
 
 def test_network_forward_shapes(rng):
     net = Network(toy_spec(), seed=0)
-    net.set_train(False)
     clips = Tensor(rng.normal(size=(2, 3, 8, 64, 32)).astype(np.float32))
-    features, logits = net.forward(clips)
+    features, logits = net.forward(clips, training=False)
     assert features.data.shape == (2, 128)
     assert logits.data.shape == (2, 5)
 
@@ -145,30 +144,42 @@ def test_network_forward_shapes(rng):
 def test_network_rejects_bad_rank(rng):
     net = Network(toy_spec(), seed=0)
     with pytest.raises(ShapeError):
-        net.forward(Tensor(np.zeros((3, 8, 64, 32), dtype=np.float32)))
+        net.forward(Tensor(np.zeros((3, 8, 64, 32), dtype=np.float32)), training=False)
+
+
+def stage_outputs(net, clips):
+    return {stage: net.stage_output(clips, False, stage).data for stage in (1, 2, 3, 4)}
 
 
 def test_stage_shape_ladder(rng):
     net = Network(toy_spec(), seed=0)
-    net.set_train(False)
     clips = Tensor(rng.normal(size=(1, 3, 4, 64, 32)).astype(np.float32))
-    net.forward(clips, capture=(1, 2, 3, 4))
-    spatial = {stage: act.shape[-2:] for stage, act in net.captured.items()}
+    outputs = stage_outputs(net, clips)
+    spatial = {stage: act.shape[-2:] for stage, act in outputs.items()}
     # stem quarters the input; stages 2 and 3 halve; stage 4 keeps size
     assert spatial == {1: (16, 8), 2: (8, 4), 3: (4, 2), 4: (4, 2)}
-    times = {stage: act.shape[2] for stage, act in net.captured.items()}
+    times = {stage: act.shape[2] for stage, act in outputs.items()}
     assert times == {1: 4, 2: 4, 3: 4, 4: 4}  # no temporal downsampling anywhere
 
 
 def test_strf_does_not_change_shapes(rng):
     clips = Tensor(rng.normal(size=(1, 3, 4, 32, 16)).astype(np.float32))
-    with_attn = Network(toy_spec(), seed=0)
-    without = Network(toy_spec(strf_stages=()), seed=0)
-    for net in (with_attn, without):
-        net.set_train(False)
-        net.forward(clips, capture=(1, 2, 3, 4))
+    with_attn = stage_outputs(Network(toy_spec(), seed=0), clips)
+    without = stage_outputs(Network(toy_spec(strf_stages=()), seed=0), clips)
     for stage in (1, 2, 3, 4):
-        assert with_attn.captured[stage].shape == without.captured[stage].shape
+        assert with_attn[stage].shape == without[stage].shape
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_stage_output_runs_no_later_stage(stage, rng):
+    net = Network(toy_spec(), seed=0)
+    for blocks in net.stages[stage:]:
+        for block in blocks:
+            block.conv1 = None  # a later stage that runs raises TypeError
+    clips = Tensor(rng.normal(size=(1, 3, 4, 32, 16)).astype(np.float32))
+    assert net.stage_output(clips, False, stage).shape[1] == toy_spec().stages[stage - 1][-1].out_channels
+    with pytest.raises(TypeError):
+        net.forward(clips, training=False)
 
 
 def test_build_determinism():
@@ -193,9 +204,11 @@ def test_eval_forward_is_pure(rng):
 
 def test_train_mode_updates_running_stats(rng):
     net = Network(toy_spec(), seed=4)
-    net.set_train(True)
+    clips = Tensor(rng.normal(size=(2, 3, 4, 32, 16)).astype(np.float32))
     before = {name: buf.copy() for name, buf in net.named_buffers()}
-    net.forward(Tensor(rng.normal(size=(2, 3, 4, 32, 16)).astype(np.float32)))
+    net.forward(clips, training=False)
+    assert all(np.array_equal(before[name], buf) for name, buf in net.named_buffers())
+    net.forward(clips, training=True)
     after = dict(net.named_buffers())
     assert any(not np.array_equal(before[name], after[name]) for name in before)
 
@@ -338,12 +351,23 @@ def test_fused_epilogue_passes_a_nan_through(training, rng):
 
 
 def test_feature_head_is_mean_pool(rng):
+    # features are the spatio-temporal mean of the stage-4 output
     net = Network(toy_spec(), seed=4)
-    net.set_train(False)
     clips = Tensor(rng.normal(size=(1, 3, 4, 32, 16)).astype(np.float32))
-    features, _ = net.forward(clips, capture=(4,))
-    manual = net.captured[4].mean(axis=(2, 3, 4))
+    features, _ = net.forward(clips, training=False)
+    manual = net.stage_output(clips, False, 4).data.mean(axis=(2, 3, 4))
     assert np.allclose(features.data, manual, atol=1e-5)
+
+
+def test_training_features_are_the_mean_of_stage_four(rng):
+    # training batch norm normalizes with the batch's own statistics, so the
+    # running ones the first call moves do not change the second call
+    net = Network(toy_spec(), seed=4)
+    clips = Tensor(rng.normal(size=(2, 3, 4, 32, 16)).astype(np.float32))
+    stage4 = net.stage_output(clips, True, 4).data
+    features, logits = net.forward(clips, training=True)
+    assert logits.requires_grad
+    assert np.allclose(features.data, stage4.mean(axis=(2, 3, 4)), atol=1e-5)
 
 
 def test_strf_weight_perturbation_changes_embedding(rng):

@@ -223,6 +223,33 @@ def test_missing_manifest_exits_three(pipeline, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", ["non-integer dims", "missing tensor file"])
+def test_eval_checkpoint_faults_exit_three(pipeline, tmp_path, capsys, fault):
+    ckpt = str(tmp_path / "ckpt")
+    shutil.copytree(pipeline["checkpoint"], ckpt)
+    if fault == "non-integer dims":
+        manifest = os.path.join(ckpt, "manifest.tsv")
+        with open(manifest, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        fields = lines[0].split("\t")
+        fields[2] = "4x3x1x7x7.5"
+        lines[0] = "\t".join(fields)
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        named = "manifest.tsv:1"
+    else:
+        named = os.path.join(ckpt, "00000.strf")
+        os.remove(named)
+    rc = dispatch([
+        "eval", "--config", pipeline["config"], "--checkpoint", ckpt,
+        "--out", str(tmp_path / "e"), "--manifest", pipeline["manifest"],
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and named in err
+    assert not os.path.exists(tmp_path / "e")
+
+
 @pytest.mark.parametrize("fault", ["mixed frame dims", "manifest is a directory"])
 def test_eval_loader_faults_exit_three(pipeline, tmp_path, capsys, fault):
     data = str(tmp_path / "data")

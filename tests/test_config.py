@@ -122,6 +122,7 @@ def test_semantic_validation():
         ("[model]\nr_fine = 2\nr_coarse = 3\n", "odd and positive"),
         ("[data]\nsynth_identities = 3\n", "even identity count"),
         ("[data]\nsynth_pairing = twins\n", "pairing"),
+        ("[data]\nsynth_train_identities = -7\n", "train identity count -7 must lie in \\[0, 8\\]"),
         ("[train]\nsteps_per_epoch = -1\n", "steps_per_epoch must be >= 0"),
         ("[train]\nmax_steps = -1\n", "max_steps must be >= 0"),
         ("[train]\ncheckpoint_every = -1\n", "checkpoint_every must be >= 0"),

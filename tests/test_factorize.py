@@ -42,16 +42,16 @@ def make_params(channels, cfg, seed=0):
 
 
 def test_reshape_shape_and_index_arithmetic():
-    f = t64(np.arange(2 * 3 * 4 * 5).reshape(2, 3, 4, 5))
+    f = t64(np.arange(2 * 3 * 4 * 5).reshape(1, 2, 3, 4, 5))
     m = reshape_to_matrix(f)
-    assert m.data.shape == (6, 20)
+    assert m.data[0].shape == (6, 20)
     # element (c,t,h,w)=(1,2,0,3) lands at row 1*3+2=5, column 0*5+3=3
-    assert m.data[5, 3] == f.data[1, 2, 0, 3]
+    assert m.data[0, 5, 3] == f.data[0, 1, 2, 0, 3]
 
 
 def test_reshape_roundtrip_bit_exact(rng):
-    f = t64(rng.normal(size=(3, 2, 4, 5)))
-    back = reshape_to_matrix(f).reshape((3, 2, 4, 5))
+    f = t64(rng.normal(size=(1, 3, 2, 4, 5)))
+    back = reshape_to_matrix(f).reshape((1, 3, 2, 4, 5))
     assert np.array_equal(back.data, f.data)
 
 
@@ -61,27 +61,27 @@ def test_reshape_rejects_wrong_rank():
 
 
 def test_fam_mask_worked_example():
-    f = t64([[[[1.0, 2.0]]], [[[3.0, 4.0]]]])  # c=2,t=1,h=1,w=2
+    f = t64([[[[[1.0, 2.0]]], [[[3.0, 4.0]]]]])  # n=1,c=2,t=1,h=1,w=2
     mask = fam_mask(f, Tensor(np.array([[1.0, 1.0]])), "temporal", 1, pool="max", temperature=4.0)
-    assert np.allclose(mask.data, WORKED_MASK, rtol=1e-12, atol=0)
+    assert np.allclose(mask.data[0], WORKED_MASK, rtol=1e-12, atol=0)
 
 
 def test_fam_mask_constant_input_is_uniform():
     for dimension in ("temporal", "spatial"):
         for pool in ("max", "avg"):
-            f = t64(np.full((4, 2, 3, 2), 2.75))
+            f = t64(np.full((1, 4, 2, 3, 2), 2.75))
             mask = fam_mask(f, Tensor(np.ones((1, 4))), dimension, 3, pool=pool)
             assert np.allclose(mask.data, 1.0 / 6.0, atol=1e-7)
 
 
 def test_fam_mask_rows_stochastic(rng):
-    f = t64(rng.normal(size=(8, 2, 3, 2)))
+    f = t64(rng.normal(size=(1, 8, 2, 3, 2)))
     w = Tensor(rng.normal(size=(1, 8)))
     for dimension in ("temporal", "spatial"):
-        mask = fam_mask(f, w, dimension, 1)
-        assert mask.data.shape == (6, 6)
-        assert np.allclose(mask.data.sum(axis=1), 1.0, atol=1e-5)
-        assert np.all(mask.data > 0)
+        mask = fam_mask(f, w, dimension, 1).data[0]
+        assert mask.shape == (6, 6)
+        assert np.allclose(mask.sum(axis=1), 1.0, atol=1e-5)
+        assert np.all(mask > 0)
 
 
 def test_fam_mask_matches_loop_oracle(rng):
@@ -90,7 +90,7 @@ def test_fam_mask_matches_loop_oracle(rng):
         w = rng.normal(size=(1, 8)) * 0.5
         for dimension in ("temporal", "spatial"):
             for resolution, pool in ((1, "max"), (3, "max"), (3, "avg")):
-                got = fam_mask(t64(f), Tensor(w), dimension, resolution, pool=pool).data
+                got = fam_mask(t64(f[None]), Tensor(w), dimension, resolution, pool=pool).data[0]
                 want = fam_mask_loops(f, dimension, resolution, pool, 16, 4.0, w)
                 assert np.allclose(got, want, atol=1e-6)
 
@@ -99,11 +99,11 @@ def test_fam_mask_identity_resolution_skips_pooling(rng):
     # r=1 means the pooling stage must not move a single bit
     f = rng.normal(size=(4, 2, 3, 2))
     w = rng.normal(size=(1, 4))
-    fine = fam_mask(t64(f), Tensor(w), "temporal", 1)
+    fine = fam_mask(t64(f[None]), Tensor(w), "temporal", 1).data[0]
     want = fam_mask_loops(f, "temporal", 1, "max", 16, 4.0, w)
-    assert np.allclose(fine.data, want, atol=1e-9)
-    spatial = fam_mask(t64(f), Tensor(w), "spatial", 1)
-    assert np.allclose(spatial.data, fine.data, atol=1e-12)  # r=1 erases the axis choice
+    assert np.allclose(fine, want, atol=1e-9)
+    spatial = fam_mask(t64(f[None]), Tensor(w), "spatial", 1).data[0]
+    assert np.allclose(spatial, fine, atol=1e-12)  # r=1 erases the axis choice
 
 
 def test_fam_mask_even_resolution_rejected():
@@ -112,13 +112,13 @@ def test_fam_mask_even_resolution_rejected():
 
 
 def test_fam_mask_weight_shape_error(rng):
-    f = t64(rng.normal(size=(8, 2, 2, 2)))
+    f = t64(rng.normal(size=(1, 8, 2, 2, 2)))
     with pytest.raises(ShapeError):
         fam_mask(f, Tensor(np.zeros((1, 5))), "temporal", 1)
 
 
 def test_zero_weight_gives_uniform_mask(rng):
-    f = t64(rng.normal(size=(8, 2, 3, 2)))
+    f = t64(rng.normal(size=(1, 8, 2, 3, 2)))
     mask = fam_mask(f, Tensor(np.zeros((1, 8))), "spatial", 3)
     assert np.allclose(mask.data, 1.0 / 6.0, atol=1e-12)
 
@@ -126,31 +126,31 @@ def test_zero_weight_gives_uniform_mask(rng):
 def test_ffm_apply_uniform_mask_is_spatial_mean(rng):
     f = rng.normal(size=(3, 2, 2, 3))
     sites = 6
-    out = ffm_apply(t64(f), Tensor(np.full((sites, sites), 1.0 / sites))).data
+    out = ffm_apply(t64(f[None]), Tensor(np.full((1, sites, sites), 1.0 / sites))).data[0]
     means = f.reshape(3, 2, 6).mean(axis=2)
     assert np.allclose(out, np.broadcast_to(means[:, :, None, None], f.shape).reshape(f.shape))
 
 
 def test_ffm_apply_zero_input():
-    out = ffm_apply(t64(np.zeros((2, 2, 2, 2))), Tensor(np.full((4, 4), 0.25)))
-    assert np.array_equal(out.data, np.zeros((2, 2, 2, 2)))
+    out = ffm_apply(t64(np.zeros((1, 2, 2, 2, 2))), Tensor(np.full((1, 4, 4), 0.25)))
+    assert np.array_equal(out.data[0], np.zeros((2, 2, 2, 2)))
 
 
 def test_ffm_apply_matches_loop_oracle(rng):
     f = rng.normal(size=(4, 2, 3, 2))
     raw = rng.uniform(0.1, 1.0, size=(6, 6))
     mask = raw / raw.sum(axis=1, keepdims=True)
-    got = ffm_apply(t64(f), Tensor(mask)).data
+    got = ffm_apply(t64(f[None]), Tensor(mask[None])).data[0]
     assert np.allclose(got, ffm_apply_loops(f, mask), atol=1e-10)
 
 
 def test_ffm_apply_side_mismatch(rng):
     with pytest.raises(ShapeError):
-        ffm_apply(t64(rng.normal(size=(2, 2, 2, 2))), Tensor(np.eye(5)))
+        ffm_apply(t64(rng.normal(size=(1, 2, 2, 2, 2))), Tensor(np.eye(5)[None]))
 
 
 def test_branch_constant_input_doubles():
-    f = t64(np.full((8, 3, 2, 2), 1.5))
+    f = t64(np.full((1, 8, 3, 2, 2), 1.5))
     cfg = default_cfg()
     params = make_params(8, cfg)
     for dimension in ("temporal", "spatial"):
@@ -160,7 +160,7 @@ def test_branch_constant_input_doubles():
 
 def test_branch_identical_kinds_double_single(rng):
     # same resolution, pool, and weights in both kinds => exactly twice one branch
-    f = t64(rng.normal(size=(8, 2, 3, 2)))
+    f = t64(rng.normal(size=(1, 8, 2, 3, 2)))
     cfg = default_cfg(r_fine=3, r_coarse=3)
     params = make_params(8, cfg)
     shared = params[("temporal", "fine")]
@@ -186,12 +186,12 @@ def test_branch_reads_each_kinds_settings(rng):
             w = params[(dimension, kind)].data.astype(np.float64)
             mask = fam_mask_loops(f, dimension, resolution, pool, 16, 2.5, w)
             want = want + np.asarray(ffm_apply_loops(f, mask))
-        out = ffm_branch(t64(f), dimension, cfg, params).data
+        out = ffm_branch(t64(f[None]), dimension, cfg, params).data[0]
         assert np.allclose(out, want, atol=1e-6), dimension
 
 
 def test_strf_constant_input_quadruples_all_integrations():
-    f = t64(np.full((8, 4, 6, 3), 2.5))
+    f = t64(np.full((1, 8, 4, 6, 3), 2.5))
     for integration in ("temporal-then-spatial", "spatial-then-temporal", "parallel"):
         cfg = default_cfg(integration=integration)
         params = make_params(8, cfg)
@@ -200,7 +200,7 @@ def test_strf_constant_input_quadruples_all_integrations():
 
 
 def test_strf_parallel_is_sum_of_branches(rng):
-    f = t64(rng.normal(size=(8, 2, 3, 2)))
+    f = t64(rng.normal(size=(1, 8, 2, 3, 2)))
     cfg = default_cfg(integration="parallel")
     params = make_params(8, cfg)
     out = strf_forward(f, cfg, params)
@@ -209,7 +209,7 @@ def test_strf_parallel_is_sum_of_branches(rng):
 
 
 def test_strf_cascade_is_composition(rng):
-    f = t64(rng.normal(size=(8, 2, 3, 2)))
+    f = t64(rng.normal(size=(1, 8, 2, 3, 2)))
     cfg = default_cfg(integration="temporal-then-spatial")
     params = make_params(8, cfg)
     out = strf_forward(f, cfg, params)
@@ -222,7 +222,7 @@ def test_strf_cascade_is_composition(rng):
 
 
 def test_strf_orders_differ_on_generic_input(rng):
-    f = t64(rng.normal(size=(8, 3, 3, 2)))
+    f = t64(rng.normal(size=(1, 8, 3, 3, 2)))
     params = make_params(8, default_cfg())
     a = strf_forward(f, default_cfg(integration="temporal-then-spatial"), params).data
     b = strf_forward(f, default_cfg(integration="spatial-then-temporal"), params).data
@@ -230,7 +230,7 @@ def test_strf_orders_differ_on_generic_input(rng):
 
 
 def test_strf_shape_preserved_all_integrations(rng):
-    f = t64(rng.normal(size=(8, 4, 6, 3)))
+    f = t64(rng.normal(size=(1, 8, 4, 6, 3)))
     for integration in ("temporal-then-spatial", "spatial-then-temporal", "parallel"):
         cfg = default_cfg(integration=integration)
         out = strf_forward(f, cfg, make_params(8, cfg))
@@ -243,8 +243,8 @@ def test_strf_batched_matches_per_item(rng):
     params = make_params(8, cfg)
     batched = strf_forward(t64(f), cfg, params).data
     for i in range(3):
-        single = strf_forward(t64(f[i]), cfg, params).data
-        assert np.allclose(batched[i], single, atol=1e-10)
+        single = strf_forward(t64(f[i : i + 1]), cfg, params).data
+        assert np.allclose(batched[i], single[0], atol=1e-10)
 
 
 def test_channel_permutation_equivariance(rng):
@@ -253,8 +253,8 @@ def test_channel_permutation_equivariance(rng):
     params = make_params(8, cfg)
     perm = rng.permutation(8)
     permuted_params = {(d, k): Tensor(w.data[:, perm]) for (d, k), w in params.items()}
-    base = strf_forward(t64(f), cfg, params).data
-    shuffled = strf_forward(t64(f[perm]), cfg, permuted_params).data
+    base = strf_forward(t64(f[None]), cfg, params).data[0]
+    shuffled = strf_forward(t64(f[perm][None]), cfg, permuted_params).data[0]
     assert np.allclose(shuffled, base[perm], atol=1e-8)
 
 
@@ -283,7 +283,7 @@ def test_init_params_shapes_and_determinism():
 
 
 def test_branch_subset_configs(rng):
-    f = t64(rng.normal(size=(8, 2, 3, 2)))
+    f = t64(rng.normal(size=(1, 8, 2, 3, 2)))
     only_tf = default_cfg(branches=(("temporal", "fine"),))
     params = make_params(8, only_tf)
     out = strf_forward(f, only_tf, params)
@@ -300,7 +300,7 @@ def test_branch_subset_configs(rng):
 def test_one_dimension_unit_is_its_branch(rng, integration, dimension):
     # the dimension with no active branch passes its input through in a
     # cascade and adds nothing, not even that input, in parallel
-    f = t64(rng.normal(size=(8, 3, 3, 2)))
+    f = t64(rng.normal(size=(1, 8, 3, 3, 2)))
     cfg = default_cfg(integration=integration, branches=((dimension, "fine"), (dimension, "coarse")))
     params = make_params(8, cfg)
     out = strf_forward(f, cfg, params)
@@ -338,7 +338,7 @@ def test_strf_config_rejects(name, value, match):
 
 
 def test_unknown_dimension_rejected(rng):
-    f = t64(rng.normal(size=(8, 2, 3, 2)))
+    f = t64(rng.normal(size=(1, 8, 2, 3, 2)))
     cfg = default_cfg()
     params = make_params(8, cfg)
     with pytest.raises(ConfigError, match="dimension"):
@@ -348,7 +348,7 @@ def test_unknown_dimension_rejected(rng):
 
 
 def test_strf_gradient_flows_to_all_weights(rng):
-    f = t64(rng.normal(size=(8, 2, 3, 2)))
+    f = t64(rng.normal(size=(1, 8, 2, 3, 2)))
     cfg = default_cfg()
     params = make_params(8, cfg)
     for w in params.values():
@@ -364,13 +364,13 @@ def test_strf_gradient_flows_to_all_weights(rng):
 def test_property_masks_row_stochastic(seed):
     g = np.random.Generator(np.random.PCG64(seed))
     c = int(g.integers(1, 9))
-    f = Tensor(g.normal(size=(c, 2, 3, 2)) * g.uniform(0.2, 3.0))
+    f = Tensor(g.normal(size=(1, c, 2, 3, 2)) * g.uniform(0.2, 3.0))
     w = Tensor(g.normal(size=(max(1, c // 16), c)))
     dimension = ("temporal", "spatial")[int(g.integers(0, 2))]
     resolution = int(g.choice([1, 3, 5]))
     pool = ("max", "avg")[int(g.integers(0, 2))]
-    mask = fam_mask(f, w, dimension, resolution, pool=pool)
-    assert np.allclose(mask.data.sum(axis=1), 1.0, atol=1e-5)
+    mask = fam_mask(f, w, dimension, resolution, pool=pool).data[0]
+    assert np.allclose(mask.sum(axis=1), 1.0, atol=1e-5)
 
 
 @settings(max_examples=15, deadline=None)
@@ -380,7 +380,7 @@ def test_property_constant_law(seed):
     value = float(g.uniform(-3, 3))
     if abs(value) < 1e-3:
         value = 1.0
-    f = Tensor(np.full((8, 3, 2, 3), value))
+    f = Tensor(np.full((1, 8, 3, 2, 3), value))
     cfg = StrfConfig(integration="parallel")
     params = init_strf_params(8, cfg, g)
     out = strf_forward(f, cfg, params)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strf.errors import ConfigError, ShapeError
+from strf.factorize import StrfConfig, fam_mask, init_strf_params, strf_forward
 from strf.kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
 from strf.tensor import Tensor
 
@@ -14,34 +15,55 @@ def vol(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
+UNIT = StrfConfig()
+UNIT_PARAMS = init_strf_params(4, UNIT, np.random.Generator(np.random.PCG64(0)), dtype=np.float64)
+VOLUME_OPS = {
+    "conv3d": lambda x: conv3d(x, Tensor(np.zeros((2, 4, 1, 3, 3)))),
+    "conv_channel_mix": lambda x: conv_channel_mix(x, Tensor(np.zeros((2, 4)))),
+    "pool3d": lambda x: pool3d(x, (3, 1, 1), "max"),
+    "pool3d_identity": lambda x: pool3d(x, (1, 1, 1), "avg"),
+    "strided_max_pool3d": lambda x: strided_max_pool3d(x, (1, 3, 3), (1, 2, 2)),
+    "fam_mask": lambda x: fam_mask(x, UNIT_PARAMS[("temporal", "fine")], "temporal", 1),
+    "strf_forward": lambda x: strf_forward(x, UNIT, UNIT_PARAMS),
+}
+
+
+@pytest.mark.parametrize("op", sorted(VOLUME_OPS))
+def test_unbatched_volume_rejected(op):
+    # a single volume is a batch of one; rank-4 input names the rank-5 layout
+    with pytest.raises(ShapeError, match=r"\(batch, channels, time, height, width\)"):
+        VOLUME_OPS[op](vol(np.zeros((4, 2, 3, 2))))
+    assert VOLUME_OPS[op](vol(np.zeros((1, 4, 2, 3, 2)))).ndim in (3, 5)
+
+
 def test_max_pool_temporal_window_frozen():
-    x = vol(np.array([1.0, 5.0, 2.0, 0.0]).reshape(1, 4, 1, 1))
+    x = vol(np.array([1.0, 5.0, 2.0, 0.0]).reshape(1, 1, 4, 1, 1))
     out = pool3d(x, (3, 1, 1), "max")
     assert np.array_equal(out.data.reshape(4), [5.0, 5.0, 5.0, 2.0])
 
 
 def test_pool_identity_kernel_bit_exact(rng):
-    x = rng.normal(size=(3, 4, 5, 2)).astype(np.float32)
+    x = rng.normal(size=(1, 3, 4, 5, 2)).astype(np.float32)
     for mode in ("max", "avg"):
         out = pool3d(Tensor(x), (1, 1, 1), mode)
         assert np.array_equal(out.data, x)
 
 
 def test_avg_pool_constant_stays_constant():
-    x = vol(np.full((2, 5, 4, 3), 3.25))
+    x = vol(np.full((1, 2, 5, 4, 3), 3.25))
     out = pool3d(x, (3, 3, 3), "avg")
     # border windows are smaller but divide by the in-bounds count
     assert np.allclose(out.data, 3.25)
 
 
 def test_max_pool_padding_never_wins():
-    x = vol(np.full((1, 3, 3, 3), -7.0))
+    x = vol(np.full((1, 1, 3, 3, 3), -7.0))
     out = pool3d(x, (3, 3, 3), "max")
     assert np.allclose(out.data, -7.0)
 
 
 def test_pool_even_kernel_rejected():
-    x = vol(np.zeros((1, 4, 4, 4)))
+    x = vol(np.zeros((1, 1, 4, 4, 4)))
     with pytest.raises(ConfigError):
         pool3d(x, (2, 1, 1), "max")
     with pytest.raises(ConfigError):
@@ -52,27 +74,27 @@ def test_pool_even_kernel_rejected():
 def test_pool_unknown_mode_rejected(kernel):
     # also where a (1, 1, 1) kernel makes pooling the identity
     with pytest.raises(ConfigError, match="pool mode"):
-        pool3d(vol(np.zeros((1, 3, 3, 3))), kernel, "median")
+        pool3d(vol(np.zeros((1, 1, 3, 3, 3))), kernel, "median")
 
 
 def test_pool_matches_loop_oracle(rng):
     x = rng.normal(size=(4, 3, 4, 3))
     for mode in ("max", "avg"):
         for kernel in ((3, 1, 1), (1, 3, 3), (3, 3, 3), (5, 1, 1), (1, 5, 5)):
-            got = pool3d(vol(x), kernel, mode).data
+            got = pool3d(vol(x[None]), kernel, mode).data[0]
             assert np.allclose(got, pool3d_loops(x, kernel, mode), atol=1e-12), (mode, kernel)
 
 
 def test_max_pool_grad_routes_to_first_max():
     # two equal maxima in one window: the earlier scan position takes the grad
-    x = vol(np.array([2.0, 5.0, 5.0]).reshape(1, 3, 1, 1))
+    x = vol(np.array([2.0, 5.0, 5.0]).reshape(1, 1, 3, 1, 1))
     out = pool3d(x, (3, 1, 1), "max")
     out.sum().backward()
     assert np.array_equal(x.grad.reshape(3), [0.0, 3.0, 0.0])
 
 
 def test_avg_pool_grad_uniform_over_window():
-    x = vol(np.zeros((1, 1, 1, 3)))
+    x = vol(np.zeros((1, 1, 1, 1, 3)))
     pool3d(x, (1, 1, 3), "avg").sum().backward()
     # cell 0 is in 2 windows (sizes 2 and 3), cell 1 in 3, cell 2 in 2
     assert np.allclose(x.grad.reshape(3), [1 / 2 + 1 / 3, 1 / 2 + 1 / 3 + 1 / 2, 1 / 3 + 1 / 2])
@@ -82,32 +104,32 @@ def test_pool_batched_matches_per_item(rng):
     x = rng.normal(size=(2, 3, 4, 3, 2))
     batched = pool3d(vol(x), (1, 3, 3), "max").data
     for i in range(2):
-        single = pool3d(vol(x[i]), (1, 3, 3), "max").data
-        assert np.array_equal(batched[i], single)
+        single = pool3d(vol(x[i : i + 1]), (1, 3, 3), "max").data
+        assert np.array_equal(batched[i], single[0])
 
 
 def test_conv_channel_mix_identity_and_sum(rng):
-    x = rng.normal(size=(2, 3, 2, 2))
+    x = rng.normal(size=(1, 2, 3, 2, 2))
     ident = conv_channel_mix(vol(x), Tensor(np.eye(2))).data
     assert np.allclose(ident, x)
-    summed = conv_channel_mix(vol(x), Tensor(np.array([[1.0, 1.0]]))).data
-    assert np.allclose(summed[0], x[0] + x[1])
+    summed = conv_channel_mix(vol(x), Tensor(np.array([[1.0, 1.0]]))).data[0]
+    assert np.allclose(summed[0], x[0, 0] + x[0, 1])
 
 
 def test_conv_channel_mix_matches_loop_oracle(rng):
     x = rng.normal(size=(4, 2, 3, 2))
     w = rng.normal(size=(3, 4))
-    got = conv_channel_mix(vol(x), Tensor(w)).data
+    got = conv_channel_mix(vol(x[None]), Tensor(w)).data[0]
     assert np.allclose(got, channel_mix_loops(x, w), atol=1e-12)
 
 
 def test_conv_channel_mix_shape_error():
     with pytest.raises(ShapeError):
-        conv_channel_mix(vol(np.zeros((3, 1, 1, 1))), Tensor(np.zeros((2, 4))))
+        conv_channel_mix(vol(np.zeros((1, 3, 1, 1, 1))), Tensor(np.zeros((2, 4))))
 
 
 def test_conv3d_identity_kernel(rng):
-    x = rng.normal(size=(3, 2, 4, 4))
+    x = rng.normal(size=(1, 3, 2, 4, 4))
     w = np.zeros((3, 3, 1, 1, 1))
     for c in range(3):
         w[c, c, 0, 0, 0] = 1.0
@@ -116,23 +138,23 @@ def test_conv3d_identity_kernel(rng):
 
 
 def test_conv3d_zero_kernel(rng):
-    x = rng.normal(size=(2, 2, 3, 3))
-    out = conv3d(vol(x), Tensor(np.zeros((4, 2, 3, 3, 3))), (1, 1, 1)).data
+    x = rng.normal(size=(1, 2, 2, 3, 3))
+    out = conv3d(vol(x), Tensor(np.zeros((4, 2, 3, 3, 3))), (1, 1, 1)).data[0]
     assert np.array_equal(out, np.zeros((4, 2, 3, 3)))
 
 
 def test_conv3d_same_geometry_is_ceil():
-    x = vol(np.zeros((1, 5, 7, 7)))
+    x = vol(np.zeros((1, 1, 5, 7, 7)))
     w = Tensor(np.zeros((2, 1, 3, 3, 3)))
     out = conv3d(x, w, (2, 2, 2))
-    assert out.data.shape == (2, 3, 4, 4)
+    assert out.data[0].shape == (2, 3, 4, 4)
 
 
 def test_conv3d_matches_loop_oracle(rng):
     x = rng.normal(size=(3, 4, 5, 4))
     w = rng.normal(size=(2, 3, 3, 3, 3))
     for stride in ((1, 1, 1), (1, 2, 2), (2, 2, 2)):
-        got = conv3d(vol(x), Tensor(w), stride).data
+        got = conv3d(vol(x[None]), Tensor(w), stride).data[0]
         assert np.allclose(got, conv3d_loops(x, w, stride), atol=1e-10), stride
 
 
@@ -140,13 +162,13 @@ def test_conv3d_asymmetric_kernels(rng):
     x = rng.normal(size=(2, 4, 3, 3))
     for kshape in ((3, 1, 1), (1, 3, 3)):
         w = rng.normal(size=(2, 2) + kshape)
-        got = conv3d(vol(x), Tensor(w), (1, 1, 1)).data
+        got = conv3d(vol(x[None]), Tensor(w), (1, 1, 1)).data[0]
         assert np.allclose(got, conv3d_loops(x, w, (1, 1, 1)), atol=1e-10)
 
 
 def test_conv3d_channel_mismatch():
     with pytest.raises(ShapeError):
-        conv3d(vol(np.zeros((3, 2, 2, 2))), Tensor(np.zeros((1, 4, 1, 1, 1))), (1, 1, 1))
+        conv3d(vol(np.zeros((1, 3, 2, 2, 2))), Tensor(np.zeros((1, 4, 1, 1, 1))), (1, 1, 1))
 
 
 def test_conv3d_batched_matches_per_item(rng):
@@ -154,8 +176,8 @@ def test_conv3d_batched_matches_per_item(rng):
     w = rng.normal(size=(2, 2, 1, 3, 3))
     batched = conv3d(vol(x), Tensor(w), (1, 2, 2)).data
     for i in range(3):
-        single = conv3d(vol(x[i]), Tensor(w), (1, 2, 2)).data
-        assert np.allclose(batched[i], single, atol=1e-12)
+        single = conv3d(vol(x[i : i + 1]), Tensor(w), (1, 2, 2)).data
+        assert np.allclose(batched[i], single[0], atol=1e-12)
 
 
 def test_conv3d_float32_reruns_are_bit_identical():
@@ -204,14 +226,14 @@ def test_property_conv3d_matches_oracle_and_adjoint(case):
 
 
 def test_strided_max_pool_stem_geometry(rng):
-    x = rng.normal(size=(2, 8, 64, 32))
-    out = strided_max_pool3d(vol(x), (1, 3, 3), (1, 2, 2)).data
+    x = rng.normal(size=(1, 2, 8, 64, 32))
+    out = strided_max_pool3d(vol(x), (1, 3, 3), (1, 2, 2)).data[0]
     assert out.shape == (2, 8, 32, 16)
 
 
 def test_strided_max_pool_values(rng):
     x = rng.normal(size=(1, 1, 4, 4))
-    out = strided_max_pool3d(vol(x), (1, 3, 3), (1, 2, 2)).data
+    out = strided_max_pool3d(vol(x[None]), (1, 3, 3), (1, 2, 2)).data[0]
     # total pad 1 splits as 0 before / 1 after, so window i starts at 2*i
     pad = np.full((1, 1, 5, 5), -np.inf)
     pad[:, :, 0:4, 0:4] = x
@@ -230,10 +252,10 @@ def test_strided_max_pool_grad_routes_to_first_max():
         [3.0, 0.0, 1.0, 0.0],
         [1.0, 2.0, 0.0, 0.0],
         [4.0, 4.0, 1.0, 5.0],
-    ]).reshape(1, 1, 4, 4))
+    ]).reshape(1, 1, 1, 4, 4))
     out = strided_max_pool3d(x, (1, 3, 3), (1, 2, 2))
     assert np.array_equal(out.data.reshape(2, 2), [[9.0, 9.0], [4.0, 5.0]])
-    (out * Tensor(np.array([1.0, 10.0, 100.0, 1000.0]).reshape(1, 1, 2, 2))).sum().backward()
+    (out * Tensor(np.array([1.0, 10.0, 100.0, 1000.0]).reshape(1, 1, 1, 2, 2))).sum().backward()
     expect = np.zeros((4, 4))
     expect[0, 2] = 1.0 + 10.0  # the max of both top windows takes both grads
     expect[3, 0] = 100.0  # tie at (3, 0) and (3, 1): the earlier scan position wins
@@ -245,7 +267,7 @@ def test_strided_max_pool_grad_routes_to_first_max():
 @given(st.integers(0, 2**31 - 1), st.sampled_from(["max", "avg"]))
 def test_property_pool_identity_kernel(seed, mode):
     g = np.random.Generator(np.random.PCG64(seed))
-    x = g.normal(size=(2, 3, 3, 2)).astype(np.float32)
+    x = g.normal(size=(1, 2, 3, 3, 2)).astype(np.float32)
     assert np.array_equal(pool3d(Tensor(x), (1, 1, 1), mode).data, x)
 
 
@@ -256,5 +278,5 @@ def test_property_pool_matches_oracle(seed):
     x = g.normal(size=(2, 3, 3, 2))
     kernel = tuple(g.choice([1, 3], size=3))
     mode = ["max", "avg"][int(g.integers(0, 2))]
-    got = pool3d(vol(x), kernel, mode).data
+    got = pool3d(vol(x[None]), kernel, mode).data[0]
     assert np.allclose(got, pool3d_loops(x, kernel, mode), atol=1e-12)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strf.errors import ContractError, DomainError
+from strf.evaluation import distance_matrix
 from strf.losses import (
     batch_hard_triplet,
-    cosine_distance,
     cross_entropy,
     pairwise_cosine_distances,
     total_loss,
@@ -82,18 +82,25 @@ def test_cross_entropy_validation():
 
 
 # -- cosine distance ---------------------------------------------------------
+# The training loss and the retrieval protocol each compute cosine distances:
+# ``pairwise_cosine_distances`` on the tape, ``distance_matrix`` in float64.
 
 def test_cosine_distance_landmarks():
-    assert math.isclose(cosine_distance([1.0, 0.0], [2.0, 0.0]), 0.0, abs_tol=1e-12)
-    assert math.isclose(cosine_distance([1.0, 0.0], [0.0, 5.0]), 1.0, abs_tol=1e-12)
-    assert math.isclose(cosine_distance([1.0, 0.0], [-3.0, 0.0]), 2.0, abs_tol=1e-12)
+    rows = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 5.0], [-3.0, 0.0]])
+    landmarks = [0.0, 0.0, 1.0, 2.0]  # from row 0: itself, parallel, orthogonal, opposite
+    for matrix in (pairwise_cosine_distances(Tensor(rows)).data, distance_matrix(rows, rows)):
+        for j, want in enumerate(landmarks):
+            assert math.isclose(matrix[0, j], want, abs_tol=1e-12)
 
 
 def test_cosine_distance_zero_vector_rejected():
+    unit, zero = np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])
     with pytest.raises(DomainError):
-        cosine_distance([0.0, 0.0], [1.0, 0.0])
+        pairwise_cosine_distances(Tensor(np.concatenate([zero, unit])))
     with pytest.raises(DomainError):
-        cosine_distance([1.0, 0.0], [0.0, 0.0])
+        distance_matrix(zero, unit)
+    with pytest.raises(DomainError):
+        distance_matrix(unit, zero)
 
 
 def test_cosine_distance_matches_oracle(rng):
@@ -101,9 +108,9 @@ def test_cosine_distance_matches_oracle(rng):
         d = int(rng.integers(1, 9))
         u = rng.normal(size=d)
         v = rng.normal(size=d)
-        assert math.isclose(
-            cosine_distance(u, v), cosine_distance_loops(u.tolist(), v.tolist()), abs_tol=1e-9
-        )
+        want = cosine_distance_loops(u.tolist(), v.tolist())
+        assert math.isclose(pairwise_cosine_distances(Tensor(np.stack([u, v]))).data[0, 1], want, abs_tol=1e-9)
+        assert math.isclose(distance_matrix(u[None], v[None])[0, 0], want, abs_tol=1e-9)
 
 
 def test_pairwise_matrix_agrees_with_scalar(rng):
@@ -112,7 +119,7 @@ def test_pairwise_matrix_agrees_with_scalar(rng):
     for i in range(5):
         for j in range(5):
             assert math.isclose(
-                float(matrix[i, j]), cosine_distance(rows[i], rows[j]), abs_tol=1e-5
+                float(matrix[i, j]), cosine_distance_loops(rows[i], rows[j]), abs_tol=1e-5
             )
 
 

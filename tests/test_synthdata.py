@@ -51,6 +51,15 @@ def test_pgm_round_trip(tmp_path, rng):
     assert np.array_equal(read_pgm(path), image)
 
 
+def test_netpbm_readers_return_read_only_views(tmp_path, rng):
+    path = str(tmp_path / "frame.ppm")
+    write_ppm(path, rng.integers(0, 256, size=(3, 5, 7)).astype(np.uint8))
+    gray = str(tmp_path / "map.pgm")
+    write_pgm(gray, rng.integers(0, 256, size=(4, 6)).astype(np.uint8))
+    for image in (read_ppm(path), read_pgm(gray)):
+        assert image.base is not None and not image.flags.writeable
+
+
 def test_netpbm_rejects_bad_magic(tmp_path):
     path = str(tmp_path / "bogus.ppm")
     with open(path, "wb") as fh:
@@ -299,6 +308,7 @@ def test_load_tracklets_identity_normalization(tiny_dataset):
         assert t.frames.dtype == np.float32
         assert t.frames.min() >= 0.0 and t.frames.max() <= 1.0
         assert t.frames.shape[1:] == (3, 32, 16)
+        assert t.frames.flags.c_contiguous
     shifted = load_tracklets(tiny_dataset.path, "train", mean=(0.5, 0.5, 0.5), std=(2.0, 2.0, 2.0))
     assert np.allclose(shifted[0].frames, (plain[0].frames - 0.5) / 2.0, atol=1e-7)
 

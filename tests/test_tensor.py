@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from strf.errors import ContractError, ShapeError
 from strf.tensor import (
     Tensor,
-    backward,
     exp,
     log,
     matmul,
@@ -189,14 +188,6 @@ def test_backward_requires_scalar():
     x = t([1.0, 2.0])
     with pytest.raises(ContractError):
         (x * 2).backward()
-
-
-def test_functional_backward_zero_for_unreachable():
-    x = t([1.0, 2.0])
-    orphan = t([5.0])
-    grads = backward((x * 3).sum(), [x, orphan])
-    assert np.array_equal(grads[id(x)], [3.0, 3.0])
-    assert np.array_equal(grads[id(orphan)], [0.0])
 
 
 def test_grad_accumulates_across_uses():

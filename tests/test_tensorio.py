@@ -122,6 +122,28 @@ def test_checkpoint_dim_mismatch_reported(tmp_path):
     assert "9, 9" in str(err.value) or "9x9" in str(err.value)
 
 
+def test_checkpoint_non_integer_dims_reported(tmp_path):
+    net = _toy_net()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, str(ckpt))
+    manifest = ckpt / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    name, kind, dims, filename, offset = lines[1].split("\t")
+    lines[1] = "\t".join([name, kind, "4xfour", filename, offset])
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"manifest.tsv:2: dims '4xfour' are not integers"):
+        load_checkpoint(net, str(ckpt))
+
+
+def test_checkpoint_missing_tensor_file_reported(tmp_path):
+    net = _toy_net()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, str(ckpt))
+    os.remove(ckpt / "00003.strf")
+    with pytest.raises(DataError, match=r"00003.strf: cannot read the tensor file for "):
+        load_checkpoint(net, str(ckpt))
+
+
 def test_checkpoint_layout_on_disk(tmp_path):
     net = _toy_net()
     ckpt = tmp_path / "ckpt"

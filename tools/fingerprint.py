@@ -18,6 +18,10 @@ train/<integration>/<branches>/metrics.csv  without its timestamp line
 train/temporal-then-spatial/all-max-pool/...
     the same run for all branches with the coarse branches at their default
     max pooling, so the unit's max-pool backward is covered too
+export/stage<n>                             for n = 1..4, the maps
+    ``attention_export`` computes from the first query tracklet with the
+    ``train/temporal-then-spatial/all`` checkpoint, as ``strf export-attn``
+    loads both
 features/p3d-c-strf
     the full-width p3d-c+STRF features of one seeded 4x256x128 clip
 eval/c2d/<file>
@@ -97,10 +101,10 @@ def main(argv: list[str]) -> int:
     src = os.path.abspath(argv[0])
     sys.path.insert(0, src)
     import strf
-    from strf.backbone import Network, forward_features, resnet50_spec
+    from strf.backbone import Network, attention_export, forward_features, resnet50_spec
     from strf.config import parse_config_text, synth_spec_from
     from strf.synthdata import generate, load_tracklets
-    from strf.train import run_retrieval, run_training
+    from strf.train import load_eval_network, run_retrieval, run_training
 
     if not os.path.abspath(strf.__file__).startswith(src + os.sep):
         print(f"strf imported from {strf.__file__}, not from {src}", file=sys.stderr)
@@ -132,11 +136,19 @@ def main(argv: list[str]) -> int:
             for branches in BRANCH_SETS:
                 name = f"train/{integration}/{branches}"
                 cfg = toy("p3d-c", "2, 3", integration, branches)
-                _, ckpt_sha, log_sha = train(cfg, os.path.join(work, name))
+                ckpt, ckpt_sha, log_sha = train(cfg, os.path.join(work, name))
                 lines += [(f"{name}/checkpoint", ckpt_sha), (f"{name}/metrics.csv", log_sha)]
+                if (integration, branches) == (INTEGRATIONS[0], "all"):
+                    exported = ckpt
         name = "train/temporal-then-spatial/all-max-pool"
         _, ckpt_sha, log_sha = train(toy("p3d-c", "2, 3", pool=""), os.path.join(work, name))
         lines += [(f"{name}/checkpoint", ckpt_sha), (f"{name}/metrics.csv", log_sha)]
+
+        net = load_eval_network(toy("p3d-c", "2, 3"), exported, manifest)
+        clip = load_tracklets(manifest, "query")[0].frames.transpose(1, 0, 2, 3)
+        for stage in (1, 2, 3, 4):
+            maps = attention_export(net, clip, stage)
+            lines.append((f"export/stage{stage}", hashlib.sha256(maps.tobytes()).hexdigest()))
 
         net = Network(resnet50_spec(625), seed=3)
         clip = np.random.Generator(np.random.PCG64(3)).random((1, 3, 4, 256, 128), dtype=np.float32)
