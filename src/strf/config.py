@@ -201,6 +201,11 @@ def network_spec_from(model: ModelConfig, classes: int | None = None) -> Network
 
 
 def synth_spec_from(data: DataConfig) -> SynthSpec:
+    if data.synth_train_identities < -1:
+        raise ConfigError(
+            f"[data] synth_train_identities must be >= 0, or -1 for half the identities, "
+            f"got {data.synth_train_identities}"
+        )
     return SynthSpec(
         identities=data.synth_identities,
         tracklets_per_identity=data.synth_tracklets,

@@ -13,6 +13,12 @@ dims (n, c*kt*kh*kw, t'*h'*w'). Forward is one GEMM (weight matrix x
 columns); dW is one GEMM (grad x columns^T, summed over the batch) and dX is
 one GEMM (weight^T x grad) whose per-tap blocks go through the adjoint
 (col2im). The pointwise channel mix is the 1x1x1 case of the same path.
+
+Max pooling is a running maximum over the kernel's taps, each a strided slice
+of the window view, so no window is copied. Only a node the tape records
+finds each window's winning tap (the first maximal one in scan order) and
+keeps it for the backward, which puts the gradient there and sends it through
+the adjoint; an unrecorded pool computes the maximum and nothing else.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, records
 
 Triple = tuple[int, int, int]
 
@@ -75,16 +81,30 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
 
     if mode == "max":
         win, adjoint = _windows(data, kernel, stride, fill=-np.inf)
-        flat = win.reshape(win.shape[:5] + (-1,))
-        # first maximal element in window scan order wins, by argmax semantics
-        arg = flat.argmax(axis=-1)
-        out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+        taps = [(...,) + tap for tap in np.ndindex(*kernel)]
+        # running maximum in scan order; on a tie np.maximum returns its
+        # second operand, so the earlier tap keeps its value (and its bits)
+        out_data = win[taps[0]].copy()
+        for tap in taps[1:]:
+            np.maximum(win[tap], out_data, out=out_data)
+        grad_fn = None
+        if records([x]):
+            # first maximal tap in scan order, as argmax finds it: sweep the
+            # taps backwards so the earliest match is written last; a window
+            # holding a NaN yields NaN, and its first NaN tap wins
+            nan = np.isnan(out_data).any()
+            arg = np.zeros(out_data.shape, dtype=np.intp)
+            for k in range(len(taps) - 1, -1, -1):
+                hit = win[taps[k]] == out_data
+                if nan:
+                    hit |= np.isnan(win[taps[k]])
+                np.copyto(arg, k, where=hit)
 
-        def grad_fn(g: np.ndarray) -> None:
-            # one-hot taps: each output's gradient sits on its winning tap
-            taps = np.zeros(g.shape[:2] + (math.prod(kernel),) + g.shape[2:], dtype=g.dtype)
-            np.put_along_axis(taps, arg[:, :, None], g[:, :, None], axis=2)
-            x._accumulate(adjoint(taps.reshape(g.shape[:2] + kernel + g.shape[2:])))
+            def grad_fn(g: np.ndarray) -> None:
+                # one-hot taps: each output's gradient sits on its winning tap
+                onehot = np.zeros(g.shape[:2] + (len(taps),) + g.shape[2:], dtype=g.dtype)
+                np.put_along_axis(onehot, arg[:, :, None], g[:, :, None], axis=2)
+                x._accumulate(adjoint(onehot.reshape(g.shape[:2] + kernel + g.shape[2:])))
 
     else:  # "avg"; pool3d checks the mode
         win, adjoint = _windows(data, kernel, stride)
@@ -104,8 +124,11 @@ def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
 
     Kernel extents must be odd so the output grid aligns with the input grid.
     Max pooling pads conceptually with negative infinity, so padding can never
-    win a window; average pooling divides by the in-bounds element count only.
-    A kernel of (1, 1, 1) returns ``x`` itself.
+    win a window; it is a running maximum over the taps, and only a recorded
+    node finds and keeps the winning tap its gradient goes to (the first
+    maximal one in scan order; in a window holding a NaN, which yields NaN,
+    the first NaN). Average pooling divides by the in-bounds element count
+    only. A kernel of (1, 1, 1) returns ``x`` itself.
     """
     kernel = _check_triple(kernel, "pool kernel")
     if any(k % 2 == 0 for k in kernel):
@@ -119,7 +142,8 @@ def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
 
 
 def strided_max_pool3d(x: Tensor, kernel, stride) -> Tensor:
-    """Max pooling with stride, SAME padding geometry (used by network stems)."""
+    """Max pooling with stride, SAME padding geometry (used by network stems);
+    the maximum and its winning tap are found as in ``pool3d``."""
     kernel = _check_triple(kernel, "pool kernel")
     stride = _check_triple(stride, "pool stride")
     return _pool_forward(x, kernel, "max", stride)

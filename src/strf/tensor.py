@@ -45,6 +45,12 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+def records(parents: Iterable["Tensor"]) -> bool:
+    """The one recording rule: an op joins the tape when gradients are
+    enabled and one of its parents requires them."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _coerce_array(data, dtype=None) -> np.ndarray:
     arr = np.asarray(data, dtype=dtype)
     if arr.dtype not in FLOAT_DTYPES:
@@ -77,7 +83,7 @@ class Tensor:
         # the closure is kept only when a parent requires gradients, so a
         # one-parent op's closure may accumulate into that parent unguarded
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if records(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._grad_fn = grad_fn

@@ -60,6 +60,48 @@ def pool3d_loops(x: np.ndarray, kernel: tuple[int, int, int], mode: str) -> np.n
     return out
 
 
+def same_geometry(extent: int, kernel: int, stride: int) -> tuple[int, int]:
+    """(output extent, padding before) of SAME geometry: output extent =
+    ceil(extent / stride), total padding split as before = total // 2."""
+    out = -(-extent // stride)
+    total = max((out - 1) * stride + kernel - extent, 0)
+    return out, total // 2
+
+
+def max_pool_loops(
+    x: np.ndarray, kernel: tuple[int, int, int], stride: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max pooling of (c, t, h, w) with SAME geometry (before = total // 2,
+    output extent = ceil(in / stride)); returns the pooled values, in
+    ``x``'s dtype and bits, and the gradient of their sum. Out-of-bounds
+    positions are skipped, so padding never wins; the first maximal tap in
+    (dt, dh, dw) scan order wins ties, including ties of -0.0 with 0.0."""
+    c, t, h, wd = x.shape
+    kt, kh, kw = kernel
+    st, sh, sw = stride
+
+    ot, pt = same_geometry(t, kt, st)
+    oh, ph = same_geometry(h, kh, sh)
+    ow, pw = same_geometry(wd, kw, sw)
+    out = np.zeros((c, ot, oh, ow), dtype=x.dtype)
+    grad = np.zeros_like(x)
+    for ci in range(c):
+        for ti in range(ot):
+            for hi in range(oh):
+                for wi in range(ow):
+                    best = None
+                    for a in range(kt):
+                        for b in range(kh):
+                            for g in range(kw):
+                                tt, hh, ww = ti * st - pt + a, hi * sh - ph + b, wi * sw - pw + g
+                                if 0 <= tt < t and 0 <= hh < h and 0 <= ww < wd:
+                                    if best is None or x[ci, tt, hh, ww] > x[best]:
+                                        best = (ci, tt, hh, ww)
+                    out[ci, ti, hi, wi] = x[best]
+                    grad[best] += 1
+    return out, grad
+
+
 def channel_mix_loops(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     c_in, t, h, w_ = x.shape
     c_out = w.shape[0]
@@ -84,14 +126,9 @@ def conv3d_loops(x: np.ndarray, w: np.ndarray, stride: tuple[int, int, int]) -> 
     assert c_in == c_in2
     st, sh, sw = stride
 
-    def geometry(extent, kernel, s):
-        out = -(-extent // s)
-        total = max((out - 1) * s + kernel - extent, 0)
-        return out, total // 2
-
-    ot, pt = geometry(t, kt, st)
-    oh, ph = geometry(h, kh, sh)
-    ow, pw = geometry(wd, kw, sw)
+    ot, pt = same_geometry(t, kt, st)
+    oh, ph = same_geometry(h, kh, sh)
+    ow, pw = same_geometry(wd, kw, sw)
     out = np.zeros((c_out, ot, oh, ow), dtype=np.float64)
     for o in range(c_out):
         for ti in range(ot):

@@ -122,7 +122,8 @@ def test_semantic_validation():
         ("[model]\nr_fine = 2\nr_coarse = 3\n", "odd and positive"),
         ("[data]\nsynth_identities = 3\n", "even identity count"),
         ("[data]\nsynth_pairing = twins\n", "pairing"),
-        ("[data]\nsynth_train_identities = -7\n", "train identity count -7 must lie in \\[0, 8\\]"),
+        ("[data]\nsynth_train_identities = -7\n",
+         "\\[data\\] synth_train_identities must be >= 0, or -1 for half the identities, got -7"),
         ("[train]\nsteps_per_epoch = -1\n", "steps_per_epoch must be >= 0"),
         ("[train]\nmax_steps = -1\n", "max_steps must be >= 0"),
         ("[train]\ncheckpoint_every = -1\n", "checkpoint_every must be >= 0"),

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from strf.errors import ConfigError, ShapeError
 from strf.factorize import StrfConfig, fam_mask, init_strf_params, strf_forward
 from strf.kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
-from strf.tensor import Tensor
+from strf.tensor import Tensor, no_grad
 
-from oracles import channel_mix_loops, conv3d_loops, pool3d_loops
+from oracles import channel_mix_loops, conv3d_loops, max_pool_loops, pool3d_loops
 
 
 def vol(data):
@@ -261,6 +262,90 @@ def test_strided_max_pool_grad_routes_to_first_max():
     expect[3, 0] = 100.0  # tie at (3, 0) and (3, 1): the earlier scan position wins
     expect[3, 3] = 1000.0
     assert np.array_equal(x.grad.reshape(4, 4), expect)
+
+
+def test_strided_max_pool_padding_never_wins(rng):
+    # odd and even extents, so some windows run past the far edge
+    for shape in ((1, 2, 1, 5, 4), (2, 1, 2, 4, 7)):
+        x = vol(-rng.uniform(1.0, 2.0, size=shape))
+        out = strided_max_pool3d(x, (1, 3, 3), (1, 2, 2))
+        assert np.all(np.isfinite(out.data)) and np.all(out.data < -1.0)
+        out.sum().backward()
+        assert x.grad.sum() == out.size  # every output's grad lands in bounds
+
+
+def test_max_pool_nan_window_yields_nan_and_routes_to_first_nan():
+    x = vol(np.array([1.0, np.nan, 3.0, np.nan, 0.0]).reshape(1, 1, 5, 1, 1))
+    out = pool3d(x, (3, 1, 1), "max")
+    # windows {pad, 1, nan}, {1, nan, 3}, {nan, 3, nan}, {3, nan, 0}, {nan, 0, pad}
+    assert np.all(np.isnan(out.data))
+    out.sum().backward()
+    assert np.array_equal(x.grad.reshape(5), [0.0, 3.0, 0.0, 2.0, 0.0])
+
+
+def test_strided_max_pool_nan_routes_to_first_nan():
+    data = np.zeros((1, 1, 1, 4, 4))
+    data[0, 0, 0, 1, 1] = data[0, 0, 0, 0, 2] = np.nan
+    x = vol(data)
+    out = strided_max_pool3d(x, (1, 3, 3), (1, 2, 2))
+    # windows cover rows/columns {0, 1, 2} and {2, 3}: only the bottom-right one is NaN-free
+    assert np.array_equal(np.isnan(out.data).reshape(2, 2), [[True, True], [False, False]])
+    out.sum().backward()
+    expect = np.zeros((4, 4))
+    expect[0, 2] = 2.0  # first NaN in scan order of both top windows
+    expect[2, 0] = 1.0  # all-zero windows: their first in-bounds tap wins
+    expect[2, 2] = 1.0
+    assert np.array_equal(x.grad.reshape(4, 4), expect)
+
+
+MAX_POOL_GEOMETRIES = [
+    ((3, 1, 1), (1, 1, 1)),
+    ((1, 3, 3), (1, 1, 1)),
+    ((3, 3, 3), (1, 1, 1)),
+    ((1, 3, 3), (1, 2, 2)),  # the network stem
+]
+
+
+@st.composite
+def max_pool_cases(draw):
+    kernel, stride = draw(st.sampled_from(MAX_POOL_GEOMETRIES))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    dims = (draw(st.integers(1, 2)), draw(st.integers(1, 2))) + tuple(draw(st.integers(1, 5)) for _ in range(3))
+    # few distinct small integers make ties common, signed zeros among them
+    x = draw(arrays(dtype, dims, elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
+    return x, kernel, stride
+
+
+def pool_max(x: Tensor, kernel, stride) -> Tensor:
+    return pool3d(x, kernel, "max") if stride == (1, 1, 1) else strided_max_pool3d(x, kernel, stride)
+
+
+@settings(max_examples=60, deadline=None)
+@given(max_pool_cases())
+def test_property_max_pool_matches_oracle_values_bits_and_grads(case):
+    x, kernel, stride = case
+    xt = Tensor(x, requires_grad=True)
+    out = pool_max(xt, kernel, stride)
+    out.sum().backward()
+    for i in range(x.shape[0]):
+        values, grad = max_pool_loops(x[i], kernel, stride)
+        assert out.data[i].tobytes() == values.tobytes()  # -0.0 and 0.0 differ here
+        assert xt.grad.dtype == x.dtype
+        assert np.array_equal(xt.grad[i], grad)
+
+
+@pytest.mark.parametrize("kernel, stride", MAX_POOL_GEOMETRIES)
+def test_max_pool_unrecorded_forward_is_bit_identical_and_keeps_no_closure(rng, kernel, stride):
+    x = rng.integers(-2, 3, size=(2, 3, 4, 6, 5)).astype(np.float32)
+    x[x == 0] = np.where(rng.random(np.count_nonzero(x == 0)) < 0.5, -0.0, 0.0)
+    recorded = pool_max(Tensor(x, requires_grad=True), kernel, stride)
+    assert recorded._grad_fn is not None
+    with no_grad():
+        plain = pool_max(Tensor(x, requires_grad=True), kernel, stride)
+    constant = pool_max(Tensor(x), kernel, stride)
+    for out in (plain, constant):
+        assert out.data.tobytes() == recorded.data.tobytes()
+        assert out._grad_fn is None and out._parents == () and not out.requires_grad
 
 
 @settings(max_examples=25, deadline=None)
