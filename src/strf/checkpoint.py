@@ -37,13 +37,12 @@ def save_checkpoint(net: Network, directory: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_checkpoint(net: Network, directory: str) -> None:
-    """Restore every parameter and buffer in place. The checkpoint must cover
-    exactly the network's entries, with matching dims."""
+def read_manifest(directory: str) -> dict[str, tuple[str, tuple[int, ...], str]]:
+    """The checkpoint's entries as name -> (kind, dims, tensor file name)."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise DataError(f"{manifest_path}: checkpoint manifest not found")
-    stored: dict[str, tuple[str, tuple[int, ...], str]] = {}
+    stored = {}
     with open(manifest_path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -60,7 +59,13 @@ def load_checkpoint(net: Network, directory: str) -> None:
                     f"{manifest_path}:{line_no}: dims {dims_text!r} are not integers joined by 'x'"
                 ) from None
             stored[name] = (kind, dims, filename)
+    return stored
 
+
+def load_checkpoint(net: Network, directory: str) -> None:
+    """Restore every parameter and buffer in place. The checkpoint must cover
+    exactly the network's entries, with matching dims."""
+    stored = read_manifest(directory)
     expected = {name: (kind, array) for name, kind, array in _entries(net)}
     missing = sorted(set(expected) - set(stored))
     extra = sorted(set(stored) - set(expected))

@@ -18,7 +18,7 @@ from .config import parse_config
 from .gradsuite import TOLERANCE, run_suite, suite_passes
 from .netpbm import write_pgm
 from .synthdata import load_manifest, load_tracklet
-from .train import load_eval_network, params_report, run_retrieval, run_training
+from .train import dataset_manifest, load_eval_network, params_report, run_retrieval, run_training
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,9 +118,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_attn(args) -> int:
     cfg = parse_config(args.config)
-    manifest_path = args.manifest or cfg.data.manifest
-    if not manifest_path:
-        raise ConfigError("no dataset manifest configured; set [data] manifest or pass --manifest")
+    manifest_path = dataset_manifest(cfg, args.manifest)
     records = load_manifest(manifest_path)
     matches = [r for r in records if args.tracklet in (r.directory, os.path.basename(r.directory))]
     if not matches:
@@ -130,7 +128,7 @@ def _cmd_export_attn(args) -> int:
         candidates = ", ".join(r.directory for r in matches)
         raise DataError(f"tracklet {args.tracklet!r} is ambiguous; it matches {candidates}")
     tracklet = load_tracklet(manifest_path, matches[0], cfg.data.norm_mean, cfg.data.norm_std)
-    net = load_eval_network(cfg, args.checkpoint, manifest_path)
+    net = load_eval_network(cfg, args.checkpoint)
     clip = tracklet.frames.transpose(1, 0, 2, 3)
     maps = attention_export(net, clip, args.stage)
     os.makedirs(args.out, exist_ok=True)

@@ -66,12 +66,11 @@ class SynthSpec:
             raise ConfigError(f"occlusion probability must be in [0, 1], got {self.occlusion_prob}")
         if self.jitter_px < 0:
             raise ConfigError(f"jitter must be >= 0 pixels, got {self.jitter_px}")
-        n_train = self.identities // 2 if self.train_identities is None else self.train_identities
-        if not 0 <= n_train <= self.identities:
+        if not 0 <= self.n_train <= self.identities:
             raise ConfigError(
-                f"train identity count {n_train} must lie in [0, {self.identities}]"
+                f"train identity count {self.n_train} must lie in [0, {self.identities}]"
             )
-        if n_train < self.identities and (self.cameras < 2 or self.tracklets_per_identity < 2):
+        if self.n_train < self.identities and (self.cameras < 2 or self.tracklets_per_identity < 2):
             raise ConfigError(
                 "test identities need >= 2 cameras and >= 2 tracklets so queries have cross-camera positives"
             )
@@ -107,7 +106,6 @@ class TrackletRecord:
 class DatasetManifest:
     root: str
     records: list[TrackletRecord]
-    factors: dict[int, IdentityFactors]
 
     @property
     def path(self) -> str:
@@ -260,7 +258,7 @@ def generate(spec: SynthSpec, root: str) -> DatasetManifest:
                 paths.append(rel_path)
                 lines.append(f"{rel_path}\t{identity}\t{camera}\t{split}")
             records.append(TrackletRecord(rel_dir, tuple(paths), identity, camera, split))
-    manifest = DatasetManifest(root=root, records=records, factors=factors)
+    manifest = DatasetManifest(root=root, records=records)
     with open(manifest.path, "w", encoding="utf-8") as fh:
         fh.write("path\tid\tcamera\tsplit\n")
         fh.write("\n".join(lines) + "\n")

@@ -11,9 +11,7 @@ Readers reject anything with the wrong magic or version.
 """
 from __future__ import annotations
 
-import io
 import struct
-from os import PathLike
 
 import numpy as np
 
@@ -28,8 +26,8 @@ def header_size(rank: int) -> int:
     return len(MAGIC) + 2 + 4 * rank
 
 
-def write_tensor(dest, array: np.ndarray) -> None:
-    """Serialize a float32 array to ``dest`` (path or binary file object)."""
+def write_tensor(path: str, array: np.ndarray) -> None:
+    """Serialize a float32 array to the file at ``path``."""
     # asarray keeps rank-0 inputs rank 0; ascontiguousarray would lift them to rank 1
     array = np.asarray(array, order="C")
     if array.dtype != np.float32:
@@ -41,34 +39,25 @@ def write_tensor(dest, array: np.ndarray) -> None:
     payload += struct.pack("<BB", VERSION, array.ndim)
     payload += struct.pack(f"<{array.ndim}I", *array.shape)
     payload += array.astype("<f4", copy=False).tobytes(order="C")
-    if isinstance(dest, (str, PathLike)):
-        with open(dest, "wb") as fh:
-            fh.write(payload)
-    else:
-        dest.write(bytes(payload))
+    with open(path, "wb") as fh:
+        fh.write(payload)
 
 
-def read_tensor(src) -> np.ndarray:
-    """Read one tensor from ``src`` (path or binary file object)."""
-    if isinstance(src, (str, PathLike)):
-        with open(src, "rb") as fh:
-            return _read_stream(fh, name=str(src))
-    return _read_stream(src, name=getattr(src, "name", "<stream>"))
-
-
-def _read_stream(fh: io.BufferedIOBase, name: str) -> np.ndarray:
-    head = fh.read(len(MAGIC) + 2)
-    if len(head) < len(MAGIC) + 2 or head[: len(MAGIC)] != MAGIC:
-        raise DataError(f"{name}: not a tensor file (bad magic)")
-    version, rank = struct.unpack("<BB", head[len(MAGIC) :])
+def read_tensor(path: str) -> np.ndarray:
+    """Read the tensor in the file at ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(MAGIC) + 2
+    if len(data) < start or data[: len(MAGIC)] != MAGIC:
+        raise DataError(f"{path}: not a tensor file (bad magic)")
+    version, rank = struct.unpack("<BB", data[len(MAGIC) : start])
     if version != VERSION:
-        raise DataError(f"{name}: unsupported tensor format version {version}")
-    dim_bytes = fh.read(4 * rank)
-    if len(dim_bytes) != 4 * rank:
-        raise DataError(f"{name}: truncated tensor header")
-    dims = struct.unpack(f"<{rank}I", dim_bytes) if rank else ()
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-    raw = fh.read(4 * count)
-    if len(raw) != 4 * count:
-        raise DataError(f"{name}: expected {count} float32 values, file is short")
-    return np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32, copy=True)
+        raise DataError(f"{path}: unsupported tensor format version {version}")
+    end = header_size(rank)
+    if len(data) < end:
+        raise DataError(f"{path}: truncated tensor header")
+    dims = struct.unpack(f"<{rank}I", data[start:end])
+    count = int(np.prod(dims, dtype=np.int64))
+    if len(data) - end < 4 * count:
+        raise DataError(f"{path}: expected {count} float32 values, file is short")
+    return np.frombuffer(data, dtype="<f4", count=count, offset=end).reshape(dims).astype(np.float32, copy=True)

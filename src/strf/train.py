@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from .tensor import Tensor
 from .backbone import Network, count_params
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from .config import RunConfig, network_spec_from
 from .evaluation import (
     RetrievalResult,
@@ -20,18 +20,25 @@ from .evaluation import (
     write_cmc_csv,
     write_report,
 )
+from .factorize import strf_param_count
 from .losses import total_loss
 from .optim import Adam, decayed_lr
-from .synthdata import augment_clip, dataset_channel_mean, load_manifest, load_tracklets, make_batch
+from .synthdata import augment_clip, dataset_channel_mean, load_tracklets, make_batch
 
 LOG_NAME = "metrics.csv"
 CHECKPOINT_DIR = "checkpoint"
 
 
-def _train_tracklets(cfg: RunConfig, manifest: str | None):
+def dataset_manifest(cfg: RunConfig, manifest: str | None) -> str:
+    """The dataset manifest a command reads: the one passed, else ``[data] manifest``."""
     path = manifest or cfg.data.manifest
     if not path:
-        raise ConfigError("no dataset manifest configured; set [data] manifest or pass one explicitly")
+        raise ConfigError("no dataset manifest configured; set [data] manifest or pass --manifest")
+    return path
+
+
+def _train_tracklets(cfg: RunConfig, manifest: str | None):
+    path = dataset_manifest(cfg, manifest)
     tracklets = load_tracklets(path, "train", cfg.data.norm_mean, cfg.data.norm_std)
     if not tracklets:
         raise DataError(f"{path}: the train split is empty")
@@ -126,29 +133,27 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
     }
 
 
-def _eval_classes(cfg: RunConfig, manifest_path: str) -> int:
-    """The class count the trained checkpoint was built with: derived from the
-    manifest's train labels the same way training derives it, decoding no frame."""
-    train_records = [r for r in load_manifest(manifest_path) if r.split == "train"]
-    return len(class_index(train_records)) if train_records else cfg.model.classes
-
-
-def load_eval_network(cfg: RunConfig, checkpoint_dir: str, manifest_path: str) -> Network:
-    net = build_train_network(cfg, classes=_eval_classes(cfg, manifest_path))
+def load_eval_network(cfg: RunConfig, checkpoint_dir: str, manifest_path: str | None = None) -> Network:
+    """Build the configured network with as many classes as the checkpoint's
+    ``classifier.w`` has rows, and restore the checkpoint into it.
+    ``manifest_path`` is unused: the benchmark's eval workload still passes a
+    dataset manifest as the third argument."""
+    dims = read_manifest(checkpoint_dir).get("classifier.w", (None, ()))[1]
+    if not dims:
+        raise DataError(f"{checkpoint_dir}: checkpoint has no classifier.w entry to size the classifier by")
+    net = build_train_network(cfg, classes=dims[0])
     load_checkpoint(net, checkpoint_dir)
     return net
 
 
 def run_retrieval(cfg: RunConfig, checkpoint_dir: str, out_dir: str, manifest: str | None = None) -> RetrievalResult:
     """Embed the query and gallery splits, rank, score, and write reports."""
-    manifest_path = manifest or cfg.data.manifest
-    if not manifest_path:
-        raise ConfigError("no dataset manifest configured; set [data] manifest or pass one explicitly")
+    manifest_path = dataset_manifest(cfg, manifest)
     query = load_tracklets(manifest_path, "query", cfg.data.norm_mean, cfg.data.norm_std)
     gallery = load_tracklets(manifest_path, "gallery", cfg.data.norm_mean, cfg.data.norm_std)
     if not query or not gallery:
         raise DataError(f"{manifest_path}: query and gallery splits must both be non-empty")
-    net = load_eval_network(cfg, checkpoint_dir, manifest_path)
+    net = load_eval_network(cfg, checkpoint_dir)
 
     q_feats = stacked_features(net, query, cfg.train.clip_len, cfg.eval.batch_size)
     g_feats = stacked_features(net, gallery, cfg.train.clip_len, cfg.eval.batch_size)
@@ -169,45 +174,33 @@ def run_retrieval(cfg: RunConfig, checkpoint_dir: str, out_dir: str, manifest: s
 
 
 def params_report(cfg: RunConfig) -> str:
-    """Human-readable parameter accounting for the configured model, its
-    attention-free twin, and the exact formula delta."""
-    from .factorize import strf_param_count
-
-    spec = network_spec_from(cfg.model)
-    net = Network(spec, seed=0)
+    """Human-readable parameter accounting for the configured model: every
+    weight, the attention units' own weights as the overhead over the
+    attention-free baseline, and the per-unit formula that overhead equals."""
+    net = Network(network_spec_from(cfg.model), seed=0)
     rows, total = count_params(net)
+    overhead = sum(
+        weight.size for stage in net.stages for block in stage for weight in (block.strf_params or {}).values()
+    )
 
-    baseline_model = cfg.model
-    if cfg.model.strf_stages:
-        from dataclasses import replace
-
-        baseline_model = replace(cfg.model, strf_stages=())
-    baseline_net = Network(network_spec_from(baseline_model), seed=0)
-    _, baseline_total = count_params(baseline_net)
-
-    strf_cfg = None
     formula_delta = 0
     unit_lines = []
-    if cfg.model.strf_stages:
-        from .config import strf_config_from
-
-        strf_cfg = strf_config_from(cfg.model)
-        for stage_number in sorted(set(cfg.model.strf_stages)):
-            stage = spec.stages[stage_number - 1]
-            width = stage[0].mid_channels  # units sit at the bottleneck width
-            per_unit = strf_param_count(width, strf_cfg.reduction, len(strf_cfg.branches))
-            formula_delta += len(stage) * per_unit
-            unit_lines.append(
-                f"stage {stage_number}: {len(stage)} units x {per_unit} params (channels={width})"
-            )
+    for stage_number, stage in enumerate(net.spec.stages, start=1):
+        strf = stage[0].strf
+        if strf is None:
+            continue
+        width = stage[0].mid_channels  # units sit at the bottleneck width
+        per_unit = strf_param_count(width, strf.reduction, len(strf.branches))
+        formula_delta += len(stage) * per_unit
+        unit_lines.append(f"stage {stage_number}: {len(stage)} units x {per_unit} params (channels={width})")
 
     lines = ["name\tdims\tcount"]
     for name, dims, count in rows:
         lines.append(f"{name}\t{'x'.join(str(d) for d in dims)}\t{count}")
     lines.append("")
     lines.append(f"total learnable parameters: {total}")
-    lines.append(f"attention-free baseline:    {baseline_total}")
-    lines.append(f"attention overhead (count): {total - baseline_total}")
+    lines.append(f"attention-free baseline:    {total - overhead}")
+    lines.append(f"attention overhead (count): {overhead}")
     lines.append(f"attention overhead (formula sum over units): {formula_delta}")
     lines.extend(unit_lines)
     lines.append("")

@@ -135,7 +135,7 @@ def test_params_command(pipeline, tmp_path, capsys):
 
 
 def test_eval_network_class_count_needs_no_train_frames(pipeline, tmp_path):
-    # the class count comes from the manifest's train labels, so a train
+    # the class count comes from the checkpoint's classifier, so a train
     # frame that cannot be read does not change the network eval builds
     data = tmp_path / "data"
     shutil.copytree(os.path.dirname(pipeline["manifest"]), data)
@@ -146,6 +146,37 @@ def test_eval_network_class_count_needs_no_train_frames(pipeline, tmp_path):
     cfg = parse_config(pipeline["config"])
     net = train.load_eval_network(cfg, pipeline["checkpoint"], manifest)
     assert net.classifier.weight.shape[0] == 2  # synth_train_identities, not [model] classes
+
+
+def test_eval_and_export_read_the_class_count_from_the_checkpoint(pipeline, tmp_path, capsys):
+    # a test-only dataset has no train labels to count, and [model] classes
+    # is left at its default: the checkpoint's classifier still sizes the net
+    config = tmp_path / "test-only.cfg"
+    config.write_text(CONFIG.replace("synth_train_identities = 2", "synth_train_identities = 0"))
+    data = str(tmp_path / "data")
+    assert dispatch(["synth", "--config", str(config), "--out", data]) == 0
+    manifest = os.path.join(data, "manifest.tsv")
+    common = ["--config", str(config), "--checkpoint", pipeline["checkpoint"], "--manifest", manifest]
+    assert dispatch(["eval", *common, "--out", str(tmp_path / "eval")]) == 0
+    assert dispatch(["export-attn", *common, "--tracklet", "query/id_0000/cam0_trk00", "--stage", "2",
+                     "--out", str(tmp_path / "maps")]) == 0
+    assert len(os.listdir(tmp_path / "maps")) == 8
+    capsys.readouterr()
+
+
+def test_params_overhead_is_the_units_own_weights(tmp_path, capsys):
+    # stage 3 carries units but is not listed in variant_stages; it is still
+    # a p3d-c stage, so the units are the only weights beyond the baseline
+    config = tmp_path / "params.cfg"
+    config.write_text("[model]\nvariant_stages = 2\nstrf_stages = 2, 3\n")
+    assert dispatch(["params", "--config", str(config)]) == 0
+    report = capsys.readouterr().out
+    assert "total learnable parameters: 26283072\n" in report
+    assert "attention-free baseline:    26168384\n" in report
+    assert "attention overhead (count): 114688\n" in report
+    assert "attention overhead (formula sum over units): 114688\n" in report
+    assert "stage 2: 4 units x 4096 params (channels=128)\n" in report
+    assert "stage 3: 6 units x 16384 params (channels=256)\n" in report
 
 
 # -- failure modes -----------------------------------------------------------
@@ -248,6 +279,39 @@ def test_eval_checkpoint_faults_exit_three(pipeline, tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert "data error" in err and named in err
     assert not os.path.exists(tmp_path / "e")
+
+
+def test_checkpoint_without_classifier_exits_three(pipeline, tmp_path, capsys):
+    ckpt = str(tmp_path / "ckpt")
+    shutil.copytree(pipeline["checkpoint"], ckpt)
+    manifest = os.path.join(ckpt, "manifest.tsv")
+    with open(manifest, encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith("classifier.w\t")]
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    rc = dispatch([
+        "eval", "--config", pipeline["config"], "--checkpoint", ckpt,
+        "--out", str(tmp_path / "e"), "--manifest", pipeline["manifest"],
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "classifier.w" in err
+    assert not os.path.exists(tmp_path / "e")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-attn"])
+def test_no_dataset_manifest_exits_two(pipeline, tmp_path, capsys, command):
+    extra = {
+        "train": [],
+        "eval": ["--checkpoint", pipeline["checkpoint"]],
+        "export-attn": ["--checkpoint", pipeline["checkpoint"], "--tracklet", "cam0_trk00", "--stage", "2"],
+    }[command]
+    out = str(tmp_path / "out")
+    rc = dispatch([command, "--config", pipeline["config"], "--out", out, *extra])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: no dataset manifest configured; set [data] manifest or pass --manifest\n")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("fault", ["mixed frame dims", "manifest is a directory"])

@@ -18,12 +18,13 @@ def test_fingerprint_prints_one_digest_per_output():
     rows = [line.split(" ") for line in done.stdout.splitlines()]
     assert all(len(row) == 2 and re.fullmatch("[0-9a-f]{64}", row[1]) for row in rows), rows
     digests = dict(rows)
-    assert len(digests) == len(rows) == 3 + 10 * 2 + 4 + 1 + 3
+    assert len(digests) == len(rows) == 3 + 10 * 2 + 4 + 1 + 3 + 2
     assert [name for name in digests if name.startswith("export/")] == [f"export/stage{n}" for n in (1, 2, 3, 4)]
     assert [name for name in digests if name.startswith("data/")] == ["data/train", "data/query", "data/gallery"]
     assert "features/p3d-c-strf" in digests
     assert [name for name in digests if name.startswith("eval/")] == [
         "eval/c2d/report.txt", "eval/c2d/cmc.csv", "eval/c2d/ap.csv"]
+    assert [name for name in digests if name.startswith("params/")] == ["params/default", "params/toy"]
     # a unit with one active dimension is that dimension's branch in every integration
     for branches in ("temporal-fine", "spatial-coarse"):
         for part in ("checkpoint", "metrics.csv"):

@@ -27,6 +27,9 @@ features/p3d-c-strf
 eval/c2d/<file>
     ``report.txt``, ``cmc.csv`` and ``ap.csv`` of a retrieval with a toy
     c2d model trained for 3 steps
+params/default, params/toy
+    the ``strf params`` report of the default config and of the toy
+    p3d-c+STRF config
 
 Run it on two source trees and diff the outputs: a change that keeps every
 line keeps the pipeline's results byte for byte. All files go to a temporary
@@ -102,9 +105,9 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, src)
     import strf
     from strf.backbone import Network, attention_export, forward_features, resnet50_spec
-    from strf.config import parse_config_text, synth_spec_from
+    from strf.config import RunConfig, parse_config_text, synth_spec_from
     from strf.synthdata import generate, load_tracklets
-    from strf.train import load_eval_network, run_retrieval, run_training
+    from strf.train import load_eval_network, params_report, run_retrieval, run_training
 
     if not os.path.abspath(strf.__file__).startswith(src + os.sep):
         print(f"strf imported from {strf.__file__}, not from {src}", file=sys.stderr)
@@ -161,6 +164,9 @@ def main(argv: list[str]) -> int:
         run_retrieval(flat, ckpt, out, manifest=manifest)
         for name in ("report.txt", "cmc.csv", "ap.csv"):
             lines.append((f"eval/c2d/{name}", digest_files([os.path.join(out, name)])))
+
+    for name, cfg in (("default", RunConfig()), ("toy", toy("p3d-c", "2, 3"))):
+        lines.append((f"params/{name}", hashlib.sha256(params_report(cfg).encode()).hexdigest()))
 
     for name, sha in lines:
         print(name, sha)
