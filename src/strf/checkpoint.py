@@ -58,6 +58,8 @@ def read_manifest(directory: str) -> dict[str, tuple[str, tuple[int, ...], str]]
                 raise DataError(
                     f"{manifest_path}:{line_no}: dims {dims_text!r} are not integers joined by 'x'"
                 ) from None
+            if name in stored:
+                raise DataError(f"{manifest_path}:{line_no}: entry {name} is listed twice")
             stored[name] = (kind, dims, filename)
     return stored
 

@@ -144,6 +144,19 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     stem_in = _spread(rng, (1, 2, 3, 7, 6))
     check("strided_max_pool3d", lambda t: (strided_max_pool3d(t, (1, 3, 3), (1, 2, 2)) ** 2).sum(), stem_in)
 
+    # Unit-stride convs with odd extents, whose input gradient is the conv of
+    # the output gradient with the flipped kernel; the channel counts differ
+    # so a swap of the kernel's channel axes shows. Drawn last for the same
+    # reason.
+    stride1_in = _spread(rng, (1, 3, 4, 5, 4))
+    for kernel in ((1, 3, 3), (3, 3, 3)):
+        stride1_w = Tensor(_spread(rng, (2, 3) + kernel))
+        check(
+            "conv3d_stride1_input_" + "x".join(map(str, kernel)),
+            lambda t, _w=stride1_w: (conv3d(t, _w, (1, 1, 1)) ** 2).sum(),
+            stride1_in,
+        )
+
     return results
 
 

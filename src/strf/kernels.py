@@ -5,27 +5,34 @@ time, height, width)``, and nothing else; a single volume is a batch of one.
 All kernels participate in the autodiff tape.
 
 Every kernel has SAME geometry (output extent = ceil(input / stride)), and
-``_windows`` owns it: it pads the input and returns the strided window view
-plus that view's adjoint, which every backward pass goes through.
+``_same_grid`` owns it: the padded grid's dims and the crop back to the
+input. ``_windows`` pads the input into that grid and returns the strided
+window view; ``_adjoint`` adds per-tap values back onto a zero grid and
+crops it (col2im). Only a strided or even-extent conv's dX and avg-pool's
+backward still go through the adjoint.
 
-Convolution is im2col + GEMM: the windows are copied once into columns of
-dims (n, c*kt*kh*kw, t'*h'*w'). Forward is one GEMM (weight matrix x
-columns); dW is one GEMM (grad x columns^T, summed over the batch) and dX is
-one GEMM (weight^T x grad) whose per-tap blocks go through the adjoint
-(col2im). The pointwise channel mix is the 1x1x1 case of the same path.
+Convolution is im2col + GEMM, ``_im2col_gemm``: the windows are copied once
+into columns of dims (n, c*kt*kh*kw, t'*h'*w'), then one GEMM. Forward is
+that GEMM (weight matrix x columns); dW is one GEMM (grad x columns^T, summed
+over the batch). At unit stride with odd extents the padding is symmetric,
+so dX is the same im2col + GEMM of the output gradient with the kernel
+flipped in (t, h, w) and its channel axes swapped; otherwise dX is one GEMM
+(weight^T x grad) whose per-tap blocks go through the adjoint. The pointwise
+channel mix is the 1x1x1 case of the same path.
 
 Max pooling is a running maximum over the kernel's taps, each a strided slice
 of the window view, so no window is copied. Only a node the tape records
-finds each window's winning tap (the first maximal one in scan order) and
-keeps it for the backward, which puts the gradient there and sends it through
-the adjoint; an unrecorded pool computes the maximum and nothing else.
+finds each window's winning cell (the first maximal tap in scan order) and
+keeps it as a flat offset into the padded grid; the backward adds the
+gradient at those offsets into a zero grid and crops it. An unrecorded pool
+computes the maximum and nothing else.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, records
@@ -46,33 +53,55 @@ def _check_triple(value, name: str) -> Triple:
     return triple
 
 
-def _same_padding(extent: int, kernel: int, stride: int) -> tuple[int, int]:
-    """(before, after) padding for SAME geometry: output extent ceil(extent / stride)."""
-    total = max((-(-extent // stride) - 1) * stride + kernel - extent, 0)
-    return total // 2, total - total // 2
+def _same_grid(shape, kernel: Triple, stride: Triple):
+    """SAME geometry of an input of dims ``shape`` (n, c, t, h, w): the dims of
+    its padded grid (output extent ceil(extent / stride), the total padding
+    split as before = total // 2) and the crop that takes that grid back to
+    ``shape``."""
+    grid, crop = shape[:2], (...,)
+    for extent, k, s in zip(shape[2:], kernel, stride):
+        total = max((-(-extent // s) - 1) * s + k - extent, 0)
+        grid += (extent + total,)
+        crop += (slice(total // 2, total // 2 + extent),)
+    return grid, crop
 
 
-def _windows(data: np.ndarray, kernel: Triple, stride: Triple, fill: float = 0.0):
+def _windows(data: np.ndarray, kernel: Triple, stride: Triple, fill: float = 0.0) -> np.ndarray:
     """Pad ``data`` (n, c, t, h, w) with ``fill`` for SAME geometry; return the
-    window view, dims (n, c, t', h', w', kt, kh, kw), and its adjoint. The
-    adjoint adds per-tap values, dims (n, c, kt, kh, kw, t', h', w'), onto a
-    zero padded grid (tap (dt, dh, dw) of output (i, j, k) at padded site
-    (i*st + dt, j*sh + dh, k*sw + dw)) and crops it to (n, c, t, h, w)."""
-    sizes = data.shape[2:]
-    pads = [_same_padding(e, k, s) for e, k, s in zip(sizes, kernel, stride)]
-    padded = np.pad(data, [(0, 0), (0, 0)] + pads, constant_values=fill) if any(map(any, pads)) else data
-    view = sliding_window_view(padded, kernel, axis=(2, 3, 4))[:, :, :: stride[0], :: stride[1], :: stride[2]]
-    grid_shape = padded.shape
-    crop = (...,) + tuple(slice(before, before + e) for (before, _), e in zip(pads, sizes))
+    read-only window view, dims (n, c, t', h', w', kt, kh, kw): window
+    (i, j, k) starts at padded site (i*st, j*sh, k*sw)."""
+    grid, crop = _same_grid(data.shape, kernel, stride)
+    padded = data
+    if grid != data.shape:
+        padded = np.full(grid, fill, dtype=data.dtype)
+        padded[crop] = data
+    starts = tuple((e - k) // s + 1 for e, k, s in zip(grid[2:], kernel, stride))
+    steps = padded.strides
+    window_steps = steps[:2] + tuple(b * s for b, s in zip(steps[2:], stride)) + steps[2:]
+    return as_strided(padded, grid[:2] + starts + kernel, window_steps, writeable=False)
 
-    def adjoint(taps: np.ndarray) -> np.ndarray:
-        grid = np.zeros(grid_shape, dtype=taps.dtype)
-        for tap in np.ndindex(*kernel):
-            window = tuple(slice(d, d + o * s, s) for d, o, s in zip(tap, taps.shape[5:], stride))
-            grid[(...,) + window] += taps[(slice(None), slice(None)) + tap]
-        return grid[crop]
 
-    return view, adjoint
+def _adjoint(taps: np.ndarray, shape, stride: Triple) -> np.ndarray:
+    """Adjoint of ``_windows`` for an input of dims ``shape``: add per-tap
+    values, dims (n, c, kt, kh, kw, t', h', w'), onto a zero padded grid (tap
+    (dt, dh, dw) of output (i, j, k) at padded site (i*st + dt, j*sh + dh,
+    k*sw + dw)) and crop it to ``shape``."""
+    kernel = taps.shape[2:5]
+    grid_shape, crop = _same_grid(shape, kernel, stride)
+    grid = np.zeros(grid_shape, dtype=taps.dtype)
+    for tap in np.ndindex(*kernel):
+        window = tuple(slice(d, d + o * s, s) for d, o, s in zip(tap, taps.shape[5:], stride))
+        grid[(...,) + window] += taps[(slice(None), slice(None)) + tap]
+    return grid[crop]
+
+
+def _lattice(counts, spacings) -> np.ndarray:
+    """Flat offsets of a lattice, dims ``counts``: the sum over axes of each
+    index times that axis's spacing."""
+    offsets = np.zeros((), dtype=np.intp)
+    for count, spacing in zip(counts, spacings):
+        offsets = np.add.outer(offsets, np.arange(count) * spacing)
+    return offsets
 
 
 def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tensor:
@@ -80,7 +109,7 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
     data = x.data
 
     if mode == "max":
-        win, adjoint = _windows(data, kernel, stride, fill=-np.inf)
+        win = _windows(data, kernel, stride, fill=-np.inf)
         taps = [(...,) + tap for tap in np.ndindex(*kernel)]
         # running maximum in scan order; on a tie np.maximum returns its
         # second operand, so the earlier tap keeps its value (and its bits)
@@ -89,32 +118,36 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
             np.maximum(win[tap], out_data, out=out_data)
         grad_fn = None
         if records([x]):
-            # first maximal tap in scan order, as argmax finds it: sweep the
-            # taps backwards so the earliest match is written last; a window
-            # holding a NaN yields NaN, and its first NaN tap wins
+            # each output's winning cell as a flat offset into the padded
+            # grid: the first maximal tap in scan order, as argmax finds it.
+            # Sweep the taps backwards so the earliest match is written last;
+            # a window holding a NaN yields NaN, and its first NaN tap wins
+            grid_shape, crop = _same_grid(data.shape, kernel, stride)
+            steps = [math.prod(grid_shape[axis + 1 :]) for axis in range(5)]  # the grid's element strides
             nan = np.isnan(out_data).any()
-            arg = np.zeros(out_data.shape, dtype=np.intp)
-            for k in range(len(taps) - 1, -1, -1):
-                hit = win[taps[k]] == out_data
+            winner = np.zeros(out_data.shape, dtype=np.intp)
+            for tap, offset in zip(reversed(taps), reversed(_lattice(kernel, steps[2:]).ravel())):
+                hit = win[tap] == out_data
                 if nan:
-                    hit |= np.isnan(win[taps[k]])
-                np.copyto(arg, k, where=hit)
+                    hit |= np.isnan(win[tap])
+                np.copyto(winner, offset, where=hit)
+            # the tap's offset within its window plus the window's first cell
+            winner += _lattice(out_data.shape, [s * e for s, e in zip((1, 1) + stride, steps)])
 
             def grad_fn(g: np.ndarray) -> None:
-                # one-hot taps: each output's gradient sits on its winning tap
-                onehot = np.zeros(g.shape[:2] + (len(taps),) + g.shape[2:], dtype=g.dtype)
-                np.put_along_axis(onehot, arg[:, :, None], g[:, :, None], axis=2)
-                x._accumulate(adjoint(onehot.reshape(g.shape[:2] + kernel + g.shape[2:])))
+                grid = np.zeros(math.prod(grid_shape), dtype=g.dtype)
+                np.add.at(grid, winner.ravel(), g.ravel())
+                x._accumulate(grid.reshape(grid_shape)[crop])
 
     else:  # "avg"; pool3d checks the mode
-        win, adjoint = _windows(data, kernel, stride)
-        ones, _ = _windows(np.ones((1, 1) + data.shape[2:], dtype=data.dtype), kernel, stride)
+        win = _windows(data, kernel, stride)
+        ones = _windows(np.ones((1, 1) + data.shape[2:], dtype=data.dtype), kernel, stride)
         counts = ones.sum(axis=(-3, -2, -1))[0, 0]  # in-bounds elements per window
         out_data = win.sum(axis=(-3, -2, -1)) / counts
 
         def grad_fn(g: np.ndarray) -> None:
             gdiv = (g / counts)[:, :, None, None, None]
-            x._accumulate(adjoint(np.broadcast_to(gdiv, g.shape[:2] + kernel + g.shape[2:])))
+            x._accumulate(_adjoint(np.broadcast_to(gdiv, g.shape[:2] + kernel + g.shape[2:]), x.shape, stride))
 
     return Tensor._make(out_data.astype(data.dtype, copy=False), [x], grad_fn)
 
@@ -125,10 +158,11 @@ def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
     Kernel extents must be odd so the output grid aligns with the input grid.
     Max pooling pads conceptually with negative infinity, so padding can never
     win a window; it is a running maximum over the taps, and only a recorded
-    node finds and keeps the winning tap its gradient goes to (the first
-    maximal one in scan order; in a window holding a NaN, which yields NaN,
-    the first NaN). Average pooling divides by the in-bounds element count
-    only. A kernel of (1, 1, 1) returns ``x`` itself.
+    node finds and keeps the cell its gradient goes to (the first maximal tap
+    in scan order; in a window holding a NaN, which yields NaN, the first
+    NaN), so its backward is one scatter-add. Average pooling divides by the
+    in-bounds element count only, and its backward goes through the window
+    view's adjoint. A kernel of (1, 1, 1) returns ``x`` itself.
     """
     kernel = _check_triple(kernel, "pool kernel")
     if any(k % 2 == 0 for k in kernel):
@@ -143,7 +177,8 @@ def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
 
 def strided_max_pool3d(x: Tensor, kernel, stride) -> Tensor:
     """Max pooling with stride, SAME padding geometry (used by network stems);
-    the maximum and its winning tap are found as in ``pool3d``."""
+    the maximum and its winning cell are found, and the gradient sent there,
+    as in ``pool3d``; no adjoint is involved."""
     kernel = _check_triple(kernel, "pool kernel")
     stride = _check_triple(stride, "pool stride")
     return _pool_forward(x, kernel, "max", stride)
@@ -168,6 +203,18 @@ def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1)) -> Tensor:
     return _conv(x, weight, weight.shape[2:], _check_triple(stride, "conv stride"))
 
 
+def _im2col_gemm(w_mat: np.ndarray, data: np.ndarray, kernel: Triple, stride: Triple):
+    """SAME cross-correlation of ``data`` (n, c, t, h, w) with ``w_mat``, an
+    (out_channels, c * kt*kh*kw) matrix: the windows copied once into columns
+    of dims (n, c * kt*kh*kw, t'*h'*w'), then one GEMM. Returns the output,
+    dims (n, out_channels, t', h', w'), and the columns."""
+    n = data.shape[0]
+    win = _windows(data, kernel, stride)
+    out_sizes = win.shape[2:5]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 5, 6, 7, 2, 3, 4)).reshape(n, -1, math.prod(out_sizes))
+    return np.matmul(w_mat, cols).reshape((n, -1) + out_sizes), cols
+
+
 def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
     """im2col + GEMM. ``weight`` is (out_channels, in_channels, ...) with the
     kernel taps, if any, in its trailing dims; it is used as an
@@ -178,12 +225,13 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
 
     data = x.data
     n, c = data.shape[:2]
-    win, adjoint = _windows(data, kernel, stride)
-    out_sizes = win.shape[2:5]
-    # (n, c, t', h', w', kt, kh, kw) -> columns (n, c * kt*kh*kw, t'*h'*w')
-    cols = np.ascontiguousarray(win.transpose(0, 1, 5, 6, 7, 2, 3, 4)).reshape(n, -1, math.prod(out_sizes))
     w_mat = weight.data.reshape(weight.shape[0], -1)
-    out_data = np.matmul(w_mat, cols).reshape((n, -1) + out_sizes)
+    out_data, cols = _im2col_gemm(w_mat, data, kernel, stride)
+    out_sizes = out_data.shape[2:]
+    # unit stride and odd extents pad symmetrically, so dX is the SAME conv of
+    # the output gradient with the kernel flipped in (t, h, w) and its channel
+    # axes swapped; any other geometry sends dX through the adjoint
+    flip_dx = stride == (1, 1, 1) and all(k % 2 for k in kernel)
 
     def grad_fn(g: np.ndarray) -> None:
         g_mat = g.reshape(n, w_mat.shape[0], -1)
@@ -191,7 +239,11 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
             d_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(d_w.reshape(weight.shape))
         if x.requires_grad:
-            taps = np.matmul(w_mat.T, g_mat).reshape((n, c) + kernel + out_sizes)
-            x._accumulate(adjoint(taps))
+            if flip_dx:
+                flipped = w_mat.reshape(w_mat.shape[:1] + (c,) + kernel)[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
+                x._accumulate(_im2col_gemm(flipped.reshape(c, -1), g, kernel, stride)[0])
+            else:
+                taps = np.matmul(w_mat.T, g_mat).reshape((n, c) + kernel + out_sizes)
+                x._accumulate(_adjoint(taps, x.shape, stride))
 
     return Tensor._make(out_data.astype(data.dtype, copy=False), [x, weight], grad_fn)

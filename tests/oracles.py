@@ -69,13 +69,18 @@ def same_geometry(extent: int, kernel: int, stride: int) -> tuple[int, int]:
 
 
 def max_pool_loops(
-    x: np.ndarray, kernel: tuple[int, int, int], stride: tuple[int, int, int]
+    x: np.ndarray,
+    kernel: tuple[int, int, int],
+    stride: tuple[int, int, int],
+    upstream: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max pooling of (c, t, h, w) with SAME geometry (before = total // 2,
     output extent = ceil(in / stride)); returns the pooled values, in
-    ``x``'s dtype and bits, and the gradient of their sum. Out-of-bounds
-    positions are skipped, so padding never wins; the first maximal tap in
-    (dt, dh, dw) scan order wins ties, including ties of -0.0 with 0.0."""
+    ``x``'s dtype and bits, and the gradient of their sum, or of their sum
+    weighted by ``upstream`` (dims of the output) when it is given.
+    Out-of-bounds positions are skipped, so padding never wins; the first
+    maximal tap in (dt, dh, dw) scan order wins ties, including ties of -0.0
+    with 0.0."""
     c, t, h, wd = x.shape
     kt, kh, kw = kernel
     st, sh, sw = stride
@@ -98,7 +103,7 @@ def max_pool_loops(
                                     if best is None or x[ci, tt, hh, ww] > x[best]:
                                         best = (ci, tt, hh, ww)
                     out[ci, ti, hi, wi] = x[best]
-                    grad[best] += 1
+                    grad[best] += 1 if upstream is None else upstream[ci, ti, hi, wi]
     return out, grad
 
 

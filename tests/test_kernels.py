@@ -181,15 +181,16 @@ def test_conv3d_batched_matches_per_item(rng):
         assert np.allclose(batched[i], single[0], atol=1e-12)
 
 
-def test_conv3d_float32_reruns_are_bit_identical():
+@pytest.mark.parametrize("stride", [(1, 1, 1), (1, 2, 2)], ids=["unit", "strided"])
+def test_conv3d_float32_reruns_are_bit_identical(stride):
     g = np.random.Generator(np.random.PCG64(11))
     x = g.normal(size=(4, 16, 4, 16, 8)).astype(np.float32)
     w = g.normal(size=(32, 16, 1, 3, 3)).astype(np.float32)
-    upstream = g.normal(size=(4, 32, 4, 8, 4)).astype(np.float32)
+    upstream = g.normal(size=(4, 32, 4, 16 // stride[1], 8 // stride[2])).astype(np.float32)
 
     def run():
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        out = conv3d(xt, wt, (1, 2, 2))
+        out = conv3d(xt, wt, stride)
         (out * Tensor(upstream)).sum().backward()
         return out.data, xt.grad, wt.grad
 
@@ -199,17 +200,19 @@ def test_conv3d_float32_reruns_are_bit_identical():
 
 
 @st.composite
-def conv_cases(draw):
+def conv_cases(draw, unit_stride=False):
     kernel = tuple(draw(st.integers(1, 3)) for _ in range(3))
-    stride = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    stride = (1, 1, 1) if unit_stride else tuple(draw(st.integers(1, 3)) for _ in range(3))
     sizes = tuple(draw(st.integers(1, 5)) for _ in range(3))
     dims = (draw(st.integers(1, 2)), draw(st.integers(1, 3))) + sizes
     return dims, draw(st.integers(1, 3)), kernel, stride, draw(st.integers(0, 2**31 - 1))
 
 
-@settings(max_examples=40, deadline=None)
-@given(conv_cases())
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(conv_cases(), conv_cases(unit_stride=True)))
 def test_property_conv3d_matches_oracle_and_adjoint(case):
+    # unit stride on its own as well: with every extent odd, dX takes the
+    # flipped-kernel conv instead of the adjoint
     dims, c_out, kernel, stride, seed = case
     g = np.random.Generator(np.random.PCG64(seed))
     x = g.normal(size=dims)
@@ -313,7 +316,7 @@ def max_pool_cases(draw):
     dims = (draw(st.integers(1, 2)), draw(st.integers(1, 2))) + tuple(draw(st.integers(1, 5)) for _ in range(3))
     # few distinct small integers make ties common, signed zeros among them
     x = draw(arrays(dtype, dims, elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
-    return x, kernel, stride
+    return x, kernel, stride, draw(st.integers(0, 2**31 - 1))
 
 
 def pool_max(x: Tensor, kernel, stride) -> Tensor:
@@ -323,7 +326,7 @@ def pool_max(x: Tensor, kernel, stride) -> Tensor:
 @settings(max_examples=60, deadline=None)
 @given(max_pool_cases())
 def test_property_max_pool_matches_oracle_values_bits_and_grads(case):
-    x, kernel, stride = case
+    x, kernel, stride, seed = case
     xt = Tensor(x, requires_grad=True)
     out = pool_max(xt, kernel, stride)
     out.sum().backward()
@@ -332,6 +335,15 @@ def test_property_max_pool_matches_oracle_values_bits_and_grads(case):
         assert out.data[i].tobytes() == values.tobytes()  # -0.0 and 0.0 differ here
         assert xt.grad.dtype == x.dtype
         assert np.array_equal(xt.grad[i], grad)
+    # a distinct upstream gradient per output, so each winner must receive
+    # its own output's share; a cell that wins three or more windows may sum
+    # them in another order than the oracle
+    s = np.random.Generator(np.random.PCG64(seed)).normal(size=out.shape)
+    xt = Tensor(x.astype(np.float64), requires_grad=True)
+    (pool_max(xt, kernel, stride) * Tensor(s)).sum().backward()
+    for i in range(x.shape[0]):
+        _, grad = max_pool_loops(x[i].astype(np.float64), kernel, stride, s[i])
+        np.testing.assert_allclose(xt.grad[i], grad, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kernel, stride", MAX_POOL_GEOMETRIES)

@@ -135,6 +135,17 @@ def test_checkpoint_non_integer_dims_reported(tmp_path):
         load_checkpoint(net, str(ckpt))
 
 
+def test_checkpoint_repeated_entry_reported(tmp_path):
+    net = _toy_net()
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(net, str(ckpt))
+    manifest = ckpt / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + [lines[0]]) + "\n")
+    with pytest.raises(DataError, match=rf"manifest.tsv:{len(lines) + 1}: entry stem.conv.w is listed twice"):
+        load_checkpoint(net, str(ckpt))
+
+
 def test_checkpoint_missing_tensor_file_reported(tmp_path):
     net = _toy_net()
     ckpt = tmp_path / "ckpt"
