@@ -40,10 +40,14 @@ def save_checkpoint(net: Network, directory: str) -> None:
 def read_manifest(directory: str) -> dict[str, tuple[str, tuple[int, ...], str]]:
     """The checkpoint's entries as name -> (kind, dims, tensor file name)."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise DataError(f"{manifest_path}: checkpoint manifest not found")
+    try:
+        fh = open(manifest_path, encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"{manifest_path}: checkpoint manifest not found") from None
+    except OSError as exc:
+        raise DataError(f"{manifest_path}: cannot read checkpoint manifest: {exc.strerror}") from None
     stored = {}
-    with open(manifest_path, encoding="utf-8") as fh:
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

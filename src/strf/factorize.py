@@ -47,7 +47,7 @@ class StrfConfig:
     ``fine`` branches pool at ``r_fine`` with ``pool_fine`` and ``coarse`` at
     ``r_coarse`` with ``pool_coarse``; resolutions are odd and the coarse one
     may not be finer than the fine one. ``branches`` selects a subset of the
-    four for ablation runs; the default keeps all.
+    four for ablation runs, without repeats; the default keeps all.
     """
 
     r_fine: int = 1
@@ -78,8 +78,8 @@ class StrfConfig:
         if self.integration not in INTEGRATIONS:
             raise ConfigError(f"integration must be one of {INTEGRATIONS}, got {self.integration!r}")
         ordered = tuple(b for b in BRANCH_ORDER if b in set(self.branches))
-        if not ordered or len(ordered) != len(set(self.branches)):
-            raise ConfigError(f"branches must be a non-empty subset of {BRANCH_ORDER}, got {self.branches}")
+        if not ordered or len(ordered) != len(self.branches):
+            raise ConfigError(f"branches must be a non-empty repeat-free subset of {BRANCH_ORDER}, got {self.branches}")
         object.__setattr__(self, "branches", ordered)
 
     def active_kinds(self, dimension: str) -> tuple[str, ...]:

@@ -79,8 +79,8 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     check("batch_hard_triplet", lambda t: batch_hard_triplet(t, ids, margin=0.3), emb)
 
     # Strided and pointwise conv geometry as the networks use it (stem,
-    # shortcut), plus a strided even kernel extent; drawn last so the entries
-    # above keep their inputs.
+    # shortcut), plus a stride of 3 on a (1, 3, 1) kernel sliced from a
+    # (3, 2, 2, 3, 2) draw; drawn last so the entries above keep their inputs.
     clip = Tensor(_spread(rng, (1, 2, 2, 7, 6)))
     check(
         "conv3d_weights_stem",
@@ -94,14 +94,10 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
         lambda t: (conv3d(Tensor(vol), t, (1, 2, 2)) ** 2).sum(),
         shortcut_w,
     )
-    even_in = _spread(rng, (1, 2, 5, 7, 6))
-    even_w = _spread(rng, (3, 2, 2, 3, 2))
-    check("conv3d_strided_even", lambda t: (conv3d(t, Tensor(even_w), (2, 2, 3)) ** 2).sum(), even_in)
-    check(
-        "conv3d_strided_even_weights",
-        lambda t: (conv3d(Tensor(even_in), t, (2, 2, 3)) ** 2).sum(),
-        even_w,
-    )
+    strided_in = _spread(rng, (1, 2, 5, 7, 6))
+    strided_w = _spread(rng, (3, 2, 2, 3, 2))[:, :, :1, :, :1].copy()
+    check("conv3d_strided", lambda t: (conv3d(t, Tensor(strided_w), (2, 2, 3)) ** 2).sum(), strided_in)
+    check("conv3d_strided_weights", lambda t: (conv3d(Tensor(strided_in), t, (2, 2, 3)) ** 2).sum(), strided_w)
 
     # Batch norm on its own, in both modes, with gamma/beta away from 1/0 and
     # running stats away from 0/1; drawn last for the same reason.
@@ -156,6 +152,11 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
             lambda t, _w=stride1_w: (conv3d(t, _w, (1, 1, 1)) ** 2).sum(),
             stride1_in,
         )
+
+    # The stem's 1x7x7 conv at stride (1, 2, 2) on even extents, whose spread
+    # output gradient starts one cell in; drawn last for the same reason.
+    stem_w = Tensor(_spread(rng, (3, 2, 1, 7, 7)))
+    check("conv3d_stem_input", lambda t: (conv3d(t, stem_w, (1, 2, 2)) ** 2).sum(), _spread(rng, (1, 2, 2, 8, 6)))
 
     return results
 

@@ -7,18 +7,18 @@ All kernels participate in the autodiff tape.
 Every kernel has SAME geometry (output extent = ceil(input / stride)), and
 ``_same_grid`` owns it: the padded grid's dims and the crop back to the
 input. ``_windows`` pads the input into that grid and returns the strided
-window view; ``_adjoint`` adds per-tap values back onto a zero grid and
-crops it (col2im). Only a strided or even-extent conv's dX and avg-pool's
-backward still go through the adjoint.
+window view. Conv and ``pool3d`` kernel extents are odd (``_check_kernel``).
 
 Convolution is im2col + GEMM, ``_im2col_gemm``: the windows are copied once
 into columns of dims (n, c*kt*kh*kw, t'*h'*w'), then one GEMM. Forward is
 that GEMM (weight matrix x columns); dW is one GEMM (grad x columns^T, summed
-over the batch). At unit stride with odd extents the padding is symmetric,
-so dX is the same im2col + GEMM of the output gradient with the kernel
-flipped in (t, h, w) and its channel axes swapped; otherwise dX is one GEMM
-(weight^T x grad) whose per-tap blocks go through the adjoint. The pointwise
-channel mix is the 1x1x1 case of the same path.
+over the batch). dX is the unit-stride conv, through the same helper, of the
+output gradient with the kernel flipped in (t, h, w) and its channel axes
+swapped (Dumoulin & Visin, arXiv:1603.07285, section 4). At stride s the
+output gradient is first spread onto the input grid, s - 1 zeros between
+entries; at unit stride it is used as it is. The pointwise channel mix is
+the 1x1x1 case of the same path. Avg-pool's backward is the box sum of the
+output gradient divided by the in-bounds counts.
 
 Max pooling is a running maximum over the kernel's taps, each a strided slice
 of the window view, so no window is copied. Only a node the tape records
@@ -53,6 +53,14 @@ def _check_triple(value, name: str) -> Triple:
     return triple
 
 
+def _check_kernel(value, name: str) -> Triple:
+    """Conv and ``pool3d`` kernel extents are odd, so unit-stride SAME padding is symmetric."""
+    kernel = _check_triple(value, name)
+    if any(k % 2 == 0 for k in kernel):
+        raise ConfigError(f"{name} extents must be odd, got {kernel}")
+    return kernel
+
+
 def _same_grid(shape, kernel: Triple, stride: Triple):
     """SAME geometry of an input of dims ``shape`` (n, c, t, h, w): the dims of
     its padded grid (output extent ceil(extent / stride), the total padding
@@ -79,20 +87,6 @@ def _windows(data: np.ndarray, kernel: Triple, stride: Triple, fill: float = 0.0
     steps = padded.strides
     window_steps = steps[:2] + tuple(b * s for b, s in zip(steps[2:], stride)) + steps[2:]
     return as_strided(padded, grid[:2] + starts + kernel, window_steps, writeable=False)
-
-
-def _adjoint(taps: np.ndarray, shape, stride: Triple) -> np.ndarray:
-    """Adjoint of ``_windows`` for an input of dims ``shape``: add per-tap
-    values, dims (n, c, kt, kh, kw, t', h', w'), onto a zero padded grid (tap
-    (dt, dh, dw) of output (i, j, k) at padded site (i*st + dt, j*sh + dh,
-    k*sw + dw)) and crop it to ``shape``."""
-    kernel = taps.shape[2:5]
-    grid_shape, crop = _same_grid(shape, kernel, stride)
-    grid = np.zeros(grid_shape, dtype=taps.dtype)
-    for tap in np.ndindex(*kernel):
-        window = tuple(slice(d, d + o * s, s) for d, o, s in zip(tap, taps.shape[5:], stride))
-        grid[(...,) + window] += taps[(slice(None), slice(None)) + tap]
-    return grid[crop]
 
 
 def _lattice(counts, spacings) -> np.ndarray:
@@ -146,8 +140,9 @@ def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tenso
         out_data = win.sum(axis=(-3, -2, -1)) / counts
 
         def grad_fn(g: np.ndarray) -> None:
-            gdiv = (g / counts)[:, :, None, None, None]
-            x._accumulate(_adjoint(np.broadcast_to(gdiv, g.shape[:2] + kernel + g.shape[2:]), x.shape, stride))
+            # stride 1 and odd extents: each cell takes the box sum of the
+            # gradient over the windows that hold it
+            x._accumulate(_windows(g / counts, kernel, (1, 1, 1)).sum(axis=(-3, -2, -1)))
 
     return Tensor._make(out_data.astype(data.dtype, copy=False), [x], grad_fn)
 
@@ -161,12 +156,11 @@ def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
     node finds and keeps the cell its gradient goes to (the first maximal tap
     in scan order; in a window holding a NaN, which yields NaN, the first
     NaN), so its backward is one scatter-add. Average pooling divides by the
-    in-bounds element count only, and its backward goes through the window
-    view's adjoint. A kernel of (1, 1, 1) returns ``x`` itself.
+    in-bounds element count only, and its backward is the box sum of the
+    output gradient over those counts. A kernel of (1, 1, 1) returns ``x``
+    itself.
     """
-    kernel = _check_triple(kernel, "pool kernel")
-    if any(k % 2 == 0 for k in kernel):
-        raise ConfigError(f"pool kernel extents must be odd, got {kernel}")
+    kernel = _check_kernel(kernel, "pool kernel")
     if mode not in ("max", "avg"):
         raise ConfigError(f"pool mode must be 'max' or 'avg', got {mode!r}")
     if kernel == (1, 1, 1):
@@ -178,7 +172,7 @@ def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
 def strided_max_pool3d(x: Tensor, kernel, stride) -> Tensor:
     """Max pooling with stride, SAME padding geometry (used by network stems);
     the maximum and its winning cell are found, and the gradient sent there,
-    as in ``pool3d``; no adjoint is involved."""
+    as in ``pool3d``."""
     kernel = _check_triple(kernel, "pool kernel")
     stride = _check_triple(stride, "pool stride")
     return _pool_forward(x, kernel, "max", stride)
@@ -196,11 +190,12 @@ def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1)) -> Tensor:
     """3-d cross-correlation with a bank of kernels, SAME geometry: zero
     padding, output extent = ceil(input / stride).
 
-    ``weight`` has dims (out_channels, in_channels, kt, kh, kw).
+    ``weight`` has dims (out_channels, in_channels, kt, kh, kw), with odd
+    kernel extents.
     """
     if weight.ndim != 5:
         raise ShapeError(f"conv weight must be rank-5, got dims {weight.shape}")
-    return _conv(x, weight, weight.shape[2:], _check_triple(stride, "conv stride"))
+    return _conv(x, weight, _check_kernel(weight.shape[2:], "conv kernel"), _check_triple(stride, "conv stride"))
 
 
 def _im2col_gemm(w_mat: np.ndarray, data: np.ndarray, kernel: Triple, stride: Triple):
@@ -227,23 +222,22 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
     n, c = data.shape[:2]
     w_mat = weight.data.reshape(weight.shape[0], -1)
     out_data, cols = _im2col_gemm(w_mat, data, kernel, stride)
-    out_sizes = out_data.shape[2:]
-    # unit stride and odd extents pad symmetrically, so dX is the SAME conv of
-    # the output gradient with the kernel flipped in (t, h, w) and its channel
-    # axes swapped; any other geometry sends dX through the adjoint
-    flip_dx = stride == (1, 1, 1) and all(k % 2 for k in kernel)
 
     def grad_fn(g: np.ndarray) -> None:
-        g_mat = g.reshape(n, w_mat.shape[0], -1)
         if weight.requires_grad:
-            d_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0)
+            d_w = np.matmul(g.reshape(n, w_mat.shape[0], -1), cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(d_w.reshape(weight.shape))
         if x.requires_grad:
-            if flip_dx:
-                flipped = w_mat.reshape(w_mat.shape[:1] + (c,) + kernel)[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
-                x._accumulate(_im2col_gemm(flipped.reshape(c, -1), g, kernel, stride)[0])
-            else:
-                taps = np.matmul(w_mat.T, g_mat).reshape((n, c) + kernel + out_sizes)
-                x._accumulate(_adjoint(taps, x.shape, stride))
+            # output i's gradient goes to input cell i*s + (k-1)//2 - before
+            # (cell i at unit stride), so the flipped kernel's unit-stride SAME
+            # conv, padded (k-1)//2 each side, sums it into every cell i read
+            spread = g
+            if stride != (1, 1, 1):
+                _, crop = _same_grid(x.shape, kernel, stride)
+                spread = np.zeros(g.shape[:2] + x.shape[2:], dtype=g.dtype)
+                offsets = ((k - 1) // 2 - cut.start for k, cut in zip(kernel, crop[1:]))
+                spread[(...,) + tuple(slice(o, None, s) for o, s in zip(offsets, stride))] = g
+            flipped = w_mat.reshape(w_mat.shape[:1] + (c,) + kernel)[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
+            x._accumulate(_im2col_gemm(flipped.reshape(c, -1), spread, kernel, (1, 1, 1))[0])
 
     return Tensor._make(out_data.astype(data.dtype, copy=False), [x, weight], grad_fn)

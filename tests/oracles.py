@@ -153,6 +153,63 @@ def conv3d_loops(x: np.ndarray, w: np.ndarray, stride: tuple[int, int, int]) -> 
     return out
 
 
+def conv3d_input_grad_loops(
+    g: np.ndarray, w: np.ndarray, x_shape: tuple[int, int, int, int], stride: tuple[int, int, int]
+) -> np.ndarray:
+    """Input gradient of ``conv3d_loops`` for an input of dims ``x_shape``
+    (c, t, h, w): each output's gradient ``g`` times each tap's weight,
+    scattered onto the input cell that tap read; taps in the padding are
+    dropped."""
+    c_in, t, h, wd = x_shape
+    c_out, c_in2, kt, kh, kw = w.shape
+    assert c_in == c_in2
+    st, sh, sw = stride
+
+    ot, pt = same_geometry(t, kt, st)
+    oh, ph = same_geometry(h, kh, sh)
+    ow, pw = same_geometry(wd, kw, sw)
+    assert g.shape == (c_out, ot, oh, ow)
+    grad = np.zeros(x_shape, dtype=np.float64)
+    for o in range(c_out):
+        for ti in range(ot):
+            for hi in range(oh):
+                for wi in range(ow):
+                    upstream = float(g[o, ti, hi, wi])
+                    for a in range(kt):
+                        for b in range(kh):
+                            for c in range(kw):
+                                tt = ti * st - pt + a
+                                hh = hi * sh - ph + b
+                                ww = wi * sw - pw + c
+                                if 0 <= tt < t and 0 <= hh < h and 0 <= ww < wd:
+                                    for i in range(c_in):
+                                        grad[i, tt, hh, ww] += upstream * float(w[o, i, a, b, c])
+    return grad
+
+
+def avg_pool_input_grad_loops(g: np.ndarray, kernel: tuple[int, int, int]) -> np.ndarray:
+    """Input gradient of stride-1 average pooling (``pool3d_loops``): each
+    output's gradient ``g`` (c, t, h, w), divided by its window's in-bounds
+    count, added to every in-bounds cell of that window."""
+    c, t, h, w = g.shape
+    kt, kh, kw = kernel
+    grad = np.zeros((c, t, h, w), dtype=np.float64)
+    for ci in range(c):
+        for ti in range(t):
+            for hi in range(h):
+                for wi in range(w):
+                    cells = []
+                    for dt in range(-(kt // 2), kt // 2 + 1):
+                        for dh in range(-(kh // 2), kh // 2 + 1):
+                            for dw in range(-(kw // 2), kw // 2 + 1):
+                                tt, hh, ww = ti + dt, hi + dh, wi + dw
+                                if 0 <= tt < t and 0 <= hh < h and 0 <= ww < w:
+                                    cells.append((ci, tt, hh, ww))
+                    for cell in cells:
+                        grad[cell] += float(g[ci, ti, hi, wi]) / len(cells)
+    return grad
+
+
 def reshape_matrix_loops(f: np.ndarray) -> np.ndarray:
     """Flatten (c,t,h,w) to (c*t) x (h*w) with row = c_idx*t + t_idx and
     column = h_idx*w + w_idx."""

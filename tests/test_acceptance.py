@@ -84,6 +84,7 @@ def test_gradient_fidelity():
     assert {"block_i3d_strf", "block_p3d-a_strf", "block_p3d-b_strf", "block_p3d-c_strf"} <= names
     assert "cross_entropy" in names and "batch_hard_triplet" in names
     assert {"conv3d_stride1_input_1x3x3", "conv3d_stride1_input_3x3x3"} <= names
+    assert {"conv3d_strided", "conv3d_strided_weights", "conv3d_stem_input"} <= names
     worst = max(err for _, err in results)
     assert worst <= GRAD_TOLERANCE, f"worst relative gradient error {worst:.3e}"
     assert elapsed < 300.0

@@ -254,7 +254,7 @@ def test_missing_manifest_exits_three(pipeline, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["non-integer dims", "missing tensor file"])
+@pytest.mark.parametrize("fault", ["non-integer dims", "missing tensor file", "manifest is a directory"])
 def test_eval_checkpoint_faults_exit_three(pipeline, tmp_path, capsys, fault):
     ckpt = str(tmp_path / "ckpt")
     shutil.copytree(pipeline["checkpoint"], ckpt)
@@ -268,6 +268,11 @@ def test_eval_checkpoint_faults_exit_three(pipeline, tmp_path, capsys, fault):
         with open(manifest, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         named = "manifest.tsv:1"
+    elif fault == "manifest is a directory":
+        manifest = os.path.join(ckpt, "manifest.tsv")
+        os.remove(manifest)
+        os.mkdir(manifest)
+        named = "manifest.tsv: cannot read checkpoint manifest"
     else:
         named = os.path.join(ckpt, "00000.strf")
         os.remove(named)

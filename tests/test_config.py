@@ -120,6 +120,7 @@ def test_semantic_validation():
         ("[train]\nlr_decay_factor = 1.5\n", "lr_decay_factor must lie in \\(0, 1\\]"),
         ("[train]\nlr_decay_epochs = -4\n", "lr_decay_epochs must be >= 0"),
         ("[model]\nr_fine = 2\nr_coarse = 3\n", "odd and positive"),
+        ("[model]\nbranches = temporal-fine, temporal-fine\n", "repeat-free"),
         ("[data]\nsynth_identities = 3\n", "even identity count"),
         ("[data]\nsynth_pairing = twins\n", "pairing"),
         ("[data]\nsynth_train_identities = -7\n",

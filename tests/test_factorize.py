@@ -330,6 +330,7 @@ def test_resolution_ordering_enforced():
         ("temperature", 0.0, "temperature must be positive"),
         ("temperature", -1.0, "temperature must be positive"),
         ("temperature", float("nan"), "temperature must be positive"),
+        ("branches", (("temporal", "fine"), ("temporal", "fine")), "repeat-free"),
     ],
 )
 def test_strf_config_rejects(name, value, match):

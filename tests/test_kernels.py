@@ -9,11 +9,22 @@ from strf.factorize import StrfConfig, fam_mask, init_strf_params, strf_forward
 from strf.kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
 from strf.tensor import Tensor, no_grad
 
-from oracles import channel_mix_loops, conv3d_loops, max_pool_loops, pool3d_loops
+from oracles import (
+    avg_pool_input_grad_loops,
+    channel_mix_loops,
+    conv3d_input_grad_loops,
+    conv3d_loops,
+    max_pool_loops,
+    pool3d_loops,
+)
 
 
 def vol(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+
+
+def triple_id(triple):
+    return "x".join(map(str, triple))
 
 
 UNIT = StrfConfig()
@@ -94,6 +105,16 @@ def test_max_pool_grad_routes_to_first_max():
     assert np.array_equal(x.grad.reshape(3), [0.0, 3.0, 0.0])
 
 
+@pytest.mark.parametrize("kernel", [(3, 1, 1), (1, 3, 3), (3, 3, 3), (5, 1, 1), (1, 5, 5)], ids=triple_id)
+def test_avg_pool_grad_matches_loop_oracle(rng, kernel):
+    x = vol(rng.normal(size=(2, 3, 4, 5, 3)))
+    out = pool3d(x, kernel, "avg")
+    upstream = rng.normal(size=out.shape)
+    (out * Tensor(upstream)).sum().backward()
+    for i in range(2):
+        np.testing.assert_allclose(x.grad[i], avg_pool_input_grad_loops(upstream[i], kernel), rtol=0, atol=1e-12)
+
+
 def test_avg_pool_grad_uniform_over_window():
     x = vol(np.zeros((1, 1, 1, 1, 3)))
     pool3d(x, (1, 1, 3), "avg").sum().backward()
@@ -167,6 +188,32 @@ def test_conv3d_asymmetric_kernels(rng):
         assert np.allclose(got, conv3d_loops(x, w, (1, 1, 1)), atol=1e-10)
 
 
+def test_conv3d_even_kernel_rejected():
+    x = vol(np.zeros((1, 1, 4, 4, 4)))
+    with pytest.raises(ConfigError, match="conv kernel extents must be odd"):
+        conv3d(x, Tensor(np.zeros((1, 1, 2, 1, 1))))
+    with pytest.raises(ConfigError, match="conv kernel extents must be odd"):
+        conv3d(x, Tensor(np.zeros((1, 1, 1, 4, 4))), (1, 2, 2))
+
+
+# Input extents 6 are divisible by every stride, so the output gradient is
+# spread onto the input grid floor(stride / 2) cells past the origin on every
+# strided axis a kernel of 3 or more spans; extents 5 and 7 leave a remainder
+# of 1 (or 2), where that offset is 0 (or 1).
+@pytest.mark.parametrize("sizes", [(6, 6, 6), (5, 7, 7)], ids=["divisible", "remainder"])
+@pytest.mark.parametrize("stride", [(1, 2, 2), (2, 2, 3), (3, 3, 3)], ids=triple_id)
+@pytest.mark.parametrize("kernel", [(1, 1, 1), (1, 3, 3), (1, 7, 7), (3, 3, 3), (5, 5, 5)], ids=triple_id)
+def test_conv3d_input_grad_matches_scatter_oracle(rng, kernel, stride, sizes):
+    x = vol(rng.normal(size=(2, 2) + sizes))
+    w = rng.normal(size=(3, 2) + kernel)
+    out = conv3d(x, Tensor(w), stride)
+    upstream = rng.normal(size=out.shape)
+    (out * Tensor(upstream)).sum().backward()
+    for i in range(2):
+        expect = conv3d_input_grad_loops(upstream[i], w, x.shape[1:], stride)
+        np.testing.assert_allclose(x.grad[i], expect, rtol=0, atol=1e-10)
+
+
 def test_conv3d_channel_mismatch():
     with pytest.raises(ShapeError):
         conv3d(vol(np.zeros((1, 3, 2, 2, 2))), Tensor(np.zeros((1, 4, 1, 1, 1))), (1, 1, 1))
@@ -201,7 +248,7 @@ def test_conv3d_float32_reruns_are_bit_identical(stride):
 
 @st.composite
 def conv_cases(draw, unit_stride=False):
-    kernel = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    kernel = tuple(draw(st.sampled_from((1, 3, 5))) for _ in range(3))
     stride = (1, 1, 1) if unit_stride else tuple(draw(st.integers(1, 3)) for _ in range(3))
     sizes = tuple(draw(st.integers(1, 5)) for _ in range(3))
     dims = (draw(st.integers(1, 2)), draw(st.integers(1, 3))) + sizes
@@ -211,8 +258,8 @@ def conv_cases(draw, unit_stride=False):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(conv_cases(), conv_cases(unit_stride=True)))
 def test_property_conv3d_matches_oracle_and_adjoint(case):
-    # unit stride on its own as well: with every extent odd, dX takes the
-    # flipped-kernel conv instead of the adjoint
+    # unit stride on its own as well, where dX convolves the output gradient
+    # itself rather than its spread onto the input grid
     dims, c_out, kernel, stride, seed = case
     g = np.random.Generator(np.random.PCG64(seed))
     x = g.normal(size=dims)

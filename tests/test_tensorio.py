@@ -95,6 +95,13 @@ def test_checkpoint_missing_manifest(tmp_path):
         load_checkpoint(_toy_net(), str(tmp_path / "nowhere"))
 
 
+def test_checkpoint_unreadable_manifest(tmp_path):
+    # a manifest that exists but cannot be read is a data error, not an OSError
+    (tmp_path / "ckpt" / "manifest.tsv").mkdir(parents=True)
+    with pytest.raises(DataError, match="manifest.tsv: cannot read checkpoint manifest"):
+        load_checkpoint(_toy_net(), str(tmp_path / "ckpt"))
+
+
 def test_checkpoint_name_mismatch_reported(tmp_path):
     net = _toy_net()
     ckpt = tmp_path / "ckpt"
