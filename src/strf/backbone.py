@@ -9,11 +9,13 @@ The network is a four-stage bottleneck residual net over clips
   p3d-b  spatial and temporal paths in parallel, summed
   p3d-c  series plus a skip from the spatial output to the block output
 
-An attention unit, when placed, transforms the output of the temporal conv
-(the 3x3x3 conv for i3d) before its batch norm. Temporal extent is never
-strided; the last stage keeps spatial stride 1 so the final maps stay large.
-Features are the stage-4 output pooled over space then averaged over time,
-and the classifier is a plain linear map on those features.
+Every conv is a ``ConvBn``: the conv, the attention unit it may carry, and
+the batch norm after it. A unit, when placed, sits between the temporal conv
+(the 3x3x3 conv for i3d) and its batch norm. Each pair registers its conv
+weight first, then the unit's weights, then the batch norm's. Temporal extent
+is never strided; the last stage keeps spatial stride 1 so the final maps
+stay large. Features are the stage-4 output pooled over space then averaged
+over time, and the classifier is a plain linear map on those features.
 
 Every batch norm but the shortcut's also applies the epilogue that follows
 it: relu(bn(x)), or relu(bn(x) + skip) at the end of a block. Each is one
@@ -36,18 +38,6 @@ BLOCK_VARIANTS = ("c2d", "i3d", "p3d-a", "p3d-b", "p3d-c")
 
 
 # -- layers ------------------------------------------------------------------
-
-
-class Conv3dLayer:
-    def __init__(self, in_channels, out_channels, kernel, stride, rng, dtype):
-        fan_in = in_channels * int(np.prod(kernel))
-        bound = float(np.sqrt(1.0 / fan_in))
-        data = rng.uniform(-bound, bound, size=(out_channels, in_channels) + tuple(kernel))
-        self.weight = Tensor(data.astype(dtype), requires_grad=True)
-        self.stride = tuple(stride)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv3d(x, self.weight, self.stride)
 
 
 class BatchNorm3dLayer:
@@ -130,6 +120,41 @@ class BatchNorm3dLayer:
         return Tensor._make(out, parents, grad_fn)
 
 
+class ConvBn:
+    """One conv and the fused batch norm after it, with the attention unit
+    between them when given a ``StrfConfig``. Weights are drawn conv first,
+    then the unit's; entries register as ``{prefix}.conv{suffix}.w``, the
+    unit's ``{prefix}.strf.*``, then ``{prefix}.bn{suffix}.*``."""
+
+    def __init__(self, registry, prefix: str, suffix: str, in_channels, out_channels, kernel, stride,
+                 rng, dtype, relu: bool = True, strf: StrfConfig | None = None):
+        fan_in = in_channels * int(np.prod(kernel))
+        bound = float(np.sqrt(1.0 / fan_in))
+        data = rng.uniform(-bound, bound, size=(out_channels, in_channels) + tuple(kernel))
+        self.weight = Tensor(data.astype(dtype), requires_grad=True)
+        self.stride = tuple(stride)
+        registry.add_param(f"{prefix}.conv{suffix}.w", self.weight)
+
+        self.strf, self.strf_params = strf, None
+        if strf is not None:
+            self.strf_params = init_strf_params(out_channels, strf, rng, dtype)
+            for (dimension, kind), weight in self.strf_params.items():
+                registry.add_param(f"{prefix}.strf.{dimension}_{kind}.w", weight)
+
+        self.bn = BatchNorm3dLayer(out_channels, dtype, relu=relu)
+        registry.add_param(f"{prefix}.bn{suffix}.gamma", self.bn.gamma)
+        registry.add_param(f"{prefix}.bn{suffix}.beta", self.bn.beta)
+        registry.add_buffer(f"{prefix}.bn{suffix}.running_mean", self.bn.running_mean)
+        registry.add_buffer(f"{prefix}.bn{suffix}.running_var", self.bn.running_var)
+
+    def __call__(self, x: Tensor, training: bool, skip: Tensor | None = None) -> Tensor:
+        # conv3d and strf_forward are module lookups: perfbench's tracer patches them here
+        y = conv3d(x, self.weight, self.stride)
+        if self.strf_params is not None:
+            y = strf_forward(y, self.strf, self.strf_params)
+        return self.bn(y, training, skip)
+
+
 class LinearLayer:
     def __init__(self, in_features, out_features, rng, dtype):
         bound = float(np.sqrt(1.0 / in_features))
@@ -175,86 +200,41 @@ class Bottleneck:
         self.spec = spec
         mid = spec.mid_channels
         s = spec.spatial_stride
-        reg_p = registry.add_param
 
-        self.conv1 = Conv3dLayer(spec.in_channels, mid, (1, 1, 1), (1, 1, 1), rng, dtype)
-        self.bn1 = _register_bn(registry, f"{prefix}.bn1", BatchNorm3dLayer(mid, dtype, relu=True))
-        reg_p(f"{prefix}.conv1.w", self.conv1.weight)
+        def pair(suffix, cin, cout, kernel, stride, **kw):
+            return ConvBn(registry, prefix, suffix, cin, cout, kernel, stride, rng, dtype, **kw)
 
-        self.strf_params: dict[tuple[str, str], Tensor] | None = None
-        if spec.variant == "c2d":
-            self.conv2 = Conv3dLayer(mid, mid, (1, 3, 3), (1, s, s), rng, dtype)
-            self.bn2 = _register_bn(registry, f"{prefix}.bn2", BatchNorm3dLayer(mid, dtype, relu=True))
-            reg_p(f"{prefix}.conv2.w", self.conv2.weight)
-        elif spec.variant == "i3d":
-            self.conv2 = Conv3dLayer(mid, mid, (3, 3, 3), (1, s, s), rng, dtype)
-            reg_p(f"{prefix}.conv2.w", self.conv2.weight)
-            self._register_strf(spec, mid, rng, dtype, registry, prefix)
-            self.bn2 = _register_bn(registry, f"{prefix}.bn2", BatchNorm3dLayer(mid, dtype, relu=True))
+        self.conv1 = pair("1", spec.in_channels, mid, (1, 1, 1), (1, 1, 1))
+        if spec.variant in ("c2d", "i3d"):
+            kt = 3 if spec.variant == "i3d" else 1
+            self.conv2 = pair("2", mid, mid, (kt, 3, 3), (1, s, s), strf=spec.strf)
         else:
-            self.conv_spatial = Conv3dLayer(mid, mid, (1, 3, 3), (1, s, s), rng, dtype)
-            self.bn_spatial = _register_bn(registry, f"{prefix}.bn_spatial", BatchNorm3dLayer(mid, dtype, relu=True))
-            reg_p(f"{prefix}.conv_spatial.w", self.conv_spatial.weight)
+            self.conv_spatial = pair("_spatial", mid, mid, (1, 3, 3), (1, s, s))
             # p3d-b runs the temporal conv on the block input in parallel, so
             # it must carry the spatial stride itself to stay summable
             t_stride = (1, s, s) if spec.variant == "p3d-b" else (1, 1, 1)
-            self.conv_temporal = Conv3dLayer(mid, mid, (3, 1, 1), t_stride, rng, dtype)
-            reg_p(f"{prefix}.conv_temporal.w", self.conv_temporal.weight)
-            self._register_strf(spec, mid, rng, dtype, registry, prefix)
-            self.bn_temporal = _register_bn(registry, f"{prefix}.bn_temporal", BatchNorm3dLayer(mid, dtype, relu=True))
-
-        self.conv3 = Conv3dLayer(mid, spec.out_channels, (1, 1, 1), (1, 1, 1), rng, dtype)
-        self.bn3 = _register_bn(registry, f"{prefix}.bn3", BatchNorm3dLayer(spec.out_channels, dtype, relu=True))
-        reg_p(f"{prefix}.conv3.w", self.conv3.weight)
+            self.conv_temporal = pair("_temporal", mid, mid, (3, 1, 1), t_stride, strf=spec.strf)
+        self.conv3 = pair("3", mid, spec.out_channels, (1, 1, 1), (1, 1, 1))
 
         self.shortcut = None
         if spec.in_channels != spec.out_channels or s != 1:
-            self.shortcut = Conv3dLayer(spec.in_channels, spec.out_channels, (1, 1, 1), (1, s, s), rng, dtype)
-            self.shortcut_bn = _register_bn(
-                registry, f"{prefix}.shortcut.bn", BatchNorm3dLayer(spec.out_channels, dtype)
-            )
-            reg_p(f"{prefix}.shortcut.conv.w", self.shortcut.weight)
-
-    def _register_strf(self, spec, mid, rng, dtype, registry, prefix):
-        if spec.strf is None:
-            return
-        self.strf_params = init_strf_params(mid, spec.strf, rng, dtype)
-        for (dimension, kind), weight in self.strf_params.items():
-            registry.add_param(f"{prefix}.strf.{dimension}_{kind}.w", weight)
-
-    def _attend(self, x: Tensor) -> Tensor:
-        if self.strf_params is None:
-            return x
-        return strf_forward(x, self.spec.strf, self.strf_params)
+            self.shortcut = ConvBn(registry, f"{prefix}.shortcut", "", spec.in_channels, spec.out_channels,
+                                   (1, 1, 1), (1, s, s), rng, dtype, relu=False)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        y = self.bn1(self.conv1(x), training)
+        y = self.conv1(x, training)
         variant = self.spec.variant
-        if variant == "c2d":
-            y = self.bn2(self.conv2(y), training)
-        elif variant == "i3d":
-            y = self.bn2(self._attend(self.conv2(y)), training)
+        if variant in ("c2d", "i3d"):
+            y = self.conv2(y, training)
         elif variant == "p3d-a":
-            y = self.bn_spatial(self.conv_spatial(y), training)
-            y = self.bn_temporal(self._attend(self.conv_temporal(y)), training)
+            y = self.conv_temporal(self.conv_spatial(y, training), training)
         elif variant == "p3d-b":
-            spatial = self.bn_spatial(self.conv_spatial(y), training)
-            temporal = self.bn_temporal(self._attend(self.conv_temporal(y)), training)
-            y = spatial + temporal
+            y = self.conv_spatial(y, training) + self.conv_temporal(y, training)
         else:  # p3d-c
-            spatial = self.bn_spatial(self.conv_spatial(y), training)
-            temporal = self.bn_temporal(self._attend(self.conv_temporal(spatial)), training)
-            y = spatial + temporal
-        skip = x if self.shortcut is None else self.shortcut_bn(self.shortcut(x), training)
-        return self.bn3(self.conv3(y), training, skip)
-
-
-def _register_bn(registry, prefix: str, bn: BatchNorm3dLayer) -> BatchNorm3dLayer:
-    registry.add_param(f"{prefix}.gamma", bn.gamma)
-    registry.add_param(f"{prefix}.beta", bn.beta)
-    registry.add_buffer(f"{prefix}.running_mean", bn.running_mean)
-    registry.add_buffer(f"{prefix}.running_var", bn.running_var)
-    return bn
+            spatial = self.conv_spatial(y, training)
+            y = spatial + self.conv_temporal(spatial, training)
+        skip = x if self.shortcut is None else self.shortcut(x, training)
+        return self.conv3(y, training, skip)
 
 
 def build_block(spec: BlockSpec, seed: int = 0, dtype=np.float32) -> Bottleneck:
@@ -355,9 +335,7 @@ class Network:
         registry = _Registry()
         rng = np.random.Generator(np.random.PCG64(seed))
 
-        self.stem_conv = Conv3dLayer(3, spec.stem_width, (1, 7, 7), (1, 2, 2), rng, dtype)
-        registry.add_param("stem.conv.w", self.stem_conv.weight)
-        self.stem_bn = _register_bn(registry, "stem.bn", BatchNorm3dLayer(spec.stem_width, dtype, relu=True))
+        self.stem = ConvBn(registry, "stem", "", 3, spec.stem_width, (1, 7, 7), (1, 2, 2), rng, dtype)
 
         self.stages = [
             [
@@ -393,7 +371,7 @@ class Network:
         batch norm, and only training updates the running ones."""
         if clips.ndim != 5 or clips.shape[1] != 3:
             raise ShapeError(f"expected clips of dims (n, 3, t, h, w), got {clips.shape}")
-        x = self.stem_bn(self.stem_conv(clips), training)
+        x = self.stem(clips, training)
         x = strided_max_pool3d(x, (1, 3, 3), (1, 2, 2))
         for stage_blocks in self.stages[:stage]:
             for block in stage_blocks:

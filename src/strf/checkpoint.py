@@ -70,7 +70,7 @@ def read_manifest(directory: str) -> dict[str, tuple[str, tuple[int, ...], str]]
 
 def load_checkpoint(net: Network, directory: str) -> None:
     """Restore every parameter and buffer in place. The checkpoint must cover
-    exactly the network's entries, with matching dims."""
+    exactly the network's entries, with matching dims and finite values."""
     stored = read_manifest(directory)
     expected = {name: (kind, array) for name, kind, array in _entries(net)}
     missing = sorted(set(expected) - set(stored))
@@ -94,4 +94,6 @@ def load_checkpoint(net: Network, directory: str) -> None:
             raise DataError(f"{path}: cannot read the tensor file for {name}: {exc.strerror}") from None
         if value.shape != target.shape:
             raise DataError(f"{directory}: file for {name} holds dims {value.shape}, manifest says {dims}")
+        if not np.isfinite(value).all():
+            raise DataError(f"{path}: entry {name} holds a non-finite value")
         target[...] = value.astype(target.dtype, copy=False)

@@ -14,10 +14,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, StrfError
 from .backbone import attention_export
-from .config import parse_config
+from .config import parse_config, synth_spec_from
 from .gradsuite import TOLERANCE, run_suite, suite_passes
 from .netpbm import write_pgm
-from .synthdata import load_manifest, load_tracklet
+from .synthdata import generate, load_manifest, load_tracklet
 from .train import dataset_manifest, load_eval_network, params_report, run_retrieval, run_training
 
 
@@ -85,9 +85,6 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .config import synth_spec_from
-    from .synthdata import generate
-
     cfg = parse_config(args.config)
     manifest = generate(synth_spec_from(cfg.data), args.out)
     print(f"wrote {len(manifest.records)} tracklets under {args.out}")

@@ -30,6 +30,7 @@ computes the maximum and nothing else.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -47,7 +48,10 @@ def check_batch(x: Tensor) -> None:
 
 
 def _check_triple(value, name: str) -> Triple:
-    triple = tuple(int(v) for v in value)
+    try:
+        triple = tuple(operator.index(v) for v in value)  # a fractional extent is refused, not truncated
+    except TypeError:
+        triple = ()
     if len(triple) != 3 or any(v < 1 for v in triple):
         raise ConfigError(f"{name} must be three positive extents, got {value}")
     return triple

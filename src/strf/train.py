@@ -179,9 +179,7 @@ def params_report(cfg: RunConfig) -> str:
     attention-free baseline, and the per-unit formula that overhead equals."""
     net = Network(network_spec_from(cfg.model), seed=0)
     rows, total = count_params(net)
-    overhead = sum(
-        weight.size for stage in net.stages for block in stage for weight in (block.strf_params or {}).values()
-    )
+    overhead = sum(count for name, _, count in rows if ".strf." in name)
 
     formula_delta = 0
     unit_lines = []

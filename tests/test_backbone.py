@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import strf.backbone
 from strf.backbone import (
     BatchNorm3dLayer,
     BlockSpec,
@@ -131,6 +134,42 @@ def test_block_backward_runs(variant, strf, rng):
     assert x.grad is not None and np.isfinite(x.grad).all()
 
 
+PAIR_SUFFIXES = {
+    "c2d": ("1", "2", "3"),
+    "i3d": ("1", "2", "3"),
+    "p3d-a": ("1", "_spatial", "_temporal", "3"),
+    "p3d-b": ("1", "_spatial", "_temporal", "3"),
+    "p3d-c": ("1", "_spatial", "_temporal", "3"),
+}
+
+
+@pytest.mark.parametrize("variant", ["c2d", "i3d", "p3d-a", "p3d-b", "p3d-c"])
+def test_block_registers_each_pair_as_conv_unit_bn(variant, monkeypatch):
+    registries = []
+
+    class Recording(strf.backbone._Registry):
+        def __init__(self):
+            super().__init__()
+            registries.append(self)
+
+    monkeypatch.setattr(strf.backbone, "_Registry", Recording)
+    # stride 2 and a wider output give every block a shortcut
+    build_block(block_spec(variant, strf=variant != "c2d", stride=2, out_ch=32), seed=0)
+    unit_suffix = {"c2d": None, "i3d": "2"}.get(variant, "_temporal")
+    params, buffers = [], []
+    for suffix in PAIR_SUFFIXES[variant]:
+        params.append(f"block.conv{suffix}.w")
+        if suffix == unit_suffix:
+            params += [f"block.strf.{dimension}_{kind}.w" for dimension, kind in StrfConfig().branches]
+        params += [f"block.bn{suffix}.gamma", f"block.bn{suffix}.beta"]
+        buffers += [f"block.bn{suffix}.running_mean", f"block.bn{suffix}.running_var"]
+    params += ["block.shortcut.conv.w", "block.shortcut.bn.gamma", "block.shortcut.bn.beta"]
+    buffers += ["block.shortcut.bn.running_mean", "block.shortcut.bn.running_var"]
+    (registry,) = registries
+    assert [name for name, _ in registry.params] == params
+    assert [name for name, _ in registry.buffers] == buffers
+
+
 # -- network level -----------------------------------------------------------
 
 def test_network_forward_shapes(rng):
@@ -180,6 +219,20 @@ def test_stage_output_runs_no_later_stage(stage, rng):
     assert net.stage_output(clips, False, stage).shape[1] == toy_spec().stages[stage - 1][-1].out_channels
     with pytest.raises(TypeError):
         net.forward(clips, training=False)
+
+
+# SHA-256 over the toy network's (name, dims, float32 bytes), sorted by name.
+# It pins the order in which a network draws its weights from its seed, which
+# every checkpoint and every seeded run depends on.
+TOY_WEIGHTS_SHA256 = "67f4eaf7b02e97393e53ad4c0c740528f39ae6581c82de3ae53a23fa1dc98841"
+
+
+def test_toy_network_weights_are_frozen():
+    digest = hashlib.sha256()
+    for name, tensor in sorted(Network(toy_spec(), seed=0).named_params(), key=lambda entry: entry[0]):
+        digest.update(f"{name}\t{'x'.join(map(str, tensor.shape))}\n".encode())
+        digest.update(tensor.data.astype("<f4").tobytes())
+    assert digest.hexdigest() == TOY_WEIGHTS_SHA256
 
 
 def test_build_determinism():

@@ -12,6 +12,7 @@ from strf.cli import dispatch
 from strf.config import parse_config
 from strf.netpbm import read_pgm, read_ppm, write_ppm
 from strf.tensor import Tensor
+from strf.tensorio import read_tensor, write_tensor
 
 CONFIG = """
 [model]
@@ -284,6 +285,28 @@ def test_eval_checkpoint_faults_exit_three(pipeline, tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert "data error" in err and named in err
     assert not os.path.exists(tmp_path / "e")
+
+
+@pytest.mark.parametrize("command", ["eval", "export-attn"])
+def test_non_finite_checkpoint_exits_three(pipeline, tmp_path, capsys, command):
+    ckpt = str(tmp_path / "ckpt")
+    shutil.copytree(pipeline["checkpoint"], ckpt)
+    with open(os.path.join(ckpt, "manifest.tsv"), encoding="utf-8") as fh:
+        filename = next(line.split("\t")[3] for line in fh if line.startswith("stage4.block1.conv3.w\t"))
+    path = os.path.join(ckpt, filename)
+    poisoned = read_tensor(path)
+    poisoned.flat[0] = np.nan
+    write_tensor(path, poisoned)
+    extra = {"eval": [], "export-attn": ["--tracklet", "query/id_0002/cam0_trk00", "--stage", "3"]}[command]
+    out = str(tmp_path / "out")
+    rc = dispatch([
+        command, "--config", pipeline["config"], "--checkpoint", ckpt,
+        "--out", out, "--manifest", pipeline["manifest"], *extra,
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "entry stage4.block1.conv3.w holds a non-finite value" in err
+    assert not os.path.exists(out)
 
 
 def test_checkpoint_without_classifier_exits_three(pipeline, tmp_path, capsys):

@@ -188,6 +188,20 @@ def test_conv3d_asymmetric_kernels(rng):
         assert np.allclose(got, conv3d_loops(x, w, (1, 1, 1)), atol=1e-10)
 
 
+@pytest.mark.parametrize("op,extents", [
+    (lambda x, e: conv3d(x, Tensor(np.zeros((1, 1, 1, 3, 3))), e), (1.9, 2, 2)),
+    (lambda x, e: pool3d(x, e, "avg"), (3.7, 1, 1)),
+    (lambda x, e: strided_max_pool3d(x, (1, 3, 3), e), (1, 2.5, 2)),
+], ids=["conv3d_stride", "pool3d_kernel", "strided_max_pool3d_stride"])
+def test_fractional_extent_rejected(op, extents):
+    x = vol(np.arange(64.0).reshape(1, 1, 4, 4, 4))
+    with pytest.raises(ConfigError, match="must be three positive extents"):
+        op(x, extents)
+    # numpy integers, as read from an array's dims, are whole extents
+    whole = tuple(int(e) for e in extents)
+    assert np.array_equal(op(x, tuple(np.int64(e) for e in whole)).data, op(x, whole).data)
+
+
 def test_conv3d_even_kernel_rejected():
     x = vol(np.zeros((1, 1, 4, 4, 4)))
     with pytest.raises(ConfigError, match="conv kernel extents must be odd"):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,38 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a.data, b.data), name
     for (name, a), (_, b) in zip(source.named_buffers(), target.named_buffers()):
         assert np.array_equal(a, b), name
+
+
+def test_checkpoint_loads_whatever_the_manifest_order(tmp_path, rng):
+    # checkpoints load by name, so one written with another entry order loads
+    source = _toy_net(seed=5)
+    for _, array in source.named_buffers():
+        array[...] = rng.uniform(0.5, 1.5, size=array.shape)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(source, str(ckpt))
+    manifest = ckpt / "manifest.tsv"
+    manifest.write_text("\n".join(reversed(manifest.read_text().splitlines())) + "\n")
+    target = _toy_net(seed=6)
+    load_checkpoint(target, str(ckpt))
+    for (name, a), (_, b) in zip(source.named_params(), target.named_params()):
+        assert np.array_equal(a.data, b.data), name
+    for (name, a), (_, b) in zip(source.named_buffers(), target.named_buffers()):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_value_reported(tmp_path, bad):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(_toy_net(), str(ckpt))
+    lines = (ckpt / "manifest.tsv").read_text().splitlines()
+    for line, value in ((lines[2], bad), (lines[5], np.nan)):
+        path = str(ckpt / line.split("\t")[3])
+        poisoned = read_tensor(path)
+        poisoned.flat[-1] = value
+        write_tensor(path, poisoned)
+    first = lines[2].split("\t")[0]
+    with pytest.raises(DataError, match=rf"entry {re.escape(first)} holds a non-finite value"):
+        load_checkpoint(_toy_net(), str(ckpt))
 
 
 def test_checkpoint_missing_manifest(tmp_path):
