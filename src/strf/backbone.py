@@ -110,11 +110,11 @@ class BatchNorm3dLayer:
                     dx *= scale[:, None]
                 else:
                     dx = g * scale[:, None]
-                x._accumulate(dx.reshape(x.shape))
+                x._accumulate(dx.reshape(x.shape), fresh=True)
             if gamma.requires_grad:
-                gamma._accumulate(d_gamma)
+                gamma._accumulate(d_gamma, fresh=True)
             if beta.requires_grad:
-                beta._accumulate(d_beta)
+                beta._accumulate(d_beta, fresh=True)
 
         parents = [x, gamma, beta] + ([skip] if skip is not None else [])
         return Tensor._make(out, parents, grad_fn)

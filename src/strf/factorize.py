@@ -12,8 +12,20 @@ where T is a pooled volume flattened to (reduced_channels * time) rows by
 (height * width) columns. The unit takes a batch of volumes (batch,
 channels, time, height, width) and builds one mask per volume. Applying a
 mask right-multiplies the flattened input volume, mixing spatial sites; a
-branch sums its fine and coarse outputs. Temporal and spatial branches
+dimension sums its fine and coarse outputs. Temporal and spatial dimensions
 combine in cascade (either order) or in parallel.
+
+Each dimension is one tape node (``ffm_branch``) with a closed-form
+backward, and taped and untaped calls run the same forward. Per kind, the
+Gram is written into one (sites x sites) buffer (the temperature scales a
+contiguous copy of T^t, so numpy runs a plain GEMM), and the row softmax
+runs in that buffer. The masks of both kinds are summed before one apply:
+``F (M_fine + M_coarse)`` equals ``F M_fine + F M_coarse`` with one matrix
+product instead of two. Mask entries below the dtype's smallest normal
+number (``np.finfo(dtype).tiny``) are flushed to 0, because a product over
+subnormal entries runs up to 100x slower; a row still sums to 1 within
+rounding. A taped node keeps each kind's mask, T and pool winners, and no
+other (sites x sites) buffer.
 
 ``StrfConfig`` is the unit's one config and checks every setting once:
 ``fam_mask`` takes a branch's dimension, resolution, pool mode and
@@ -26,8 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, matmul, softmax_rows
-from .kernels import check_batch, conv_channel_mix, pool3d
+from .tensor import Tensor, matmul, records, softmax_rows_grad, softmax_rows_in_place
+from .kernels import check_batch, pool_volume
+
+# perfbench's tracer patches these names here as lookup sites; the unit's
+# tape nodes compute the same steps on arrays, so the names stay bound
+from .tensor import softmax_rows
+from .kernels import conv_channel_mix, pool3d
 
 DIMENSIONS = ("temporal", "spatial")
 BRANCH_ORDER: tuple[tuple[str, str], ...] = (
@@ -123,6 +140,52 @@ def reshape_to_matrix(f: Tensor) -> Tensor:
     return f.reshape((n, c * t, h * w))
 
 
+def _check_branch(f: Tensor, weight: Tensor) -> None:
+    check_batch(f)
+    if weight.ndim != 2 or weight.shape[1] != f.shape[1]:
+        raise ShapeError(f"branch weight dims {weight.shape} do not match the {f.shape[1]} channels of input dims {f.shape}")
+
+
+def _pool_kernel(dimension: str, resolution: int) -> tuple[int, int, int]:
+    _check_dimension(dimension)
+    return (resolution, 1, 1) if dimension == "temporal" else (1, resolution, resolution)
+
+
+def _branch_mask(x: np.ndarray, weight: np.ndarray, kernel, pool: str, temperature: float, keep: bool):
+    """One branch's masks for the batch ``x`` (n, c, t, h, w): mix, pool, T,
+    then ``softmax_rows((temperature * T)^t T)`` in the Gram's own buffer.
+
+    Returns the masks, dims (n, sites, sites), and, when ``keep``, the
+    branch's backward ``(d_mask, need_x, need_w) -> (d_x, d_w)``, with ``d_x``
+    of dims (n, c, t*h*w) or ``None`` when not needed, and likewise ``d_w``.
+    The backward holds the masks, T and the pool's winners, and ``x`` and
+    ``weight``, which the caller holds anyway."""
+    n, c = x.shape[:2]
+    volume = x.reshape(n, c, -1)
+    reduced = np.matmul(weight, volume).astype(x.dtype, copy=False).reshape((n, -1) + x.shape[2:])
+    pooled, pool_backward = pool_volume(reduced, kernel, pool, keep)
+    t_mat = pooled.reshape(n, -1, x.shape[3] * x.shape[4])
+    # temperature * T^t as its own C-contiguous copy: numpy runs a product of
+    # a buffer with its own transpose on a slower path than a plain GEMM, and
+    # scaling T costs a pass over r*t x sites entries, not sites x sites
+    scaled = np.multiply(t_mat.transpose(0, 2, 1), temperature, order="C")
+    mask = softmax_rows_in_place(np.matmul(scaled, t_mat))
+    if not keep:
+        return mask, None
+
+    def backward(d_mask: np.ndarray, need_x: bool, need_w: bool):
+        d_gram = softmax_rows_grad(d_mask, mask)
+        d_gram += d_gram.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+        d_t = np.matmul(t_mat, d_gram)
+        d_t *= temperature
+        d_reduced = pool_backward(d_t.reshape(pooled.shape)).reshape(n, -1, volume.shape[-1])
+        d_w = np.matmul(d_reduced, volume.transpose(0, 2, 1)).sum(axis=0) if need_w else None
+        d_x = np.matmul(weight.T, d_reduced) if need_x else None
+        return d_x, d_w
+
+    return mask, backward
+
+
 def fam_mask(
     f: Tensor, weight: Tensor, dimension: str, resolution: int, pool: str = "max", temperature: float = 4.0
 ) -> Tensor:
@@ -132,14 +195,21 @@ def fam_mask(
     vectors, one per volume of ``f``. ``weight`` is the branch's
     (reduced_channels, channels) matrix. The reduced volume is pooled with an
     odd ``resolution``: over a (r, 1, 1) kernel for the temporal dimension and
-    a (1, r, r) kernel for the spatial one.
+    a (1, r, r) kernel for the spatial one. One tape node, built by the same
+    code as a branch of ``ffm_branch``.
     """
-    _check_dimension(dimension)
-    kernel = (resolution, 1, 1) if dimension == "temporal" else (1, resolution, resolution)
-    pooled = pool3d(conv_channel_mix(f, weight), kernel, pool)
-    flat = reshape_to_matrix(pooled)
-    covariance = matmul(flat.transpose(0, 2, 1), flat) * temperature
-    return softmax_rows(covariance)
+    kernel = _pool_kernel(dimension, resolution)
+    _check_branch(f, weight)
+    mask, backward = _branch_mask(f.data, weight.data, kernel, pool, temperature, records([f, weight]))
+
+    def grad_fn(g: np.ndarray) -> None:
+        d_x, d_w = backward(g, f.requires_grad, weight.requires_grad)
+        if d_x is not None:
+            f._accumulate(d_x.reshape(f.shape), fresh=True)
+        if d_w is not None:
+            weight._accumulate(d_w, fresh=True)
+
+    return Tensor._make(mask, [f, weight], grad_fn)
 
 
 def ffm_apply(f: Tensor, mask: Tensor) -> Tensor:
@@ -154,16 +224,52 @@ def ffm_apply(f: Tensor, mask: Tensor) -> Tensor:
 
 
 def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: dict[tuple[str, str], Tensor]) -> Tensor:
-    """Sum of the active fine/coarse attention outputs along one dimension.
-    With no active branch for the dimension, the input passes through."""
+    """Sum of the active fine/coarse attention outputs along one dimension,
+    as one tape node: ``F (M_fine + M_coarse)``, with the masks summed before
+    a single apply. With no active branch for the dimension, the input
+    passes through.
+
+    The backward, with F the flattened input and dY the output gradient:
+    dM = F^t dY, shared by both kinds; then per kind the softmax, Gram, pool
+    and channel-mix backward (``_branch_mask``); and dF = dY (sum M)^t plus
+    the mixes' input gradients. Untaped, the masks are summed into the first
+    one's buffer and nothing is kept."""
     _check_dimension(dimension)
-    out: Tensor | None = None
-    for kind in cfg.active_kinds(dimension):
+    kinds = cfg.active_kinds(dimension)
+    if not kinds:
+        return f
+    weights = [params[(dimension, kind)] for kind in kinds]
+    for weight in weights:
+        _check_branch(f, weight)
+    keep = records([f, *weights])
+    n, c, t, h, w = f.shape
+    flat = f.data.reshape(n, c * t, h * w)
+    masks, backwards = [], []
+    for kind, weight in zip(kinds, weights):
         resolution, pool = (cfg.r_fine, cfg.pool_fine) if kind == "fine" else (cfg.r_coarse, cfg.pool_coarse)
-        mask = fam_mask(f, params[(dimension, kind)], dimension, resolution, pool, cfg.temperature)
-        applied = ffm_apply(f, mask)
-        out = applied if out is None else out + applied
-    return f if out is None else out
+        mask, backward = _branch_mask(f.data, weight.data, _pool_kernel(dimension, resolution), pool,
+                                      cfg.temperature, keep)
+        if masks and not keep:
+            masks[0] += mask
+        else:
+            masks.append(mask)
+        backwards.append(backward)
+    out = np.matmul(flat, sum(masks[1:], masks[0])).reshape(f.shape)
+
+    def grad_fn(g: np.ndarray) -> None:
+        g_flat = g.reshape(flat.shape)
+        d_mask = np.matmul(flat.transpose(0, 2, 1), g_flat)
+        d_x = np.matmul(g_flat, sum(masks[1:], masks[0]).transpose(0, 2, 1)) if f.requires_grad else None
+        for weight, backward in zip(weights, backwards):
+            d_mix, d_w = backward(d_mask, f.requires_grad, weight.requires_grad)
+            if d_w is not None:
+                weight._accumulate(d_w, fresh=True)
+            if d_mix is not None:
+                d_x += d_mix.reshape(d_x.shape)
+        if d_x is not None:
+            f._accumulate(d_x.reshape(f.shape), fresh=True)
+
+    return Tensor._make(out, [f, *weights], grad_fn)
 
 
 def strf_forward(f: Tensor, cfg: StrfConfig, params: dict[tuple[str, str], Tensor]) -> Tensor:

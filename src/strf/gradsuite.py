@@ -12,7 +12,7 @@ import numpy as np
 from .tensor import Tensor, as_tensor, matmul, softmax_rows
 from .kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
 from .gradcheck import grad_check
-from .factorize import StrfConfig, init_strf_params, strf_forward
+from .factorize import StrfConfig, ffm_branch, init_strf_params, strf_forward
 from .backbone import BatchNorm3dLayer, BlockSpec, build_block
 from .losses import batch_hard_triplet, cross_entropy
 
@@ -157,6 +157,20 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     # output gradient starts one cell in; drawn last for the same reason.
     stem_w = Tensor(_spread(rng, (3, 2, 1, 7, 7)))
     check("conv3d_stem_input", lambda t: (conv3d(t, stem_w, (1, 2, 2)) ** 2).sum(), _spread(rng, (1, 2, 2, 8, 6)))
+
+    # One dimension whose kinds pool differently, fine avg-pooled at 3 and
+    # coarse max-pooled at 5, through the dimension's one tape node, with
+    # respect to the input and each weight; drawn last for the same reason.
+    pools = StrfConfig(r_fine=3, r_coarse=5, pool_fine="avg", pool_coarse="max", reduction=4)
+    pools_in = _spread(rng, (1, 8, 3, 5, 4))
+    pools_params = init_strf_params(8, pools, rng, dtype=np.float64)
+    check("ffm_branch_avg3_max5_input", lambda t: (ffm_branch(t, "spatial", pools, pools_params) ** 2).sum(),
+          pools_in)
+    for kind in ("fine", "coarse"):
+        def pools_weight_map(t, _branch=("spatial", kind)):
+            return (ffm_branch(Tensor(pools_in), "spatial", pools, {**pools_params, _branch: t}) ** 2).sum()
+
+        check(f"ffm_branch_avg3_max5_weight_{kind}", pools_weight_map, pools_params[("spatial", kind)].data.copy())
 
     return results
 

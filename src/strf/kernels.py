@@ -21,11 +21,14 @@ the 1x1x1 case of the same path. Avg-pool's backward is the box sum of the
 output gradient divided by the in-bounds counts.
 
 Max pooling is a running maximum over the kernel's taps, each a strided slice
-of the window view, so no window is copied. Only a node the tape records
+of the window view, so no window is copied. Only a pool whose backward is
+kept (a node the tape records, or a ``pool_volume`` call asked to keep it)
 finds each window's winning cell (the first maximal tap in scan order) and
 keeps it as a flat offset into the padded grid; the backward adds the
-gradient at those offsets into a zero grid and crops it. An unrecorded pool
-computes the maximum and nothing else.
+gradient at those offsets into a zero grid and crops it. Any other pool
+computes the maximum and nothing else. ``pool_volume`` is ``pool3d`` on
+arrays, for a caller that runs its own backward (the attention unit's tape
+nodes).
 """
 from __future__ import annotations
 
@@ -102,53 +105,71 @@ def _lattice(counts, spacings) -> np.ndarray:
     return offsets
 
 
-def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tensor:
-    check_batch(x)
-    data = x.data
-
+def _pool(data: np.ndarray, kernel: Triple, mode: str, stride: Triple, keep: bool):
+    """Pool ``data`` (n, c, t, h, w). Returns the pooled array and, when
+    ``keep``, its backward: a function from an output gradient to a new input
+    gradient array (``None`` otherwise)."""
+    backward = None
     if mode == "max":
         win = _windows(data, kernel, stride, fill=-np.inf)
         taps = [(...,) + tap for tap in np.ndindex(*kernel)]
         # running maximum in scan order; on a tie np.maximum returns its
         # second operand, so the earlier tap keeps its value (and its bits)
-        out_data = win[taps[0]].copy()
+        out = win[taps[0]].copy()
         for tap in taps[1:]:
-            np.maximum(win[tap], out_data, out=out_data)
-        grad_fn = None
-        if records([x]):
+            np.maximum(win[tap], out, out=out)
+        if keep:
             # each output's winning cell as a flat offset into the padded
             # grid: the first maximal tap in scan order, as argmax finds it.
             # Sweep the taps backwards so the earliest match is written last;
             # a window holding a NaN yields NaN, and its first NaN tap wins
             grid_shape, crop = _same_grid(data.shape, kernel, stride)
             steps = [math.prod(grid_shape[axis + 1 :]) for axis in range(5)]  # the grid's element strides
-            nan = np.isnan(out_data).any()
-            winner = np.zeros(out_data.shape, dtype=np.intp)
+            nan = np.isnan(out).any()
+            winner = np.zeros(out.shape, dtype=np.intp)
             for tap, offset in zip(reversed(taps), reversed(_lattice(kernel, steps[2:]).ravel())):
-                hit = win[tap] == out_data
+                hit = win[tap] == out
                 if nan:
                     hit |= np.isnan(win[tap])
                 np.copyto(winner, offset, where=hit)
             # the tap's offset within its window plus the window's first cell
-            winner += _lattice(out_data.shape, [s * e for s, e in zip((1, 1) + stride, steps)])
+            winner += _lattice(out.shape, [s * e for s, e in zip((1, 1) + stride, steps)])
 
-            def grad_fn(g: np.ndarray) -> None:
+            def backward(g: np.ndarray) -> np.ndarray:
                 grid = np.zeros(math.prod(grid_shape), dtype=g.dtype)
                 np.add.at(grid, winner.ravel(), g.ravel())
-                x._accumulate(grid.reshape(grid_shape)[crop])
+                return grid.reshape(grid_shape)[crop]
 
-    else:  # "avg"; pool3d checks the mode
+    else:  # "avg"; the public entry points check the mode
         win = _windows(data, kernel, stride)
         ones = _windows(np.ones((1, 1) + data.shape[2:], dtype=data.dtype), kernel, stride)
         counts = ones.sum(axis=(-3, -2, -1))[0, 0]  # in-bounds elements per window
-        out_data = win.sum(axis=(-3, -2, -1)) / counts
+        out = win.sum(axis=(-3, -2, -1)) / counts
+        if keep:
 
-        def grad_fn(g: np.ndarray) -> None:
-            # stride 1 and odd extents: each cell takes the box sum of the
-            # gradient over the windows that hold it
-            x._accumulate(_windows(g / counts, kernel, (1, 1, 1)).sum(axis=(-3, -2, -1)))
+            def backward(g: np.ndarray) -> np.ndarray:
+                # stride 1 and odd extents: each cell takes the box sum of the
+                # gradient over the windows that hold it
+                return _windows(g / counts, kernel, (1, 1, 1)).sum(axis=(-3, -2, -1))
 
-    return Tensor._make(out_data.astype(data.dtype, copy=False), [x], grad_fn)
+    return out.astype(data.dtype, copy=False), backward
+
+
+def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tensor:
+    check_batch(x)
+    out, backward = _pool(x.data, kernel, mode, stride, records([x]))
+
+    def grad_fn(g: np.ndarray) -> None:
+        x._accumulate(backward(g), fresh=True)
+
+    return Tensor._make(out, [x], grad_fn)
+
+
+def _check_pool(kernel, mode: str) -> Triple:
+    kernel = _check_kernel(kernel, "pool kernel")
+    if mode not in ("max", "avg"):
+        raise ConfigError(f"pool mode must be 'max' or 'avg', got {mode!r}")
+    return kernel
 
 
 def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
@@ -164,13 +185,23 @@ def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
     output gradient over those counts. A kernel of (1, 1, 1) returns ``x``
     itself.
     """
-    kernel = _check_kernel(kernel, "pool kernel")
-    if mode not in ("max", "avg"):
-        raise ConfigError(f"pool mode must be 'max' or 'avg', got {mode!r}")
+    kernel = _check_pool(kernel, mode)
     if kernel == (1, 1, 1):
         check_batch(x)
         return x
     return _pool_forward(x, kernel, mode, (1, 1, 1))
+
+
+def pool_volume(data: np.ndarray, kernel, mode: str, keep: bool):
+    """``pool3d`` on an array, for a caller that runs its own backward.
+    Returns the pooled array and, when ``keep``, a function from an output
+    gradient to the input gradient (``None`` otherwise). A kernel of
+    (1, 1, 1) returns ``data`` itself, and its backward returns the gradient
+    it is given."""
+    kernel = _check_pool(kernel, mode)
+    if kernel == (1, 1, 1):
+        return data, (lambda g: g) if keep else None
+    return _pool(data, kernel, mode, (1, 1, 1), keep)
 
 
 def strided_max_pool3d(x: Tensor, kernel, stride) -> Tensor:
@@ -230,7 +261,7 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
         if weight.requires_grad:
             d_w = np.matmul(g.reshape(n, w_mat.shape[0], -1), cols.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(d_w.reshape(weight.shape))
+            weight._accumulate(d_w.reshape(weight.shape), fresh=True)
         if x.requires_grad:
             # output i's gradient goes to input cell i*s + (k-1)//2 - before
             # (cell i at unit stride), so the flipped kernel's unit-stride SAME
@@ -242,6 +273,6 @@ def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
                 offsets = ((k - 1) // 2 - cut.start for k, cut in zip(kernel, crop[1:]))
                 spread[(...,) + tuple(slice(o, None, s) for o, s in zip(offsets, stride))] = g
             flipped = w_mat.reshape(w_mat.shape[:1] + (c,) + kernel)[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
-            x._accumulate(_im2col_gemm(flipped.reshape(c, -1), spread, kernel, (1, 1, 1))[0])
+            x._accumulate(_im2col_gemm(flipped.reshape(c, -1), spread, kernel, (1, 1, 1))[0], fresh=True)
 
     return Tensor._make(out_data.astype(data.dtype, copy=False), [x, weight], grad_fn)

@@ -121,10 +121,16 @@ class Tensor:
 
     # -- autodiff ----------------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into ``grad``. A closure passes ``fresh=True`` for an array
+        it has just built and hands over: a first gradient of the right dtype
+        becomes ``grad`` as it is. Any other first gradient is copied, because
+        it may be shared with another parent or be a read-only view."""
         if self.grad is None:
-            # a copy: ``g`` may be shared with another parent or a read-only view
-            self.grad = np.array(g, dtype=self.data.dtype)
+            if fresh and g.dtype == self.data.dtype and g.flags.writeable:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -269,7 +275,7 @@ def sub(a: Tensor, b) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if bt is not None and bt.requires_grad:
-            bt._accumulate(_unbroadcast(-g, bt.data.shape))
+            bt._accumulate(_unbroadcast(-g, bt.data.shape), fresh=True)
 
     return Tensor._make(out_data, parents, grad_fn)
 
@@ -281,9 +287,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * bv, a.data.shape))
+            a._accumulate(_unbroadcast(g * bv, a.data.shape), fresh=True)
         if bt is not None and bt.requires_grad:
-            bt._accumulate(_unbroadcast(g * a.data, bt.data.shape))
+            bt._accumulate(_unbroadcast(g * a.data, bt.data.shape), fresh=True)
 
     return Tensor._make(out_data, parents, grad_fn)
 
@@ -295,16 +301,16 @@ def div(a: Tensor, b) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g / bv, a.data.shape))
+            a._accumulate(_unbroadcast(g / bv, a.data.shape), fresh=True)
         if bt is not None and bt.requires_grad:
-            bt._accumulate(_unbroadcast(-g * a.data / (bv * bv), bt.data.shape))
+            bt._accumulate(_unbroadcast(-g * a.data / (bv * bv), bt.data.shape), fresh=True)
 
     return Tensor._make(out_data, parents, grad_fn)
 
 
 def neg(a: Tensor) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(-g)
+        a._accumulate(-g, fresh=True)
 
     return Tensor._make(-a.data, [a], grad_fn)
 
@@ -314,7 +320,7 @@ def power(a: Tensor, exponent: float) -> Tensor:
     out_data = a.data ** p
 
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g * p * a.data ** (p - 1.0))
+        a._accumulate(g * p * a.data ** (p - 1.0), fresh=True)
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -323,14 +329,14 @@ def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g * out_data)
+        a._accumulate(g * out_data, fresh=True)
 
     return Tensor._make(out_data, [a], grad_fn)
 
 
 def log(a: Tensor) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g / a.data)
+        a._accumulate(g / a.data, fresh=True)
 
     return Tensor._make(np.log(a.data), [a], grad_fn)
 
@@ -339,7 +345,7 @@ def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g * 0.5 / out_data)
+        a._accumulate(g * 0.5 / out_data, fresh=True)
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -349,7 +355,7 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.where(mask, a.data, 0.0).astype(a.data.dtype, copy=False)
 
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g * mask)
+        a._accumulate(g * mask, fresh=True)
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -404,7 +410,7 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         spread = _restore_reduced(g, a.data.shape, axis, keepdims)
-        a._accumulate((spread / count).astype(a.data.dtype, copy=False))
+        a._accumulate((spread / count).astype(a.data.dtype, copy=False), fresh=True)
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -424,9 +430,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
+            a._accumulate(g @ np.swapaxes(b.data, -1, -2), fresh=True)
         if b.requires_grad:
-            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g, fresh=True)
 
     return Tensor._make(out_data, [a, b], grad_fn)
 
@@ -435,19 +441,45 @@ def softmax_rows(a: Tensor) -> Tensor:
     """Numerically stable softmax along the last axis.
 
     Each row of the result is non-negative and sums to 1; subtracting the row
-    maximum before exponentiation keeps every intermediate finite.
+    maximum before exponentiation keeps every intermediate finite. The result
+    is built in one buffer by ``softmax_rows_in_place``, so it holds no
+    subnormal entry.
     """
     if a.ndim < 2:
         raise ShapeError(f"softmax_rows expects a matrix, got dims {a.shape}")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    out_data = expd / expd.sum(axis=-1, keepdims=True)
+    out_data = softmax_rows_in_place(a.data.copy())
 
     def grad_fn(g: np.ndarray) -> None:
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        a._accumulate(out_data * (g - inner))
+        a._accumulate(softmax_rows_grad(g, out_data), fresh=True)
 
     return Tensor._make(out_data, [a], grad_fn)
+
+
+def softmax_rows_in_place(buf: np.ndarray) -> np.ndarray:
+    """``softmax_rows`` of ``buf`` written over ``buf``, which it returns.
+
+    The row-maximum shift, the exponential and the division all run in
+    ``buf``. Entries below the dtype's smallest normal number are then
+    flushed to 0: a subnormal costs no accuracy worth keeping (it is below
+    ``tiny`` in a row summing to 1), but a matrix product over many of them
+    runs up to 100x slower. The flush is skipped when no entry is that small.
+    """
+    buf -= buf.max(axis=-1, keepdims=True)
+    np.exp(buf, out=buf)
+    buf /= buf.sum(axis=-1, keepdims=True)
+    tiny = np.finfo(buf.dtype).tiny
+    if buf.min() < tiny:
+        buf[buf < tiny] = 0.0
+    return buf
+
+
+def softmax_rows_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The input gradient of a row softmax whose output is ``out``, for the
+    output gradient ``g``: ``out * (g - rowsum(g * out))``, in one new buffer."""
+    grad = g * out
+    np.subtract(g, grad.sum(axis=-1, keepdims=True), out=grad)
+    grad *= out
+    return grad
 
 
 def select_entries(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -461,6 +493,6 @@ def select_entries(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
         scatter = np.zeros_like(a.data)
         np.add.at(scatter, (rows, cols), g)
-        a._accumulate(scatter)
+        a._accumulate(scatter, fresh=True)
 
     return Tensor._make(out_data, [a], grad_fn)

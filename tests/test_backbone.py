@@ -17,6 +17,7 @@ from strf.backbone import (
 )
 from strf.errors import ConfigError, ShapeError
 from strf.factorize import StrfConfig, strf_param_count
+from strf.losses import total_loss
 from strf.tensor import Tensor, relu
 
 from oracles import batch_norm_composed
@@ -541,3 +542,19 @@ def test_attention_export_validates_stage_and_shape(rng):
         attention_export(net, clip, stage=5)
     with pytest.raises(ShapeError):
         attention_export(net, clip[0], stage=2)
+
+
+def test_toy_train_step_tape_nodes():
+    # one tape node per active dimension of a unit: 68 nodes for the toy
+    # network's layers and losses, plus 2 for each of its two units
+    net = Network(toy_spec(), seed=0)
+    clips = Tensor(np.random.default_rng(0).normal(size=(4, 3, 4, 32, 16)).astype(np.float32))
+    logits, features = net.forward(clips, training=True)
+    total, _, _ = total_loss(logits, features, np.array([0, 0, 1, 1]))
+    seen, stack = {}, [total]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    assert sum(node._grad_fn is not None for node in seen.values()) == 72

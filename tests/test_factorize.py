@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from strf.errors import ConfigError, ShapeError
 from strf.factorize import (
     BRANCH_ORDER,
+    POOL_MODES,
     StrfConfig,
     fam_mask,
     ffm_apply,
@@ -16,7 +17,7 @@ from strf.factorize import (
     strf_forward,
     strf_param_count,
 )
-from strf.tensor import Tensor
+from strf.tensor import Tensor, no_grad, softmax_rows
 
 from oracles import fam_mask_loops, ffm_apply_loops
 
@@ -386,3 +387,70 @@ def test_property_constant_law(seed):
     params = init_strf_params(8, cfg, g)
     out = strf_forward(f, cfg, params)
     assert np.allclose(out.data, 4 * value, atol=1e-5)
+
+
+# -- one tape node per dimension --------------------------------------------
+
+# the branch subsets tools/fingerprint.py trains, each with its coarse kinds
+# average-pooled (at temperature 2.5) and max-pooled
+FINGERPRINT_BRANCHES = (BRANCH_ORDER, (("temporal", "fine"),), (("spatial", "coarse"),))
+
+
+@pytest.mark.parametrize("integration", ("temporal-then-spatial", "spatial-then-temporal", "parallel"))
+@pytest.mark.parametrize("branches", FINGERPRINT_BRANCHES, ids=("all", "temporal-fine", "spatial-coarse"))
+@pytest.mark.parametrize("pool_coarse, temperature", (("avg", 2.5), ("max", 4.0)))
+def test_taped_and_untaped_unit_are_bit_identical(rng, integration, branches, pool_coarse, temperature):
+    x = rng.normal(size=(2, 8, 4, 4, 2)).astype(np.float32)
+    cfg = StrfConfig(integration=integration, branches=branches, pool_coarse=pool_coarse,
+                     temperature=temperature)
+    params = make_params(8, cfg)
+    taped = strf_forward(Tensor(x, requires_grad=True), cfg, params)
+    assert taped.requires_grad
+    with no_grad():
+        untaped = strf_forward(Tensor(x), cfg, params)
+    assert not untaped.requires_grad
+    assert np.array_equal(taped.data, untaped.data)
+
+
+def test_branch_node_matches_summed_loop_oracles(rng):
+    f = rng.normal(size=(8, 3, 5, 4))
+    for pool_fine in POOL_MODES:
+        for pool_coarse in POOL_MODES:
+            for r_fine, r_coarse in ((1, 1), (1, 3), (1, 5), (3, 3), (3, 5), (5, 5)):
+                cfg = StrfConfig(r_fine=r_fine, r_coarse=r_coarse, pool_fine=pool_fine,
+                                 pool_coarse=pool_coarse, reduction=4, temperature=2.5)
+                params = init_strf_params(8, cfg, rng, dtype=np.float64)
+                for dimension in ("temporal", "spatial"):
+                    want = 0.0
+                    for kind, resolution, pool in (("fine", r_fine, pool_fine), ("coarse", r_coarse, pool_coarse)):
+                        mask = fam_mask_loops(f, dimension, resolution, pool, 4, 2.5, params[(dimension, kind)].data)
+                        want = want + np.asarray(ffm_apply_loops(f, mask))
+                    got = ffm_branch(t64(f[None]), dimension, cfg, params).data[0]
+                    assert np.allclose(got, want, rtol=0, atol=1e-10), (dimension, cfg)
+
+
+@pytest.mark.parametrize("dtype, logits", (
+    (np.float32, [0.0, -90.0, -95.0, -100.0]),
+    (np.float64, [0.0, -710.0, -720.0, -730.0]),
+))
+def test_extreme_logits_leave_no_subnormal(dtype, logits):
+    # each logit gap is one whose exponential is subnormal in the dtype
+    tiny = np.finfo(dtype).tiny
+    mask = softmax_rows(Tensor(np.array([logits, logits[::-1]], dtype=dtype))).data
+    assert not np.any((mask > 0) & (mask < tiny))
+    assert np.allclose(mask.sum(axis=-1), 1.0, rtol=0, atol=np.finfo(dtype).eps * 4)
+
+    # two sites holding big and 0: the Gram is [[big^2, 0], [0, 0]], so the
+    # first mask row is (1, exp(-big^2)), a subnormal, and the unit's output
+    # at the second site is big * exp(-big^2) unless that entry is flushed
+    big = 10.0 if dtype == np.float32 else 27.0
+    f = np.array([big, 0.0], dtype=dtype).reshape(1, 1, 1, 1, 2)
+    weight = Tensor(np.ones((1, 1), dtype=dtype), requires_grad=True)
+    cfg = StrfConfig(r_fine=1, temperature=1.0, branches=(("spatial", "fine"),))
+    mask = fam_mask(Tensor(f), weight, "spatial", 1, temperature=1.0).data
+    assert not np.any((mask > 0) & (mask < tiny))
+    assert np.allclose(mask.sum(axis=-1), 1.0, rtol=0, atol=np.finfo(dtype).eps * 4)
+    for taped in (True, False):
+        out = strf_forward(Tensor(f, requires_grad=taped), cfg, {("spatial", "fine"): weight}).data
+        assert not np.any((np.abs(out) > 0) & (np.abs(out) < tiny)), taped
+        assert out.ravel()[0] == dtype(big)

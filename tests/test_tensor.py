@@ -277,3 +277,28 @@ def test_property_matmul_associative(seed):
     left = matmul(matmul(a, b), c).data
     right = matmul(a, matmul(b, c)).data
     assert np.allclose(left, right, rtol=1e-5, atol=1e-8)
+
+
+def test_first_gradient_is_adopted_only_when_fresh_and_writable():
+    x = t(np.zeros(3))
+    fresh = np.ones(3)
+    x._accumulate(fresh, fresh=True)
+    assert x.grad is fresh
+    for g, flag in ((np.ones(3), False), (np.broadcast_to(np.ones(1), (3,)), True), (np.ones(3, np.float32), True)):
+        y = t(np.zeros(3))
+        y._accumulate(g, fresh=flag)
+        assert y.grad is not g and not np.shares_memory(y.grad, g) and y.grad.dtype == np.float64
+        assert y.grad.flags.writeable
+
+
+def test_gradient_fed_to_two_parents_is_not_aliased(rng):
+    # add hands its one incoming gradient to both parents
+    a, b = t(rng.normal(size=(3, 2))), t(rng.normal(size=(3, 2)))
+    ((a + b) * 2.0).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    assert np.array_equal(b.grad, np.full((3, 2), 2.0))
+    # a parent used twice by one op gets both of its gradients
+    c = t(rng.normal(size=(3, 2)))
+    (c * c).sum().backward()
+    assert np.allclose(c.grad, 2.0 * c.data)
