@@ -276,36 +276,45 @@ def load_manifest(manifest_path: str) -> list[TrackletRecord]:
     except OSError as exc:
         raise DataError(f"{manifest_path}: cannot read manifest: {exc.strerror}") from None
     with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("path\t"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{manifest_path}:{line_no}: expected 4 tab-separated fields")
-            rel_path, id_text, cam_text, split = parts
+        lines = fh.read().split("\n")
+    # a row's key is its directory and label fields; a row with the previous
+    # row's key joins that row's group, whose labels were parsed and checked
+    last = None
+    for line_no, line in enumerate(lines, start=1):
+        if not line or line.startswith("path\t"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(f"{manifest_path}:{line_no}: expected 4 tab-separated fields")
+        rel_path, id_text, cam_text, split = parts
+        directory = parts[0] = os.path.dirname(rel_path)  # parts is now the key
+        if parts != last:
             try:
                 labels = (int(id_text), int(cam_text), split)
             except ValueError:
                 raise DataError(f"{manifest_path}:{line_no}: non-integer id or camera") from None
             if split not in ("train", "query", "gallery"):
                 raise DataError(f"{manifest_path}:{line_no}: unknown split {split!r}")
-            directory = os.path.dirname(rel_path)
             group = groups.setdefault(directory, (labels, []))
             if group[0] != labels:
                 raise DataError(
                     f"{manifest_path}:{line_no}: labels disagree within tracklet {directory}"
                 )
-            group[1].append(rel_path)
+            paths = group[1]
+            last = parts
+        paths.append(rel_path)
     return [TrackletRecord(d, tuple(paths), *labels) for d, (labels, paths) in groups.items()]
 
 
-def _normalization(mean, std) -> tuple[np.ndarray, np.ndarray]:
+def _normalization(mean, std) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The per-channel mean and std as (1, 3, 1, 1) float32 arrays, each None
+    where it changes nothing: subtracting a zero mean from, or dividing by a
+    unit std, values in [0, 1] leaves every bit as it was."""
     mean_arr = np.asarray(mean, dtype=np.float32).reshape(1, 3, 1, 1)
     std_arr = np.asarray(std, dtype=np.float32).reshape(1, 3, 1, 1)
     if np.any(std_arr == 0):
         raise ConfigError("normalization std must be non-zero")
-    return mean_arr, std_arr
+    return (mean_arr if mean_arr.any() else None), (std_arr if (std_arr != 1).any() else None)
 
 
 def _decode(manifest_path: str, root: str, record: TrackletRecord, mean_arr, std_arr) -> Tracklet:
@@ -324,12 +333,12 @@ def _decode(manifest_path: str, root: str, record: TrackletRecord, mean_arr, std
                 f"tracklet's first frame is {frames[0].shape[1]}x{frames[0].shape[2]}"
             )
         frames.append(frame)
-    # the frames are views of the files' channel-interleaved bytes: the stack
-    # keeps that layout and the float conversion writes (frames, 3, h, w)
-    stack = np.stack(frames).astype(np.float32, order="C")
+    stack = np.array(frames, dtype=np.float32)
     stack /= 255.0
-    stack -= mean_arr
-    stack /= std_arr
+    if mean_arr is not None:
+        stack -= mean_arr
+    if std_arr is not None:
+        stack /= std_arr
     return Tracklet(frames=stack, identity=record.identity, camera=record.camera, name=record.directory)
 
 
@@ -346,19 +355,25 @@ def load_tracklet(
 
 def load_tracklets(
     manifest_path: str,
-    split: str,
+    split: str | tuple[str, ...],
     mean: tuple[float, float, float] = (0.0, 0.0, 0.0),
     std: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> list[Tracklet]:
+) -> list[Tracklet] | tuple[list[Tracklet], ...]:
     """Load one split as float32 tracklets in [0, 1], normalized per channel.
-    Frames of one tracklet must share their dims; tracklets may differ."""
+    Frames of one tracklet must share their dims; tracklets may differ.
+
+    Given a tuple of split names, return one list per name, in that order,
+    from a single parse of the manifest. Tracklets are decoded one at a time
+    in manifest order either way."""
     root = os.path.dirname(os.path.abspath(manifest_path))
     mean_arr, std_arr = _normalization(mean, std)
-    return [
-        _decode(manifest_path, root, record, mean_arr, std_arr)
-        for record in load_manifest(manifest_path)
-        if record.split == split
-    ]
+    names = (split,) if isinstance(split, str) else split
+    loaded: dict[str, list[Tracklet]] = {name: [] for name in names}
+    for record in load_manifest(manifest_path):
+        tracklets = loaded.get(record.split)
+        if tracklets is not None:
+            tracklets.append(_decode(manifest_path, root, record, mean_arr, std_arr))
+    return loaded[split] if isinstance(split, str) else tuple(loaded[name] for name in names)
 
 
 def dataset_channel_mean(tracklets: list[Tracklet]) -> np.ndarray:
@@ -439,4 +454,4 @@ def make_batch(
                 clip = augment(clip, rng)
             clips.append(clip)
             labels.append(int(identity))
-    return np.stack(clips).astype(np.float32), np.asarray(labels, dtype=np.int64)
+    return np.stack(clips).astype(np.float32, copy=False), np.asarray(labels, dtype=np.int64)

@@ -77,12 +77,12 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
         total_steps = min(total_steps, t_cfg.max_steps)
 
     rng = np.random.Generator(np.random.PCG64([t_cfg.seed, 0xBA7C4]))
-    fill = dataset_channel_mean(tracklets)
+    use_augment = None
+    if t_cfg.flip_prob > 0 or t_cfg.erase_prob > 0:
+        fill = dataset_channel_mean(tracklets)
 
-    def augment(clip, clip_rng):
-        return augment_clip(clip, clip_rng, t_cfg.flip_prob, t_cfg.erase_prob, fill)
-
-    use_augment = augment if (t_cfg.flip_prob > 0 or t_cfg.erase_prob > 0) else None
+        def use_augment(clip, clip_rng):
+            return augment_clip(clip, clip_rng, t_cfg.flip_prob, t_cfg.erase_prob, fill)
 
     opt = Adam(net.param_tensors(), lr=t_cfg.lr, weight_decay=t_cfg.weight_decay)
     os.makedirs(out_dir, exist_ok=True)
@@ -149,8 +149,9 @@ def load_eval_network(cfg: RunConfig, checkpoint_dir: str, manifest_path: str | 
 def run_retrieval(cfg: RunConfig, checkpoint_dir: str, out_dir: str, manifest: str | None = None) -> RetrievalResult:
     """Embed the query and gallery splits, rank, score, and write reports."""
     manifest_path = dataset_manifest(cfg, manifest)
-    query = load_tracklets(manifest_path, "query", cfg.data.norm_mean, cfg.data.norm_std)
-    gallery = load_tracklets(manifest_path, "gallery", cfg.data.norm_mean, cfg.data.norm_std)
+    query, gallery = load_tracklets(
+        manifest_path, ("query", "gallery"), cfg.data.norm_mean, cfg.data.norm_std
+    )
     if not query or not gallery:
         raise DataError(f"{manifest_path}: query and gallery splits must both be non-empty")
     net = load_eval_network(cfg, checkpoint_dir)

@@ -9,7 +9,7 @@ import pytest
 import strf
 from strf import train
 from strf.cli import dispatch
-from strf.config import parse_config
+from strf.config import parse_config, with_overrides
 from strf.netpbm import read_pgm, read_ppm, write_ppm
 from strf.tensor import Tensor
 from strf.tensorio import read_tensor, write_tensor
@@ -97,6 +97,49 @@ def test_eval_command(pipeline, tmp_path, capsys):
     assert "mAP=" in stdout and "rank-1=" in stdout
     for name in ("report.txt", "cmc.csv", "ap.csv"):
         assert os.path.exists(os.path.join(out, name))
+
+
+def test_eval_parses_the_manifest_once_and_decodes_each_test_frame_once(pipeline, tmp_path, monkeypatch):
+    parses, decoded = [], []
+    load_manifest = strf.synthdata.load_manifest
+
+    def counting_parse(path):
+        parses.append(path)
+        return load_manifest(path)
+
+    def counting_read(path):
+        decoded.append(path)
+        return read_ppm(path)
+
+    monkeypatch.setattr(strf.synthdata, "load_manifest", counting_parse)
+    monkeypatch.setattr(strf.synthdata, "read_ppm", counting_read)
+    manifest = pipeline["manifest"]
+    cfg = parse_config(pipeline["config"])
+    train.run_retrieval(cfg, pipeline["checkpoint"], str(tmp_path / "eval"), manifest=manifest)
+    assert parses == [manifest]
+    with open(manifest) as fh:
+        rows = [line.split("\t")[0] for line in fh if line.rstrip().endswith(("\tquery", "\tgallery"))]
+    assert rows and sorted(decoded) == sorted(os.path.join(os.path.dirname(manifest), row) for row in rows)
+
+
+@pytest.mark.parametrize("flip_prob, erase_prob, fills", [(0.0, 0.0, 0), (0.5, 0.0, 1), (0.0, 0.5, 1)])
+def test_training_takes_the_erase_fill_only_when_it_augments(
+    pipeline, tmp_path, monkeypatch, flip_prob, erase_prob, fills
+):
+    means = []
+    channel_mean = train.dataset_channel_mean
+
+    def counting(tracklets):
+        means.append(len(tracklets))
+        return channel_mean(tracklets)
+
+    monkeypatch.setattr(train, "dataset_channel_mean", counting)
+    cfg = with_overrides(
+        parse_config(pipeline["config"]),
+        train={"flip_prob": flip_prob, "erase_prob": erase_prob, "steps_per_epoch": 1},
+    )
+    train.run_training(cfg, str(tmp_path / "run"), manifest=pipeline["manifest"])
+    assert len(means) == fills
 
 
 def test_export_attn_command(pipeline, tmp_path, capsys, monkeypatch):

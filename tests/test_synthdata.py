@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from strf.synthdata import (
     generate,
     identity_factors,
     load_manifest,
+    load_tracklet,
     load_tracklets,
     make_batch,
 )
@@ -75,6 +77,25 @@ def test_netpbm_rejects_truncated_payload(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"P6\n4 4\n255\n\x00\x01")
     with pytest.raises(DataError, match="short"):
+        read_ppm(path)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"P3\n1 1\n255\n0 0 0\n", "{path}: not a binary PPM (bad magic)"),
+        (b"", "{path}: not a binary PPM (bad magic)"),
+        (b"P6\n4 4\n255\n\x00\x01", "{path}: PPM payload is short (2 of 48 bytes)"),
+        (b"P6 4 4 255", "{path}: PPM payload is short (0 of 48 bytes)"),
+        (b"P6\n# c\n4 4\n255\n" + bytes(47), "{path}: PPM payload is short (47 of 48 bytes)"),
+        (b"P6\n4 4\n15\n" + bytes(48), "{path}: unsupported PPM maxval 15"),
+    ],
+)
+def test_netpbm_read_errors_keep_their_messages(tmp_path, content, message):
+    path = str(tmp_path / "frame.ppm")
+    with open(path, "wb") as fh:
+        fh.write(content)
+    with pytest.raises(DataError, match=f"^{re.escape(message.format(path=path))}$"):
         read_ppm(path)
 
 
@@ -313,6 +334,71 @@ def test_load_tracklets_identity_normalization(tiny_dataset):
     assert np.allclose(shifted[0].frames, (plain[0].frames - 0.5) / 2.0, atol=1e-7)
 
 
+def _same_tracklet(a, b):
+    return (
+        a.frames.dtype == b.frames.dtype == np.float32
+        and a.frames.flags.c_contiguous
+        and b.frames.flags.c_contiguous
+        and a.frames.shape == b.frames.shape
+        and a.frames.tobytes() == b.frames.tobytes()
+        and (a.name, a.identity, a.camera) == (b.name, b.identity, b.camera)
+    )
+
+
+@pytest.mark.parametrize(
+    "mean, std", [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), ((0.485, 0.456, 0.406), (0.229, 0.224, 0.225))]
+)
+def test_load_tracklets_of_several_splits_equals_one_split_at_a_time(tiny_dataset, mean, std):
+    names = ("query", "train", "gallery")
+    loaded = load_tracklets(tiny_dataset.path, names, mean, std)
+    assert isinstance(loaded, tuple) and len(loaded) == 3
+    for name, tracklets in zip(names, loaded):
+        alone = load_tracklets(tiny_dataset.path, name, mean, std)
+        assert isinstance(alone, list) and alone
+        assert len(tracklets) == len(alone)
+        assert all(_same_tracklet(a, b) for a, b in zip(tracklets, alone))
+    assert load_tracklets(tiny_dataset.path, ("holdout",)) == ([],)
+
+
+def test_load_tracklet_equals_its_load_tracklets_entry(tiny_dataset):
+    mean, std = (0.485, 0.456, 0.406), (0.229, 0.224, 0.225)
+    records = [r for r in load_manifest(tiny_dataset.path) if r.split == "gallery"]
+    gallery = load_tracklets(tiny_dataset.path, "gallery", mean, std)
+    assert len(records) == len(gallery)
+    for record, tracklet in zip(records, gallery):
+        assert _same_tracklet(load_tracklet(tiny_dataset.path, record, mean, std), tracklet)
+
+
+def test_normalization_matches_the_reference_arithmetic(tiny_dataset):
+    mean, std = (0.485, 0.0, 0.406), (1.0, 0.224, 0.225)
+    raw = load_tracklets(tiny_dataset.path, "query")
+    normalized = load_tracklets(tiny_dataset.path, "query", mean, std)
+    for a, b in zip(raw, normalized):
+        expected = a.frames.copy()
+        expected -= np.asarray(mean, dtype=np.float32).reshape(1, 3, 1, 1)
+        expected /= np.asarray(std, dtype=np.float32).reshape(1, 3, 1, 1)
+        assert expected.tobytes() == b.frames.tobytes()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P6\n# written by hand\n16 32\n255\n", b"P6\t16\t32\t255\t", b"P6 16 32 #c\n255\n"],
+)
+def test_load_tracklets_reads_any_valid_header(tmp_path, rng, header):
+    root = str(tmp_path)
+    os.makedirs(os.path.join(root, "train/x"))
+    frames = rng.integers(0, 256, size=(2, 3, 32, 16)).astype(np.uint8)
+    write_ppm(os.path.join(root, "train/x/f0.ppm"), frames[0])
+    with open(os.path.join(root, "train/x/f1.ppm"), "wb") as fh:
+        fh.write(header + frames[1].transpose(1, 2, 0).tobytes())
+    path = os.path.join(root, "manifest.tsv")
+    with open(path, "w") as fh:
+        fh.write("train/x/f0.ppm\t0\t0\ttrain\n")
+        fh.write("train/x/f1.ppm\t0\t0\ttrain\n")
+    (tracklet,) = load_tracklets(path, "train")
+    assert np.array_equal(tracklet.frames, frames.astype(np.float32) / np.float32(255.0))
+
+
 def test_load_tracklets_zero_std_rejected(tiny_dataset):
     with pytest.raises(ConfigError):
         load_tracklets(tiny_dataset.path, "train", std=(1.0, 0.0, 1.0))
@@ -449,3 +535,13 @@ def test_make_batch_applies_augment(tiny_dataset):
 
     clips, _ = make_batch(tracklets, 2, 2, 4, 1, np.random.default_rng(0), augment=stamp)
     assert np.all(clips[:, :, :, 0, 0] == -9.0)
+
+
+def test_make_batch_is_float32_whatever_augment_returns(tiny_dataset):
+    tracklets = load_tracklets(tiny_dataset.path, "train")
+    plain, _ = make_batch(tracklets, 2, 2, 4, 1, np.random.default_rng(0))
+    widened, _ = make_batch(
+        tracklets, 2, 2, 4, 1, np.random.default_rng(0), augment=lambda clip, rng: clip.astype(np.float64)
+    )
+    assert widened.dtype == plain.dtype == np.float32
+    assert widened.tobytes() == plain.tobytes()
