@@ -13,8 +13,8 @@ from .tensor import Tensor, as_tensor, matmul, softmax_rows
 from .kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
 from .gradcheck import grad_check
 from .factorize import StrfConfig, ffm_branch, init_strf_params, strf_forward
-from .backbone import BatchNorm3dLayer, BlockSpec, build_block
-from .losses import batch_hard_triplet, cross_entropy
+from .backbone import BatchNorm3dLayer, BlockSpec, Network, build_block, resnet50_spec
+from .losses import batch_hard_triplet, cross_entropy, pairwise_cosine_distances, total_loss
 
 TOLERANCE = 1e-6
 
@@ -171,6 +171,45 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
             return (ffm_branch(Tensor(pools_in), "spatial", pools, {**pools_params, _branch: t}) ** 2).sum()
 
         check(f"ffm_branch_avg3_max5_weight_{kind}", pools_weight_map, pools_params[("spatial", kind)].data.copy())
+
+    # The whole training objective, total_loss over a tiny p3d-c+STRF Network
+    # in training mode, at 200 sampled coordinates: 102 of the clips, all 8
+    # of a stage-2 unit branch and 30 each of the stem conv, a stage-3 batch
+    # norm's gamma and the classifier. Each leaf is its drawn value with the
+    # sampled entries zeroed plus a fixed 0/1 selection product of t, so t
+    # lands exactly in the sampled positions. Drawn last for the same reason.
+    net = Network(resnet50_spec(5, width_div=16, blocks=(1, 1, 1, 1)), seed=11, dtype=np.float64)
+    unit, norm = net.stages[1][0].conv_temporal, net.stages[2][0].conv3.bn
+    branch = next(iter(unit.strf_params))
+    drawn = (_fixed(rng, (4, 3, 2, 32, 16)), net.stem.weight.data, unit.strf_params[branch].data,
+             1.0 + _fixed(rng, norm.gamma.shape) * 0.5, net.classifier.weight.data)
+    counts = (102, 30, 8, 30, 30)
+    slots, sampled, offset = [], [], 0
+    for value, count in zip(drawn, counts):
+        picked = rng.choice(value.size, size=count, replace=False)
+        base = value.copy().reshape(-1)
+        sampled.append(base[picked])
+        base[picked] = 0.0
+        selection = np.zeros((value.size, sum(counts)))
+        selection[picked, offset + np.arange(count)] = 1.0
+        slots.append((Tensor(base.reshape(value.shape)), Tensor(selection), value.shape))
+        offset += count
+    step_labels = np.array([0, 0, 1, 1])
+
+    def network_map(t):
+        column = t.reshape((offset, 1))
+        leaves = [base + matmul(selection, column).reshape(shape) for base, selection, shape in slots]
+        clip, net.stem.weight, unit.strf_params[branch], norm.gamma, net.classifier.weight = leaves
+        features, logits = net.forward(clip, training=True)
+        return total_loss(logits, features, step_labels)[0]
+
+    check("network_total_loss", network_map, np.concatenate(sampled))
+
+    # Every entry of the distance matrix, weighted by a fixed (n, n) matrix,
+    # so the full dD + dD^T path is checked, not only the 2n entries the
+    # triplet's hinge selects; drawn last for the same reason.
+    dist_w = Tensor(_fixed(rng, (6, 6)))
+    check("pairwise_cosine_distances", lambda t: (pairwise_cosine_distances(t) * dist_w).sum(), _spread(rng, (6, 5)))
 
     return results
 

@@ -87,6 +87,7 @@ def test_gradient_fidelity():
     assert {"conv3d_strided", "conv3d_strided_weights", "conv3d_stem_input"} <= names
     assert {"ffm_branch_avg3_max5_input", "ffm_branch_avg3_max5_weight_fine",
             "ffm_branch_avg3_max5_weight_coarse"} <= names
+    assert {"network_total_loss", "pairwise_cosine_distances"} <= names
     worst = max(err for _, err in results)
     assert worst <= GRAD_TOLERANCE, f"worst relative gradient error {worst:.3e}"
     assert elapsed < 300.0
