@@ -183,9 +183,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -194,9 +191,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -308,44 +302,12 @@ def div(a: Tensor, b) -> Tensor:
     return Tensor._make(out_data, parents, grad_fn)
 
 
-def neg(a: Tensor) -> Tensor:
-    def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(-g, fresh=True)
-
-    return Tensor._make(-a.data, [a], grad_fn)
-
-
 def power(a: Tensor, exponent: float) -> Tensor:
     p = float(exponent)
     out_data = a.data ** p
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(g * p * a.data ** (p - 1.0), fresh=True)
-
-    return Tensor._make(out_data, [a], grad_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g * out_data, fresh=True)
-
-    return Tensor._make(out_data, [a], grad_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g / a.data, fresh=True)
-
-    return Tensor._make(np.log(a.data), [a], grad_fn)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g * 0.5 / out_data, fresh=True)
 
     return Tensor._make(out_data, [a], grad_fn)
 
@@ -481,18 +443,3 @@ def softmax_rows_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     grad *= out
     return grad
 
-
-def select_entries(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Pick ``a[rows[i], cols[i]]`` for each i, as a vector."""
-    if a.ndim != 2:
-        raise ShapeError(f"select_entries expects a matrix, got dims {a.shape}")
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    out_data = a.data[rows, cols]
-
-    def grad_fn(g: np.ndarray) -> None:
-        scatter = np.zeros_like(a.data)
-        np.add.at(scatter, (rows, cols), g)
-        a._accumulate(scatter, fresh=True)
-
-    return Tensor._make(out_data, [a], grad_fn)

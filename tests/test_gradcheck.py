@@ -31,9 +31,7 @@ def test_nonfinite_probe_raises(rng):
     x = rng.normal(size=(2, 2))
 
     def blows_up(t):
-        from strf.tensor import log
-
-        return log(t).sum()  # negative entries make this NaN
+        return (t**0.5).sum()  # negative entries make this NaN
 
     with pytest.raises(EvaluationError), np.errstate(invalid="ignore"):
         grad_check(blows_up, np.array([[-1.0, 1.0], [1.0, 1.0]]))

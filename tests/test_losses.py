@@ -81,6 +81,16 @@ def test_cross_entropy_validation():
         cross_entropy(logits, [0, -1])
 
 
+def test_cross_entropy_rejects_non_integer_labels():
+    logits = Tensor(np.zeros((2, 3), dtype=np.float32))
+    with pytest.raises(ContractError, match="float64"):
+        cross_entropy(logits, [0.9, 1.6])  # would otherwise truncate to [0, 1]
+    with pytest.raises(ContractError, match="bool"):
+        cross_entropy(logits, np.array([True, False]))
+    for dtype in (np.int8, np.uint16, np.int64):
+        assert np.isfinite(cross_entropy(logits, np.array([0, 2], dtype=dtype)).data.item())
+
+
 # -- cosine distance ---------------------------------------------------------
 # The training loss and the retrieval protocol each compute cosine distances:
 # ``pairwise_cosine_distances`` on the tape, ``distance_matrix`` in float64.
@@ -156,6 +166,16 @@ def test_triplet_satisfied_margin_is_zero():
     )
     loss = batch_hard_triplet(Tensor(emb), [0, 0, 1, 1], margin=0.3)
     assert loss.data.item() == 0.0
+
+
+def test_triplet_anchor_at_the_hinge_sends_zero():
+    # every positive at distance 0 and every negative at 1, so with a margin
+    # of 1 each anchor sits exactly at the hinge
+    emb = Tensor(np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.float32), requires_grad=True)
+    loss = batch_hard_triplet(emb, [0, 0, 1, 1], margin=1.0)
+    loss.backward()
+    assert loss.data.item() == 0.0
+    assert np.array_equal(emb.grad, np.zeros((4, 2), dtype=np.float32))
 
 
 def test_triplet_is_scale_invariant(rng):
