@@ -123,7 +123,7 @@ def batch_hard_triplet(embeddings: Tensor, labels, margin: float = 0.3) -> Tenso
     anchors = np.arange(n)
     hinge = values[anchors, hardest_pos] - values[anchors, hardest_neg] + float(margin)
     active = hinge > 0
-    loss = np.where(active, hinge, 0.0).astype(values.dtype, copy=False).mean()
+    loss = np.where(active, hinge, 0.0).mean()
 
     def grad_fn(g: np.ndarray) -> None:
         share = (g / n) * active
