@@ -19,7 +19,14 @@ over time, and the classifier is a plain linear map on those features.
 
 Every batch norm but the shortcut's also applies the epilogue that follows
 it: relu(bn(x)), or relu(bn(x) + skip) at the end of a block. Each is one
-tape node with one output buffer, in training and in eval.
+tape node with one output buffer, in training and in an unfolded eval.
+
+A network loaded for retrieval is folded once (``fold_batch_norm``): every
+pair without a unit then runs its eval batch norm inside the conv, as the
+weight W * scale and the bias beta - mean * scale (Jacob et al.,
+arXiv:1712.05877), and adds the bias, the skip and the relu in place in the
+conv's output buffer, with no tape node. A folded network runs inference
+only. The batch norm after a unit cannot fold and runs as before.
 """
 from __future__ import annotations
 
@@ -27,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 # batch norm applies every relu, but perfbench's tracer patches
 # ``strf.backbone.relu`` as a lookup site, so the name stays bound here
-from .tensor import Tensor, no_grad, relu, transpose, matmul
+from .tensor import Tensor, no_grad, records, relu, transpose, matmul
 from .kernels import conv3d, strided_max_pool3d
 from .factorize import StrfConfig, init_strf_params, strf_forward
 
@@ -124,7 +131,12 @@ class ConvBn:
     """One conv and the fused batch norm after it, with the attention unit
     between them when given a ``StrfConfig``. Weights are drawn conv first,
     then the unit's; entries register as ``{prefix}.conv{suffix}.w``, the
-    unit's ``{prefix}.strf.*``, then ``{prefix}.bn{suffix}.*``."""
+    unit's ``{prefix}.strf.*``, then ``{prefix}.bn{suffix}.*``.
+
+    ``folded`` is None, or, once ``fold_batch_norm`` has run on a pair
+    without a unit, the derived (weight, bias) its eval call uses in place
+    of the conv weight and the batch norm; the registered parameters and
+    buffers are left as they are."""
 
     def __init__(self, registry, prefix: str, suffix: str, in_channels, out_channels, kernel, stride,
                  rng, dtype, relu: bool = True, strf: StrfConfig | None = None):
@@ -146,9 +158,21 @@ class ConvBn:
         registry.add_param(f"{prefix}.bn{suffix}.beta", self.bn.beta)
         registry.add_buffer(f"{prefix}.bn{suffix}.running_mean", self.bn.running_mean)
         registry.add_buffer(f"{prefix}.bn{suffix}.running_var", self.bn.running_var)
+        self.folded = None
 
     def __call__(self, x: Tensor, training: bool, skip: Tensor | None = None) -> Tensor:
         # conv3d and strf_forward are module lookups: perfbench's tracer patches them here
+        if self.folded is not None:
+            if training or records([x]):
+                raise ContractError("a network folded for retrieval runs inference only, with no tape")
+            weight, bias = self.folded
+            y = conv3d(x, weight, self.stride)
+            y.data += bias
+            if skip is not None:
+                y.data += skip.data
+            if self.bn.relu:
+                np.maximum(y.data, 0, out=y.data)
+            return y
         y = conv3d(x, self.weight, self.stride)
         if self.strf_params is not None:
             y = strf_forward(y, self.strf, self.strf_params)
@@ -362,6 +386,11 @@ class Network:
     def param_tensors(self) -> list[Tensor]:
         return [t for _, t in self._params]
 
+    def conv_bns(self) -> list[ConvBn]:
+        """Every conv + batch-norm pair: the stem's, then each block's."""
+        return [self.stem] + [pair for stage in self.stages for block in stage
+                              for pair in vars(block).values() if isinstance(pair, ConvBn)]
+
     # -- forward ----------------------------------------------------------
 
     def stage_output(self, clips: Tensor, training: bool, stage: int) -> Tensor:
@@ -385,6 +414,29 @@ class Network:
         features = x.mean(axis=(3, 4)).mean(axis=2)
         logits = self.classifier(features)
         return features, logits
+
+
+def fold_batch_norm(net: Network) -> None:
+    """Fold each eval batch norm into the conv before it, for every
+    ``ConvBn`` of ``net`` without an attention unit: the folded weight is
+    W * scale per output channel and the bias beta - mean * scale, with
+    scale = gamma / sqrt(running_var + eps), computed in float64 and cast
+    once to the weight's dtype. Entries below ``np.finfo(dtype).tiny`` in
+    magnitude are flushed to 0, as the unit's masks are, so no subnormal
+    reaches a GEMM. The parameters and buffers are not touched, so a
+    checkpoint of ``net`` is unchanged; but ``net`` can no longer train, and
+    a later change to its weights or statistics is not seen by the fold."""
+    for pair in net.conv_bns():
+        if pair.strf_params is not None:
+            continue
+        bn, dtype = pair.bn, pair.weight.dtype
+        scale = bn.gamma.data.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
+        weight = pair.weight.data * scale[:, None, None, None, None]
+        bias = (bn.beta.data - bn.running_mean * scale)[:, None, None, None]
+        tiny = np.finfo(dtype).tiny
+        for derived in (weight, bias):
+            derived[np.abs(derived) < tiny] = 0.0
+        pair.folded = (Tensor(weight.astype(dtype)), bias.astype(dtype))
 
 
 def forward_features(net: Network, clips) -> np.ndarray:

@@ -4,8 +4,9 @@ Test-time features: a tracklet is cut into consecutive non-overlapping
 clips, each clip is embedded, and the embeddings are averaged. Clips of
 consecutive tracklets share forward batches, which leaves every embedding as
 it is: each kernel treats batch items on their own (the conv is a stacked
-``W @ cols``, eval batch norm a per-channel affine, pooling and the attention
-unit per sample). Clips of different frame dims never share a batch.
+``W @ cols``, eval batch norm folded into it as a per-channel bias or, after
+an attention unit, a per-channel affine, pooling and the unit per sample).
+Clips of different frame dims never share a batch.
 Retrieval ranks gallery tracklets by cosine distance; gallery entries sharing
 both the query's identity and its camera are excluded before scoring, queries
 with no remaining positive are skipped (and tallied), and ties are broken

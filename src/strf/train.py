@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .tensor import Tensor
-from .backbone import Network, count_params
+from .backbone import Network, count_params, fold_batch_norm
 from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from .config import RunConfig, network_spec_from
 from .evaluation import (
@@ -135,7 +135,10 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
 
 def load_eval_network(cfg: RunConfig, checkpoint_dir: str, manifest_path: str | None = None) -> Network:
     """Build the configured network with as many classes as the checkpoint's
-    ``classifier.w`` has rows, and restore the checkpoint into it.
+    ``classifier.w`` has rows, restore the checkpoint into it, and fold its
+    batch norms into the convs before them (``fold_batch_norm``), so every
+    retrieval forward runs the folded convs. The returned network is for
+    inference only: a training forward raises ``ContractError``.
     ``manifest_path`` is unused: the benchmark's eval workload still passes a
     dataset manifest as the third argument."""
     dims = read_manifest(checkpoint_dir).get("classifier.w", (None, ()))[1]
@@ -143,6 +146,7 @@ def load_eval_network(cfg: RunConfig, checkpoint_dir: str, manifest_path: str | 
         raise DataError(f"{checkpoint_dir}: checkpoint has no classifier.w entry to size the classifier by")
     net = build_train_network(cfg, classes=dims[0])
     load_checkpoint(net, checkpoint_dir)
+    fold_batch_norm(net)
     return net
 
 

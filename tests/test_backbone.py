@@ -5,6 +5,7 @@ import pytest
 
 import strf.backbone
 from strf.backbone import (
+    BLOCK_VARIANTS,
     BatchNorm3dLayer,
     BlockSpec,
     Network,
@@ -12,10 +13,11 @@ from strf.backbone import (
     attention_export,
     build_block,
     count_params,
+    fold_batch_norm,
     forward_features,
     resnet50_spec,
 )
-from strf.errors import ConfigError, ShapeError
+from strf.errors import ConfigError, ContractError, ShapeError
 from strf.factorize import StrfConfig, strf_param_count
 from strf.losses import total_loss
 from strf.tensor import Tensor, relu
@@ -402,6 +404,77 @@ def test_fused_epilogue_passes_a_nan_through(training, rng):
     poisoned[1, 2, 0, 3, 1] = np.nan
     assert np.isnan(bn(Tensor(poisoned), training).data[1, 2, 0, 3, 1])
     assert np.isnan(bn(Tensor(x), training, Tensor(poisoned)).data[1, 2, 0, 3, 1])
+
+
+# -- batch norm folded into the conv ------------------------------------------
+
+def randomize_batch_norms(net, rng):
+    for pair in net.conv_bns():
+        bn, c = pair.bn, pair.bn.gamma.shape[0]
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+        bn.beta.data[...] = rng.normal(0.0, 0.2, c)
+        bn.running_mean[...] = rng.normal(0.0, 0.2, c)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, c)
+
+
+@pytest.mark.parametrize("variant", BLOCK_VARIANTS)
+def test_folded_eval_matches_unfolded(variant, rng, monkeypatch):
+    strf_stages = () if variant == "c2d" else (2, 3)
+    net = Network(toy_spec(variant=variant, strf_stages=strf_stages), seed=3, dtype=np.float64)
+    randomize_batch_norms(net, rng)
+    clips = rng.normal(size=(2, 3, 4, 32, 16))
+    unfolded = forward_features(net, clips)
+    fold_batch_norm(net)
+    pairs = net.conv_bns()
+    units = [pair.bn for pair in pairs if pair.strf_params is not None]
+    assert [pair.folded is None for pair in pairs] == [pair.strf_params is not None for pair in pairs]
+    assert (len(units) > 0) == (variant != "c2d")
+    # only the batch norms after a unit still run
+    ran, call = [], BatchNorm3dLayer.__call__
+
+    def counting(bn, *args, **kwargs):
+        ran.append(bn)
+        return call(bn, *args, **kwargs)
+
+    monkeypatch.setattr(BatchNorm3dLayer, "__call__", counting)
+    folded = forward_features(net, clips)
+    assert ran == units
+    assert np.abs(folded - unfolded).max() <= 1e-10 * np.abs(unfolded).max()
+
+
+def test_folded_network_runs_inference_only(rng):
+    net = Network(toy_spec(), seed=3)
+    fold_batch_norm(net)
+    clips = Tensor(rng.normal(size=(1, 3, 4, 32, 16)).astype(np.float32))
+    with pytest.raises(ContractError):
+        net.forward(clips, training=True)
+    # with the tape on, the units record nodes, and a folded conv after them
+    # would drop its bias and relu from the gradient
+    with pytest.raises(ContractError):
+        net.forward(clips, training=False)
+
+
+def test_fold_flushes_subnormal_weights_and_biases():
+    net = Network(toy_spec(), seed=3)
+    for pair in net.conv_bns():
+        pair.bn.gamma.data[...] = 1e-38
+        pair.bn.beta.data[...] = 3e-39  # itself subnormal in float32
+        pair.bn.running_var[...] = 1e-5
+    fold_batch_norm(net)
+    tiny = np.finfo(np.float32).tiny
+    kept = flushed = 0
+    for pair in net.conv_bns():
+        if pair.folded is None:
+            continue
+        weight, bias = pair.folded[0].data, pair.folded[1]
+        assert weight.dtype == bias.dtype == np.float32
+        for derived in (weight, bias):
+            assert not np.any((derived != 0) & (np.abs(derived) < tiny))
+        assert not np.any(bias)
+        kept += np.count_nonzero(weight)
+        flushed += np.count_nonzero(pair.weight.data) - np.count_nonzero(weight)
+    # scale is about 2.2e-36, so the larger weights stay and the smallest flush
+    assert kept > 0 and flushed > 0
 
 
 def test_feature_head_is_mean_pool(rng):

@@ -9,7 +9,10 @@ import pytest
 import strf
 from strf import train
 from strf.cli import dispatch
+from strf.checkpoint import load_checkpoint, save_checkpoint
 from strf.config import parse_config, with_overrides
+from strf.errors import ContractError
+from strf.evaluation import distance_matrix, evaluate, stacked_features
 from strf.netpbm import read_pgm, read_ppm, write_ppm
 from strf.tensor import Tensor
 from strf.tensorio import read_tensor, write_tensor
@@ -206,6 +209,45 @@ def test_eval_and_export_read_the_class_count_from_the_checkpoint(pipeline, tmp_
                      "--out", str(tmp_path / "maps")]) == 0
     assert len(os.listdir(tmp_path / "maps")) == 8
     capsys.readouterr()
+
+
+def test_eval_network_is_folded_for_inference_only(pipeline, tmp_path):
+    # the fold derives new conv weights and leaves the parameters and
+    # buffers as loaded, so a checkpoint of the eval network is the same bytes
+    cfg = parse_config(pipeline["config"])
+    net = train.load_eval_network(cfg, pipeline["checkpoint"])
+    assert any(pair.folded is not None for pair in net.conv_bns())
+    copy = str(tmp_path / "checkpoint")
+    save_checkpoint(net, copy)
+    names = sorted(os.listdir(pipeline["checkpoint"]))
+    assert sorted(os.listdir(copy)) == names
+    for name in names:
+        with open(os.path.join(pipeline["checkpoint"], name), "rb") as a, open(os.path.join(copy, name), "rb") as b:
+            assert a.read() == b.read(), name
+    clips = Tensor(np.zeros((1, 3, cfg.train.clip_len, 32, 16), dtype=np.float32))
+    with pytest.raises(ContractError):
+        net.forward(clips, training=True)
+    query = strf.synthdata.load_tracklets(pipeline["manifest"], "query", cfg.data.norm_mean, cfg.data.norm_std)
+    again = train.load_eval_network(cfg, pipeline["checkpoint"])
+    first, second = (stacked_features(n, query, cfg.train.clip_len, cfg.eval.batch_size) for n in (net, again))
+    assert first.tobytes() == second.tobytes()
+
+
+def test_folded_retrieval_scores_as_the_unfolded_network(pipeline, tmp_path):
+    cfg = parse_config(pipeline["config"])
+    folded = train.run_retrieval(cfg, pipeline["checkpoint"], str(tmp_path / "eval"), manifest=pipeline["manifest"])
+    classes = train.load_eval_network(cfg, pipeline["checkpoint"]).classifier.weight.shape[0]
+    net = train.build_train_network(cfg, classes)
+    load_checkpoint(net, pipeline["checkpoint"])
+    assert all(pair.folded is None for pair in net.conv_bns())
+    query, gallery = strf.synthdata.load_tracklets(
+        pipeline["manifest"], ("query", "gallery"), cfg.data.norm_mean, cfg.data.norm_std)
+    feats = [stacked_features(net, ts, cfg.train.clip_len, cfg.eval.batch_size) for ts in (query, gallery)]
+    unfolded = evaluate(distance_matrix(*feats), [t.identity for t in query], [t.camera for t in query],
+                        [t.identity for t in gallery], [t.camera for t in gallery], max_rank=cfg.eval.max_rank)
+    assert folded.cmc.tolist() == unfolded.cmc.tolist()
+    assert abs(folded.mean_ap - unfolded.mean_ap) <= 1e-6
+    assert folded.counted == unfolded.counted > 0
 
 
 def test_params_overhead_is_the_units_own_weights(tmp_path, capsys):
