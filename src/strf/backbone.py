@@ -11,8 +11,10 @@ The network is a four-stage bottleneck residual net over clips
 
 Every conv is a ``ConvBn``: the conv, the attention unit it may carry, and
 the batch norm after it. A unit, when placed, sits between the temporal conv
-(the 3x3x3 conv for i3d) and its batch norm. Each pair registers its conv
-weight first, then the unit's weights, then the batch norm's. Temporal extent
+(the 3x3x3 conv for i3d) and its batch norm. Each layer lists its own
+entries: a pair its conv weight, then the unit's weights, then the batch
+norm's; a block its pairs in draw order; the network the stem's, every
+block's and the classifier's, which is what checkpoints store. Temporal extent
 is never strided; the last stage keeps spatial stride 1 so the final maps
 stay large. Features are the stage-4 output pooled over space then averaged
 over time, and the classifier is a plain linear map on those features.
@@ -37,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, ShapeError
 # batch norm applies every relu, but perfbench's tracer patches
 # ``strf.backbone.relu`` as a lookup site, so the name stays bound here
-from .tensor import Tensor, no_grad, records, relu, transpose, matmul
+from .tensor import Tensor, fan_in_uniform, no_grad, records, relu, transpose, matmul
 from .kernels import conv3d, strided_max_pool3d
 from .factorize import StrfConfig, init_strf_params, strf_forward
 
@@ -130,34 +132,29 @@ class BatchNorm3dLayer:
 class ConvBn:
     """One conv and the fused batch norm after it, with the attention unit
     between them when given a ``StrfConfig``. Weights are drawn conv first,
-    then the unit's; entries register as ``{prefix}.conv{suffix}.w``, the
-    unit's ``{prefix}.strf.*``, then ``{prefix}.bn{suffix}.*``.
+    then the unit's. ``params`` lists the pair's (name, tensor) entries:
+    ``{prefix}.conv{suffix}.w``, the unit's ``{prefix}.strf.*`` in branch
+    order, then ``{prefix}.bn{suffix}.gamma`` and ``.beta``; ``buffers``
+    lists the batch norm's running mean and variance.
 
     ``folded`` is None, or, once ``fold_batch_norm`` has run on a pair
     without a unit, the derived (weight, bias) its eval call uses in place
-    of the conv weight and the batch norm; the registered parameters and
+    of the conv weight and the batch norm; the listed parameters and
     buffers are left as they are."""
 
-    def __init__(self, registry, prefix: str, suffix: str, in_channels, out_channels, kernel, stride,
+    def __init__(self, prefix: str, suffix: str, in_channels, out_channels, kernel, stride,
                  rng, dtype, relu: bool = True, strf: StrfConfig | None = None):
-        fan_in = in_channels * int(np.prod(kernel))
-        bound = float(np.sqrt(1.0 / fan_in))
-        data = rng.uniform(-bound, bound, size=(out_channels, in_channels) + tuple(kernel))
-        self.weight = Tensor(data.astype(dtype), requires_grad=True)
+        self.weight = fan_in_uniform((out_channels, in_channels) + tuple(kernel), rng, dtype)
         self.stride = tuple(stride)
-        registry.add_param(f"{prefix}.conv{suffix}.w", self.weight)
-
+        self.params = [(f"{prefix}.conv{suffix}.w", self.weight)]
         self.strf, self.strf_params = strf, None
         if strf is not None:
             self.strf_params = init_strf_params(out_channels, strf, rng, dtype)
-            for (dimension, kind), weight in self.strf_params.items():
-                registry.add_param(f"{prefix}.strf.{dimension}_{kind}.w", weight)
-
+            self.params += [(f"{prefix}.strf.{d}_{k}.w", w) for (d, k), w in self.strf_params.items()]
         self.bn = BatchNorm3dLayer(out_channels, dtype, relu=relu)
-        registry.add_param(f"{prefix}.bn{suffix}.gamma", self.bn.gamma)
-        registry.add_param(f"{prefix}.bn{suffix}.beta", self.bn.beta)
-        registry.add_buffer(f"{prefix}.bn{suffix}.running_mean", self.bn.running_mean)
-        registry.add_buffer(f"{prefix}.bn{suffix}.running_var", self.bn.running_var)
+        bn = f"{prefix}.bn{suffix}"
+        self.params += [(f"{bn}.gamma", self.bn.gamma), (f"{bn}.beta", self.bn.beta)]
+        self.buffers = [(f"{bn}.running_mean", self.bn.running_mean), (f"{bn}.running_var", self.bn.running_var)]
         self.folded = None
 
     def __call__(self, x: Tensor, training: bool, skip: Tensor | None = None) -> Tensor:
@@ -181,9 +178,7 @@ class ConvBn:
 
 class LinearLayer:
     def __init__(self, in_features, out_features, rng, dtype):
-        bound = float(np.sqrt(1.0 / in_features))
-        data = rng.uniform(-bound, bound, size=(out_features, in_features))
-        self.weight = Tensor(data.astype(dtype), requires_grad=True)
+        self.weight = fan_in_uniform((out_features, in_features), rng, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(x, transpose(self.weight))
@@ -220,13 +215,19 @@ class BlockSpec:
 
 
 class Bottleneck:
-    def __init__(self, spec: BlockSpec, rng, dtype, registry, prefix: str):
+    """``pairs`` lists the block's ``ConvBn``s in the order their weights
+    are drawn: conv1, conv2 or the spatial then the temporal conv, conv3,
+    then the shortcut's if the block has one."""
+
+    def __init__(self, spec: BlockSpec, rng, dtype, prefix: str):
         self.spec = spec
         mid = spec.mid_channels
         s = spec.spatial_stride
+        self.pairs: list[ConvBn] = []
 
-        def pair(suffix, cin, cout, kernel, stride, **kw):
-            return ConvBn(registry, prefix, suffix, cin, cout, kernel, stride, rng, dtype, **kw)
+        def pair(suffix, cin, cout, kernel, stride, at=prefix, **kw):
+            self.pairs.append(ConvBn(at, suffix, cin, cout, kernel, stride, rng, dtype, **kw))
+            return self.pairs[-1]
 
         self.conv1 = pair("1", spec.in_channels, mid, (1, 1, 1), (1, 1, 1))
         if spec.variant in ("c2d", "i3d"):
@@ -242,8 +243,8 @@ class Bottleneck:
 
         self.shortcut = None
         if spec.in_channels != spec.out_channels or s != 1:
-            self.shortcut = ConvBn(registry, f"{prefix}.shortcut", "", spec.in_channels, spec.out_channels,
-                                   (1, 1, 1), (1, s, s), rng, dtype, relu=False)
+            self.shortcut = pair("", spec.in_channels, spec.out_channels, (1, 1, 1), (1, s, s),
+                                 at=f"{prefix}.shortcut", relu=False)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         y = self.conv1(x, training)
@@ -264,7 +265,7 @@ class Bottleneck:
 def build_block(spec: BlockSpec, seed: int = 0, dtype=np.float32) -> Bottleneck:
     """Standalone block constructor, mainly for tests and gradient checks."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return Bottleneck(spec, rng, dtype, _Registry(), "block")
+    return Bottleneck(spec, rng, dtype, "block")
 
 
 # -- network -----------------------------------------------------------------
@@ -341,55 +342,33 @@ def resnet50_spec(
     return NetworkSpec(classes=classes, stages=tuple(stages))
 
 
-class _Registry:
-    def __init__(self):
-        self.params: list[tuple[str, Tensor]] = []
-        self.buffers: list[tuple[str, np.ndarray]] = []
-
-    def add_param(self, name: str, tensor: Tensor) -> None:
-        self.params.append((name, tensor))
-
-    def add_buffer(self, name: str, array: np.ndarray) -> None:
-        self.buffers.append((name, array))
-
-
 class Network:
     def __init__(self, spec: NetworkSpec, seed: int = 0, dtype=np.float32):
         self.spec = spec
-        registry = _Registry()
         rng = np.random.Generator(np.random.PCG64(seed))
-
-        self.stem = ConvBn(registry, "stem", "", 3, spec.stem_width, (1, 7, 7), (1, 2, 2), rng, dtype)
-
+        self.stem = ConvBn("stem", "", 3, spec.stem_width, (1, 7, 7), (1, 2, 2), rng, dtype)
         self.stages = [
             [
-                Bottleneck(block, rng, dtype, registry, f"stage{i}.block{j}")
+                Bottleneck(block, rng, dtype, f"stage{i}.block{j}")
                 for j, block in enumerate(stage, start=1)
             ]
             for i, stage in enumerate(spec.stages, start=1)
         ]
-
         self.classifier = LinearLayer(spec.feature_dim, spec.classes, rng, dtype)
-        registry.add_param("classifier.w", self.classifier.weight)
-
-        self._params = registry.params
-        self._buffers = registry.buffers
 
     # -- parameters -------------------------------------------------------
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return list(self._params)
-
-    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        return list(self._buffers)
-
-    def param_tensors(self) -> list[Tensor]:
-        return [t for _, t in self._params]
-
     def conv_bns(self) -> list[ConvBn]:
         """Every conv + batch-norm pair: the stem's, then each block's."""
-        return [self.stem] + [pair for stage in self.stages for block in stage
-                              for pair in vars(block).values() if isinstance(pair, ConvBn)]
+        return [self.stem] + [pair for stage in self.stages for block in stage for pair in block.pairs]
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        """Every pair's entries in ``conv_bns`` order, then ``classifier.w``."""
+        entries = [entry for pair in self.conv_bns() for entry in pair.params]
+        return entries + [("classifier.w", self.classifier.weight)]
+
+    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
+        return [entry for pair in self.conv_bns() for entry in pair.buffers]
 
     # -- forward ----------------------------------------------------------
 

@@ -2,12 +2,14 @@
 
 Files hold ``key = value`` lines under ``[model]``, ``[train]``, ``[data]``
 and ``[eval]`` sections; ``#`` starts a comment. Unknown sections or keys are
-rejected with their line number, as are values that fail to parse and a key
-given twice in one section (also across a repeated ``[section]`` header).
+rejected with their line number, as are values that fail to parse (a float
+must be finite) and a key given twice in one section (also across a repeated
+``[section]`` header).
 Every key has a default, so the empty file is a valid configuration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
@@ -88,6 +90,13 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _tuple_of(cast):
     def parse(text: str) -> tuple:
         text = text.strip()
@@ -101,10 +110,10 @@ _SECTION_TYPES = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig
 # annotations are strings here (future import), so the schema keys are too
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _finite_float,
     "str": str,
     "tuple[int, ...]": _tuple_of(int),
-    "tuple[float, ...]": _tuple_of(float),
+    "tuple[float, ...]": _tuple_of(_finite_float),
     "tuple[str, ...]": _tuple_of(str),
 }
 

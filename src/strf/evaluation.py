@@ -40,6 +40,8 @@ def train_clip_indices(length: int, clip_len: int, stride: int, rng: np.random.G
     Short tracklets wrap around, repeating from the beginning."""
     if length < 1:
         raise ContractError("cannot sample a clip from an empty tracklet")
+    if clip_len < 1 or stride < 1:
+        raise ContractError(f"clip length and stride must be >= 1, got {clip_len} and {stride}")
     span = (clip_len - 1) * stride + 1
     offsets = np.arange(clip_len) * stride
     if length >= span:
@@ -54,6 +56,8 @@ def test_clip_indices(length: int, clip_len: int) -> list[np.ndarray]:
     last window repeats the final frame to fill up."""
     if length < 1:
         raise ContractError("cannot sample clips from an empty tracklet")
+    if clip_len < 1:
+        raise ContractError(f"clip length must be >= 1, got {clip_len}")
     chunks = -(-length // clip_len)
     return [
         np.minimum(np.arange(c * clip_len, (c + 1) * clip_len), length - 1)

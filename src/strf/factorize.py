@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, matmul, records, softmax_rows_grad, softmax_rows_in_place
+from .tensor import Tensor, fan_in_uniform, matmul, records, softmax_rows_grad, softmax_rows_in_place
 from .kernels import check_batch, pool_volume
 
 # perfbench's tracer patches these names here as lookup sites; the unit's
@@ -118,13 +118,8 @@ def init_strf_params(
     """Draw the reduction weights for every active branch, uniform in
     +-sqrt(1/channels), keyed by (dimension, kind) in canonical branch order
     (the order checkpoints store them in)."""
-    bound = float(np.sqrt(1.0 / channels))
     rows = reduced_channels(channels, cfg.reduction)
-    weights = {}
-    for branch in cfg.branches:
-        data = rng.uniform(-bound, bound, size=(rows, channels)).astype(dtype)
-        weights[branch] = Tensor(data, requires_grad=True)
-    return weights
+    return {branch: fan_in_uniform((rows, channels), rng, dtype) for branch in cfg.branches}
 
 
 def strf_param_count(channels: int, reduction: int = 16, n_branches: int = 4) -> int:

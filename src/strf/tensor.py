@@ -221,6 +221,13 @@ def as_tensor(value, dtype=None) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
 
 
+def fan_in_uniform(shape: tuple[int, ...], rng: np.random.Generator, dtype) -> Tensor:
+    """A trainable weight uniform in +-sqrt(1/fan_in), with fan_in the product
+    of every extent but the first; drawn in float64 and cast once."""
+    bound = float(np.sqrt(1.0 / int(np.prod(shape[1:]))))
+    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` after numpy broadcasting."""
     if grad.shape == shape:

@@ -7,7 +7,8 @@ Layout, all little-endian:
   next 4*rank  u32 extents, outermost first
   rest         IEEE-754 single precision data, row-major
 
-Readers reject anything with the wrong magic or version.
+Readers reject anything with the wrong magic or version, and a payload
+shorter or longer than the extents say.
 """
 from __future__ import annotations
 
@@ -58,6 +59,7 @@ def read_tensor(path: str) -> np.ndarray:
         raise DataError(f"{path}: truncated tensor header")
     dims = struct.unpack(f"<{rank}I", data[start:end])
     count = int(np.prod(dims, dtype=np.int64))
-    if len(data) - end < 4 * count:
-        raise DataError(f"{path}: expected {count} float32 values, file is short")
+    if len(data) - end != 4 * count:
+        raise DataError(f"{path}: expected a payload of {4 * count} bytes ({count} float32 values), "
+                        f"got {len(data) - end}")
     return np.frombuffer(data, dtype="<f4", count=count, offset=end).reshape(dims).astype(np.float32, copy=True)

@@ -84,7 +84,7 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
         def use_augment(clip, clip_rng):
             return augment_clip(clip, clip_rng, t_cfg.flip_prob, t_cfg.erase_prob, fill)
 
-    opt = Adam(net.param_tensors(), lr=t_cfg.lr, weight_decay=t_cfg.weight_decay)
+    opt = Adam([t for _, t in net.named_params()], lr=t_cfg.lr, weight_decay=t_cfg.weight_decay)
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, LOG_NAME)
     ckpt_path = os.path.join(out_dir, CHECKPOINT_DIR)

@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 
-import strf.backbone
 from strf.backbone import (
     BLOCK_VARIANTS,
     BatchNorm3dLayer,
@@ -147,17 +146,9 @@ PAIR_SUFFIXES = {
 
 
 @pytest.mark.parametrize("variant", ["c2d", "i3d", "p3d-a", "p3d-b", "p3d-c"])
-def test_block_registers_each_pair_as_conv_unit_bn(variant, monkeypatch):
-    registries = []
-
-    class Recording(strf.backbone._Registry):
-        def __init__(self):
-            super().__init__()
-            registries.append(self)
-
-    monkeypatch.setattr(strf.backbone, "_Registry", Recording)
+def test_block_registers_each_pair_as_conv_unit_bn(variant):
     # stride 2 and a wider output give every block a shortcut
-    build_block(block_spec(variant, strf=variant != "c2d", stride=2, out_ch=32), seed=0)
+    block = build_block(block_spec(variant, strf=variant != "c2d", stride=2, out_ch=32), seed=0)
     unit_suffix = {"c2d": None, "i3d": "2"}.get(variant, "_temporal")
     params, buffers = [], []
     for suffix in PAIR_SUFFIXES[variant]:
@@ -168,9 +159,8 @@ def test_block_registers_each_pair_as_conv_unit_bn(variant, monkeypatch):
         buffers += [f"block.bn{suffix}.running_mean", f"block.bn{suffix}.running_var"]
     params += ["block.shortcut.conv.w", "block.shortcut.bn.gamma", "block.shortcut.bn.beta"]
     buffers += ["block.shortcut.bn.running_mean", "block.shortcut.bn.running_var"]
-    (registry,) = registries
-    assert [name for name, _ in registry.params] == params
-    assert [name for name, _ in registry.buffers] == buffers
+    assert [name for pair in block.pairs for name, _ in pair.params] == params
+    assert [name for pair in block.pairs for name, _ in pair.buffers] == buffers
 
 
 # -- network level -----------------------------------------------------------

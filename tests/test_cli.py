@@ -340,7 +340,8 @@ def test_missing_manifest_exits_three(pipeline, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["non-integer dims", "missing tensor file", "manifest is a directory"])
+@pytest.mark.parametrize("fault", ["non-integer dims", "missing tensor file", "manifest is a directory",
+                                   "trailing tensor bytes"])
 def test_eval_checkpoint_faults_exit_three(pipeline, tmp_path, capsys, fault):
     ckpt = str(tmp_path / "ckpt")
     shutil.copytree(pipeline["checkpoint"], ckpt)
@@ -359,6 +360,10 @@ def test_eval_checkpoint_faults_exit_three(pipeline, tmp_path, capsys, fault):
         os.remove(manifest)
         os.mkdir(manifest)
         named = "manifest.tsv: cannot read checkpoint manifest"
+    elif fault == "trailing tensor bytes":
+        with open(os.path.join(ckpt, "00000.strf"), "ab") as fh:
+            fh.write(bytes(8))
+        named = "00000.strf: expected a payload of"
     else:
         named = os.path.join(ckpt, "00000.strf")
         os.remove(named)

@@ -1,6 +1,9 @@
 import pytest
 
+from strf.backbone import resnet50_spec
 from strf.config import (
+    DataConfig,
+    ModelConfig,
     RunConfig,
     branches_from_tokens,
     network_spec_from,
@@ -12,11 +15,18 @@ from strf.config import (
 )
 from strf.errors import ConfigError
 from strf.factorize import BRANCH_ORDER
+from strf.synthdata import SynthSpec
 
 
 def test_empty_text_yields_defaults():
     cfg = parse_config_text("")
     assert cfg == RunConfig()
+
+
+def test_config_defaults_match_the_spec_defaults():
+    # both sides state the defaults; this keeps them in step
+    assert network_spec_from(ModelConfig()) == resnet50_spec(625)
+    assert synth_spec_from(DataConfig()) == SynthSpec()
 
 
 def test_training_recipe_defaults():
@@ -136,6 +146,13 @@ def test_semantic_validation():
         ("[train]\nlr = 0.1\nlr = 0.2\n", ":3: key 'lr' in \\[train\\] repeats line 2"),
         ("[train]\nlr = 0.1\n[eval]\nmax_rank = 5\n[train]\nlr = 0.1\n",
          ":6: key 'lr' in \\[train\\] repeats line 2"),
+        # a float must be finite, in a tuple too
+        ("[train]\nlr = nan\n", ":2: cannot parse value 'nan' for 'lr'"),
+        ("[train]\nweight_decay = inf\n", ":2: cannot parse value 'inf' for 'weight_decay'"),
+        ("[train]\nmargin = nan\n", ":2: cannot parse value 'nan' for 'margin'"),
+        ("[model]\ntemperature = inf\n", ":2: cannot parse value 'inf' for 'temperature'"),
+        ("[data]\nnorm_mean = inf, 0, 0\n", ":2: cannot parse value 'inf, 0, 0' for 'norm_mean'"),
+        ("[data]\nnorm_std = nan, 1, 1\n", ":2: cannot parse value 'nan, 1, 1' for 'norm_std'"),
     ],
 )
 def test_rejected_at_parse(text, match):

@@ -44,6 +44,8 @@ def test_test_indices_partial_tail():
 def test_test_indices_reject_empty():
     with pytest.raises(ContractError):
         gallery_clip_indices(0, 4)
+    with pytest.raises(ContractError, match="clip length must be >= 1, got 0"):
+        gallery_clip_indices(5, 0)
 
 
 def test_train_indices_long_tracklet(rng):
@@ -60,6 +62,12 @@ def test_train_indices_short_tracklet_wraps(rng):
         assert idx.shape == (4,)
         assert np.all(idx < 3)
         assert len(np.unique(idx)) == 3  # one frame repeats via wraparound
+
+
+@pytest.mark.parametrize("length, clip_len, stride", [(0, 4, 8), (5, 0, 2), (5, 4, 0), (5, -1, 1), (5, 4, -2)])
+def test_train_indices_reject_empty_tracklet_clip_or_stride(length, clip_len, stride, rng):
+    with pytest.raises(ContractError):
+        train_clip_indices(length, clip_len, stride, rng)
 
 
 def test_train_indices_deterministic_under_seed():

@@ -3,6 +3,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "fingerprint.py")
 INTEGRATIONS = ("temporal-then-spatial", "spatial-then-temporal", "parallel")
@@ -12,10 +14,15 @@ def run_tool(*args):
     return subprocess.run([sys.executable, TOOL, *args], capture_output=True, text=True, timeout=300)
 
 
-def test_fingerprint_prints_one_digest_per_output():
+@pytest.fixture(scope="module")
+def printed():
     done = run_tool(os.path.join(ROOT, "src"))
     assert done.returncode == 0, done.stderr
-    rows = [line.split(" ") for line in done.stdout.splitlines()]
+    return done.stdout
+
+
+def test_fingerprint_prints_one_digest_per_output(printed):
+    rows = [line.split(" ") for line in printed.splitlines()]
     assert all(len(row) == 2 and re.fullmatch("[0-9a-f]{64}", row[1]) for row in rows), rows
     digests = dict(rows)
     assert len(digests) == len(rows) == 3 + 10 * 2 + 4 + 1 + 3 + 2
@@ -35,6 +42,14 @@ def test_fingerprint_prints_one_digest_per_output():
     for part in ("checkpoint", "metrics.csv"):
         assert digests[f"train/temporal-then-spatial/all-max-pool/{part}"] != digests[
             f"train/temporal-then-spatial/all/{part}"]
+
+
+def test_fingerprint_rerun_is_bit_identical(printed):
+    # same seeds, same bytes: data, training, export, features, retrieval
+    # and the params report, all in one check
+    again = run_tool(os.path.join(ROOT, "src"))
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == printed
 
 
 def test_fingerprint_takes_exactly_a_source_directory():

@@ -53,6 +53,14 @@ def test_rejects_truncated_payload(tmp_path):
         read_tensor(str(path))
 
 
+def test_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "t.bin"
+    write_tensor(str(path), np.zeros((2, 3), dtype=np.float32))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(DataError, match=r"expected a payload of 24 bytes \(6 float32 values\), got 32"):
+        read_tensor(str(path))
+
+
 def test_little_endian_layout(tmp_path):
     path = tmp_path / "t.bin"
     write_tensor(str(path), np.array([1.0], dtype=np.float32))
