@@ -7,6 +7,7 @@ codes: 0 success, 2 configuration errors, 3 data errors, 4 numeric failures,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -63,6 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigError(f"--tolerance must be a finite positive number, got {args.tolerance}")
     results = run_suite()
     width = max(len(name) for name, _ in results)
     for name, err in results:

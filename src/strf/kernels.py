@@ -7,18 +7,24 @@ All kernels participate in the autodiff tape.
 Every kernel has SAME geometry (output extent = ceil(input / stride)), and
 ``_same_grid`` owns it: the padded grid's dims and the crop back to the
 input. ``_windows`` pads the input into that grid and returns the strided
-window view. Conv and ``pool3d`` kernel extents are odd (``_check_kernel``).
+window view the pools read. Conv and ``pool3d`` kernel extents are odd
+(``_check_kernel``).
 
-Convolution is im2col + GEMM, ``_im2col_gemm``: the windows are copied once
-into columns of dims (n, c*kt*kh*kw, t'*h'*w'), then one GEMM. Forward is
-that GEMM (weight matrix x columns); dW is one GEMM (grad x columns^T, summed
-over the batch). dX is the unit-stride conv, through the same helper, of the
+Convolution is im2col + GEMM, ``_im2col_gemm``: ``_columns`` builds the
+columns, dims (n, c*kt*kh*kw, t'*h'*w'), from the input's stride phases,
+planes of the output's extents, so that each tap's row is one shifted run of
+t'*h'*w' plane cells and the taps of one phase are one copy; then one GEMM.
+Where the copies go depends only on the input's extents, the kernel and the
+stride, so ``_column_plan`` works it out once per geometry. Forward is that
+GEMM (weight matrix x columns); dW is one GEMM (grad x columns^T, summed over
+the batch). dX is the unit-stride conv, through the same helper, of the
 output gradient with the kernel flipped in (t, h, w) and its channel axes
 swapped (Dumoulin & Visin, arXiv:1603.07285, section 4). At stride s the
 output gradient is first spread onto the input grid, s - 1 zeros between
 entries; at unit stride it is used as it is. The pointwise channel mix is
-the 1x1x1 case of the same path. Avg-pool's backward is the box sum of the
-output gradient divided by the in-bounds counts.
+the 1x1x1 case of the same path, whose columns are one strided slice of the
+input. Avg-pool's backward is the box sum of the output gradient divided by
+the in-bounds counts.
 
 Max pooling is a running maximum over the kernel's taps, each a strided slice
 of the window view, so no window is copied. Only a pool whose backward is
@@ -32,6 +38,7 @@ nodes).
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -233,16 +240,100 @@ def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1)) -> Tensor:
     return _conv(x, weight, _check_kernel(weight.shape[2:], "conv kernel"), _check_triple(stride, "conv stride"))
 
 
+@functools.lru_cache(maxsize=256)
+def _column_plan(extents: Triple, kernel: Triple, stride: Triple):
+    """How ``_columns`` moves the cells of an input of extents (t, h, w).
+
+    Along an axis, tap a of output o reads input cell s*o + a - before =
+    s*(o + q) + r with (q, r) = divmod(a - before, s): cell o + q of stride
+    phase r, a plane of the output's extents. Returns
+
+    - the output extents;
+    - the index of the phases some tap reads, into the input zero-padded to
+      s times the output extents and viewed as (n, c, t', st, h', sh, w', sw),
+      and their count along each axis;
+    - the margins before and after the planes, wide enough for every run;
+    - per phase, in C order: its taps (a slice from the phase's first tap in
+      steps of s along each axis), the flat offset of the first tap's run in
+      the planes, and the index, in those taps' rows (n, c, taps, t', h', w'),
+      of each cell whose run leaves the plane: the phase's tap i reads plane
+      cell o + q0 + i, so taps with q >= j leave it at o = o' - j and taps
+      with q <= -j at o = j - 1.
+    """
+    outs = tuple(-(-e // s) for e, s in zip(extents, stride))
+    _, crop = _same_grid((1, 1) + tuple(extents), kernel, stride)
+    befores = [cut.start for cut in crop[1:]]
+    shifts = [[(a - b) // s for a in range(k)] for k, s, b in zip(kernel, stride, befores)]
+    residues = [{(a - b) % s for a in range(k)} for k, s, b in zip(kernel, stride, befores)]
+    firsts, counts = [min(r) for r in residues], tuple(max(r) - min(r) + 1 for r in residues)
+    phases = (slice(None),) * 2 + sum(((slice(None), slice(f, f + m)) for f, m in zip(firsts, counts)), ())
+    size, steps = math.prod(outs), (outs[1] * outs[2], outs[2], 1)  # a plane cell's flat step along t, h, w
+    low = max(-sum(q[0] * step for q, step in zip(shifts, steps)), 0)
+    high = max(sum(q[-1] * step for q, step in zip(shifts, steps)), 0)
+    copies = []
+    for plane, phase in enumerate(np.ndindex(*counts)):
+        taps = [range((f + p + b) % s, k, s) for f, p, b, s, k in zip(firsts, phase, befores, stride, kernel)]
+        start = low + plane * size + sum(q[a[0]] * step for q, a, step in zip(shifts, taps, steps))
+        zeros = []
+        for axis, (a, o) in enumerate(zip(taps, outs)):
+            q0, q1 = shifts[axis][a[0]], shifts[axis][a[-1]]
+            at, skip = (slice(None),) * (2 + axis), (slice(None),) * 2
+            zeros += [at + (slice(max(j - q0, 0), None),) + skip + (o - j,) for j in range(1, min(q1, o) + 1)]
+            zeros += [at + (slice(-j - q0 + 1),) + skip + (j - 1,) for j in range(1, min(-q0, o) + 1)]
+        copies.append(((slice(None),) * 2 + tuple(slice(a[0], None, a.step) for a in taps), start, tuple(zeros)))
+    return outs, phases, counts, low, high, tuple(copies)
+
+
+def _columns(data: np.ndarray, kernel: Triple, stride: Triple):
+    """The SAME windows of ``data`` (n, c, t, h, w) as im2col columns, dims
+    (n, c * kt*kh*kw, t'*h'*w'): row (channel, tap) in C order, one column
+    per output site, 0 where a window reads padding. Returns the columns and
+    the output extents (t', h', w').
+
+    Each stride phase the taps read (``_column_plan``) is copied once, into
+    a plane of the output's extents (0 where the phase runs past the input)
+    between margins. A tap's row is then one run of t'*h'*w' plane cells
+    shifted by the tap's offset, and the taps that share a phase fill their
+    rows with one copy. Where a run leaves its plane it reads a neighbouring
+    row, plane or sample, or a margin, instead of padding; those cells are
+    set to 0 after each phase's copy, while its rows are still in cache, so
+    the margins are never written. A 1x1x1 kernel reads one strided slice."""
+    n, c = data.shape[:2]
+    if kernel == (1, 1, 1):
+        outs = tuple(-(-e // s) for e, s in zip(data.shape[2:], stride))
+        return np.ascontiguousarray(data[..., :: stride[0], :: stride[1], :: stride[2]]).reshape(n, c, -1), outs
+    outs, phases, counts, low, high, copies = _column_plan(data.shape[2:], kernel, stride)
+    src = data
+    grid = tuple(s * o for s, o in zip(stride, outs))
+    if grid != data.shape[2:]:
+        src = np.zeros((n, c) + grid, dtype=data.dtype)
+        src[(...,) + tuple(slice(e) for e in data.shape[2:])] = data
+    size, planes_per = math.prod(outs), math.prod(counts)
+    body = n * c * planes_per * size
+    buf = np.empty(low + body + high, dtype=data.dtype)
+    planes = src.reshape((n, c) + sum(zip(outs, stride), ()))[phases].transpose(0, 1, 3, 5, 7, 2, 4, 6)
+    buf[low : low + body].reshape((n, c) + counts + outs)[...] = planes
+
+    cols = np.empty((n, c) + kernel + outs, dtype=data.dtype)
+    item = buf.itemsize
+    steps = [e * item for e in (c * planes_per * size, planes_per * size, outs[1] * outs[2], outs[2], 1)]
+    for taps, start, zeros in copies:
+        rows = cols[taps]
+        # tap (i, j, k) of the phase: the run of its first tap, shifted by i, j
+        # and k plane cells along t, h and w
+        np.copyto(rows, np.ndarray(rows.shape, buf.dtype, buf, start * item, steps + steps[2:]))
+        for cells in zeros:
+            rows[cells] = 0
+    return cols.reshape(n, -1, size), outs
+
+
 def _im2col_gemm(w_mat: np.ndarray, data: np.ndarray, kernel: Triple, stride: Triple):
     """SAME cross-correlation of ``data`` (n, c, t, h, w) with ``w_mat``, an
-    (out_channels, c * kt*kh*kw) matrix: the windows copied once into columns
-    of dims (n, c * kt*kh*kw, t'*h'*w'), then one GEMM. Returns the output,
-    dims (n, out_channels, t', h', w'), and the columns."""
-    n = data.shape[0]
-    win = _windows(data, kernel, stride)
-    out_sizes = win.shape[2:5]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 5, 6, 7, 2, 3, 4)).reshape(n, -1, math.prod(out_sizes))
-    return np.matmul(w_mat, cols).reshape((n, -1) + out_sizes), cols
+    (out_channels, c * kt*kh*kw) matrix: the ``_columns`` of ``data``, then
+    one GEMM. Returns the output, dims (n, out_channels, t', h', w'), and the
+    columns."""
+    cols, outs = _columns(data, kernel, stride)
+    return np.matmul(w_mat, cols).reshape((data.shape[0], -1) + outs), cols
 
 
 def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:

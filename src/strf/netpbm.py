@@ -89,6 +89,8 @@ def _read_payload(path: str, magic: bytes, kind: str, channels: int) -> np.ndarr
     w, h, maxval, offset = read_header(data, path)
     if maxval != 255:
         raise DataError(f"{path}: unsupported {kind} maxval {maxval}")
+    if w == 0 or h == 0:
+        raise DataError(f"{path}: {kind} of width {w} and height {h} has no pixels")
     expected = w * h * channels
     if len(data) - offset < expected:
         got = max(0, len(data) - offset)

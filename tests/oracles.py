@@ -2,9 +2,11 @@
 
 Everything here is written with explicit Python loops and no imports from the
 package under test, so a bug in the fast paths cannot hide in its own oracle.
-Slow on purpose; keep instances small. The one exception is
-``batch_norm_composed``, which composes the elementary tape ops (each tested
-on its own in test_tensor.py) of the tensors it is handed.
+Slow on purpose; keep instances small. There are two exceptions.
+``batch_norm_composed`` composes the elementary tape ops (each tested on its
+own in test_tensor.py) of the tensors it is handed. ``im2col_windows`` is a
+frozen copy of the column build the convs once used: a strided window view
+copied in column order.
 """
 from __future__ import annotations
 
@@ -66,6 +68,24 @@ def same_geometry(extent: int, kernel: int, stride: int) -> tuple[int, int]:
     out = -(-extent // stride)
     total = max((out - 1) * stride + kernel - extent, 0)
     return out, total // 2
+
+
+def im2col_windows(data: np.ndarray, kernel: tuple[int, int, int], stride: tuple[int, int, int]) -> np.ndarray:
+    """The im2col columns of a SAME conv, dims (n, c*kt*kh*kw, t'*h'*w'), as
+    the window-view copy builds them: ``data`` (n, c, t, h, w) padded with
+    zeros (``same_geometry``), the (n, c, t', h', w', kt, kh, kw) view of its
+    windows, then one copy in (n, c, kt, kh, kw, t', h', w') order."""
+    n, c = data.shape[:2]
+    geometry = [same_geometry(e, k, s) for e, k, s in zip(data.shape[2:], kernel, stride)]
+    grid = [(o - 1) * s + k for (o, _), k, s in zip(geometry, kernel, stride)]
+    padded = np.zeros((n, c) + tuple(max(g, e) for g, e in zip(grid, data.shape[2:])), dtype=data.dtype)
+    padded[(...,) + tuple(slice(b, b + e) for (_, b), e in zip(geometry, data.shape[2:]))] = data
+    outs = tuple(o for o, _ in geometry)
+    steps = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (n, c) + outs + tuple(kernel), steps[:2] + tuple(b * s for b, s in zip(steps[2:], stride)) + steps[2:]
+    )
+    return np.ascontiguousarray(windows.transpose(0, 1, 5, 6, 7, 2, 3, 4)).reshape(n, -1, math.prod(outs))
 
 
 def max_pool_loops(

@@ -452,6 +452,37 @@ def test_eval_loader_faults_exit_three(pipeline, tmp_path, capsys, fault):
     assert not os.path.exists(tmp_path / "e")
 
 
+def test_eval_with_empty_frames_exits_three(pipeline, tmp_path, capsys):
+    # frames of width 0 load as (3, 32, 0) arrays unless the reader refuses them
+    data = str(tmp_path / "data")
+    shutil.copytree(os.path.dirname(pipeline["manifest"]), data)
+    tracklet = os.path.join(data, "query/id_0002/cam0_trk00")
+    for name in sorted(os.listdir(tracklet)):
+        with open(os.path.join(tracklet, name), "wb") as fh:
+            fh.write(b"P6\n0 32\n255\n")
+    rc = dispatch([
+        "eval", "--config", pipeline["config"], "--checkpoint", pipeline["checkpoint"],
+        "--out", str(tmp_path / "e"), "--manifest", os.path.join(data, "manifest.tsv"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "PPM of width 0 and height 32 has no pixels" in err
+    assert os.path.join(tracklet, "frame_00000.ppm") in err
+    assert not os.path.exists(tmp_path / "e")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "-inf"])
+def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, monkeypatch, tolerance):
+    def suite():
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("strf.cli.run_suite", suite)
+    assert dispatch(["gradcheck", f"--tolerance={tolerance}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --tolerance must be a finite positive number, got {float(tolerance)}\n"
+
+
 def test_unknown_tracklet_exits_three(pipeline, tmp_path, capsys):
     rc = dispatch([
         "export-attn", "--config", pipeline["config"], "--checkpoint", pipeline["checkpoint"],

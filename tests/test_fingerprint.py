@@ -25,10 +25,12 @@ def test_fingerprint_prints_one_digest_per_output(printed):
     rows = [line.split(" ") for line in printed.splitlines()]
     assert all(len(row) == 2 and re.fullmatch("[0-9a-f]{64}", row[1]) for row in rows), rows
     digests = dict(rows)
-    assert len(digests) == len(rows) == 3 + 10 * 2 + 4 + 1 + 3 + 2
+    assert len(digests) == len(rows) == 3 + 12 * 2 + 4 + 1 + 3 + 2
     assert [name for name in digests if name.startswith("export/")] == [f"export/stage{n}" for n in (1, 2, 3, 4)]
     assert [name for name in digests if name.startswith("data/")] == ["data/train", "data/query", "data/gallery"]
     assert "features/p3d-c-strf" in digests
+    assert [name for name in digests if name.startswith(("train/i3d/", "train/p3d-b/"))] == [
+        "train/i3d/checkpoint", "train/i3d/metrics.csv", "train/p3d-b/checkpoint", "train/p3d-b/metrics.csv"]
     assert [name for name in digests if name.startswith("eval/")] == [
         "eval/c2d/report.txt", "eval/c2d/cmc.csv", "eval/c2d/ap.csv"]
     assert [name for name in digests if name.startswith("params/")] == ["params/default", "params/toy"]

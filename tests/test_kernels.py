@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from strf.errors import ConfigError, ShapeError
 from strf.factorize import StrfConfig, fam_mask, init_strf_params, strf_forward
-from strf.kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
+from strf.kernels import _columns, conv3d, conv_channel_mix, pool3d, strided_max_pool3d
 from strf.tensor import Tensor, no_grad
 
 from oracles import (
@@ -14,6 +14,7 @@ from oracles import (
     channel_mix_loops,
     conv3d_input_grad_loops,
     conv3d_loops,
+    im2col_windows,
     max_pool_loops,
     pool3d_loops,
 )
@@ -288,6 +289,46 @@ def test_property_conv3d_matches_oracle_and_adjoint(case):
     pairing = float(np.sum(out.data * s))
     assert np.isclose(np.sum(x * xt.grad), pairing, rtol=1e-10, atol=1e-10)
     assert np.isclose(np.sum(w * wt.grad), pairing, rtol=1e-10, atol=1e-10)
+
+
+@st.composite
+def column_cases(draw):
+    kernel = tuple(draw(st.sampled_from((1, 3, 5, 7))) for _ in range(3))
+    stride = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    dims = (draw(st.integers(1, 2)), draw(st.integers(1, 2))) + tuple(draw(st.integers(1, 9)) for _ in range(3))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    layout = draw(st.sampled_from(("contiguous", "reversed", "w-major", "every-other")))
+    nan_share = draw(st.sampled_from((0.0, 0.05, 0.3)))
+    return kernel, stride, dims, dtype, layout, nan_share, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_cases())
+def test_property_columns_match_the_window_view_copy_bit_for_bit(case):
+    # Extents run below the kernel and past multiples of the stride. Cells
+    # are nonzero, and NaN cells must land in exactly the columns whose
+    # window reads them: a shifted run that wraps into a neighbouring row,
+    # plane or sample and is left unzeroed fails the comparison.
+    kernel, stride, dims, dtype, layout, nan_share, seed = case
+    g = np.random.Generator(np.random.PCG64(seed))
+    values = g.uniform(1.0, 2.0, size=dims)
+    values[g.random(dims) < nan_share] = np.nan
+    if layout == "contiguous":
+        x = values.astype(dtype)
+    elif layout == "reversed":  # negative strides along h
+        x = values[:, :, :, ::-1].astype(dtype)[:, :, :, ::-1]
+    elif layout == "w-major":  # w varies slowest in memory
+        x = np.ascontiguousarray(values.astype(dtype).transpose(4, 0, 1, 2, 3)).transpose(1, 2, 3, 4, 0)
+    else:  # every other cell of a wider array along t and w
+        wide = np.full(dims[:2] + (2 * dims[2], dims[3], 2 * dims[4]), -7.0, dtype=dtype)
+        wide[:, :, ::2, :, ::2] = values
+        x = wide[:, :, ::2, :, ::2]
+    assert np.array_equal(x, values.astype(dtype), equal_nan=True)
+    cols, outs = _columns(x, kernel, stride)
+    expect = im2col_windows(x, kernel, stride)
+    assert outs == tuple(-(-e // s) for e, s in zip(dims[2:], stride))
+    assert cols.dtype == expect.dtype and cols.shape == expect.shape
+    assert np.array_equal(cols, expect, equal_nan=True)
 
 
 def test_strided_max_pool_stem_geometry(rng):

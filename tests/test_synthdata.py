@@ -89,6 +89,8 @@ def test_netpbm_rejects_truncated_payload(tmp_path):
         (b"P6 4 4 255", "{path}: PPM payload is short (0 of 48 bytes)"),
         (b"P6\n# c\n4 4\n255\n" + bytes(47), "{path}: PPM payload is short (47 of 48 bytes)"),
         (b"P6\n4 4\n15\n" + bytes(48), "{path}: unsupported PPM maxval 15"),
+        (b"P6\n0 32\n255\n", "{path}: PPM of width 0 and height 32 has no pixels"),
+        (b"P6\n16 0\n255\n" + bytes(48), "{path}: PPM of width 16 and height 0 has no pixels"),
     ],
 )
 def test_netpbm_read_errors_keep_their_messages(tmp_path, content, message):
@@ -97,6 +99,15 @@ def test_netpbm_read_errors_keep_their_messages(tmp_path, content, message):
         fh.write(content)
     with pytest.raises(DataError, match=f"^{re.escape(message.format(path=path))}$"):
         read_ppm(path)
+
+
+@pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (0, 0)])
+def test_netpbm_rejects_an_empty_gray_map(tmp_path, width, height):
+    path = str(tmp_path / "empty.pgm")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode())
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: PGM of width {width} and height {height} has no pixels$"):
+        read_pgm(path)
 
 
 def test_netpbm_skips_header_comments(tmp_path):

@@ -18,6 +18,10 @@ train/<integration>/<branches>/metrics.csv  without its timestamp line
 train/temporal-then-spatial/all-max-pool/...
     the same run for all branches with the coarse branches at their default
     max pooling, so the unit's max-pool backward is covered too
+train/<variant>/checkpoint, train/<variant>/metrics.csv
+    the same run for all branches with i3d blocks (3x3x3 convs, strided in
+    stage 2 and 3) and with p3d-b blocks (a 3x1x1 conv at spatial stride 2),
+    so the conv geometries the other runs lack are covered too
 export/stage<n>                             for n = 1..4, the maps
     ``attention_export`` computes from the first query tracklet with the
     ``train/temporal-then-spatial/all`` checkpoint, as ``strf export-attn``
@@ -146,6 +150,10 @@ def main(argv: list[str]) -> int:
         name = "train/temporal-then-spatial/all-max-pool"
         _, ckpt_sha, log_sha = train(toy("p3d-c", "2, 3", pool=""), os.path.join(work, name))
         lines += [(f"{name}/checkpoint", ckpt_sha), (f"{name}/metrics.csv", log_sha)]
+        for variant in ("i3d", "p3d-b"):
+            name = f"train/{variant}"
+            _, ckpt_sha, log_sha = train(toy(variant, "2, 3"), os.path.join(work, name))
+            lines += [(f"{name}/checkpoint", ckpt_sha), (f"{name}/metrics.csv", log_sha)]
 
         net = load_eval_network(toy("p3d-c", "2, 3"), exported, manifest)
         clip = load_tracklets(manifest, "query")[0].frames.transpose(1, 0, 2, 3)
