@@ -152,6 +152,12 @@ _COMMANDS = {
 
 def dispatch(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--tolerance" in argv[:-1]:
+        # argparse takes a value such as "-inf" for an option; joined to its
+        # flag, it reaches the tolerance check
+        at = argv.index("--tolerance")
+        argv[at:at + 2] = ["--tolerance=" + argv[at + 1]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

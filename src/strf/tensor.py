@@ -4,7 +4,11 @@ Values are numpy arrays in single precision by default; double precision is
 supported everywhere and is mandatory for finite-difference gradient checks.
 Each operation that participates in differentiation records its parents and a
 closure that scatters the incoming gradient back to them; ``Tensor.backward``
-replays those closures in reverse topological order.
+replays those closures in reverse topological order. The ops are ``add`` (of
+equal dims, no broadcasting), ``relu``, ``reshape``, ``transpose``,
+``tensor_mean``, ``matmul`` and ``softmax_rows``, with ``+`` and ``@`` as
+operators; the kernels, the unit, batch norm and the losses build their own
+nodes with ``Tensor._make``.
 
 The replay consumes the graph: once a node's closure has run, the node drops
 the closure, its parents and its gradient, so the buffers a closure holds are
@@ -177,26 +181,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     # method mirrors of the free functions, for fluent call sites
     def reshape(self, *shape):
@@ -204,9 +190,6 @@ class Tensor:
 
     def transpose(self, *axes):
         return transpose(self, axes if axes else None)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
@@ -228,95 +211,21 @@ def fan_in_uniform(shape: tuple[int, ...], rng: np.random.Generator, dtype) -> T
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` after numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def _split_operand(other, like: Tensor):
-    """Return (array-or-scalar value, tensor-or-None) for a binary op RHS."""
-    if isinstance(other, Tensor):
-        return other.data, other
-    if isinstance(other, (int, float)):
-        return other, None
-    return _coerce_array(other, dtype=like.dtype), None
-
-
 # -- elementwise arithmetic ------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    bv, bt = _split_operand(b, a)
-    out_data = a.data + bv
-    parents = [a] + ([bt] if bt is not None else [])
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """The sum of two tensors of equal dims."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add expects operands of equal dims, got {a.shape} and {b.shape}")
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if bt is not None and bt.requires_grad:
-            bt._accumulate(_unbroadcast(g, bt.data.shape))
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g)
 
-    return Tensor._make(out_data, parents, grad_fn)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    bv, bt = _split_operand(b, a)
-    out_data = a.data - bv
-    parents = [a] + ([bt] if bt is not None else [])
-
-    def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if bt is not None and bt.requires_grad:
-            bt._accumulate(_unbroadcast(-g, bt.data.shape), fresh=True)
-
-    return Tensor._make(out_data, parents, grad_fn)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    bv, bt = _split_operand(b, a)
-    out_data = a.data * bv
-    parents = [a] + ([bt] if bt is not None else [])
-
-    def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * bv, a.data.shape), fresh=True)
-        if bt is not None and bt.requires_grad:
-            bt._accumulate(_unbroadcast(g * a.data, bt.data.shape), fresh=True)
-
-    return Tensor._make(out_data, parents, grad_fn)
-
-
-def div(a: Tensor, b) -> Tensor:
-    bv, bt = _split_operand(b, a)
-    out_data = a.data / bv
-    parents = [a] + ([bt] if bt is not None else [])
-
-    def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / bv, a.data.shape), fresh=True)
-        if bt is not None and bt.requires_grad:
-            bt._accumulate(_unbroadcast(-g * a.data / (bv * bv), bt.data.shape), fresh=True)
-
-    return Tensor._make(out_data, parents, grad_fn)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    p = float(exponent)
-    out_data = a.data ** p
-
-    def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g * p * a.data ** (p - 1.0), fresh=True)
-
-    return Tensor._make(out_data, [a], grad_fn)
+    return Tensor._make(a.data + b.data, [a, b], grad_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -362,15 +271,6 @@ def _restore_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool
         for ax in sorted(axes):
             g = np.expand_dims(g, ax)
     return np.broadcast_to(g, shape)
-
-
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(_restore_reduced(g, a.data.shape, axis, keepdims).astype(a.data.dtype, copy=False))
-
-    return Tensor._make(out_data, [a], grad_fn)
 
 
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -3,10 +3,10 @@
 Everything here is written with explicit Python loops and no imports from the
 package under test, so a bug in the fast paths cannot hide in its own oracle.
 Slow on purpose; keep instances small. There are two exceptions.
-``batch_norm_composed`` composes the elementary tape ops (each tested on its
-own in test_tensor.py) of the tensors it is handed. ``im2col_windows`` is a
-frozen copy of the column build the convs once used: a strided window view
-copied in column order.
+``batch_norm_reference`` is batch norm in whole-array numpy, read off the
+attributes of the layer it is handed. ``im2col_windows`` is a frozen copy of
+the column build the convs once used: a strided window view copied in column
+order.
 """
 from __future__ import annotations
 
@@ -381,20 +381,18 @@ def netpbm_tokens_loops(data: bytes, count: int, path: str) -> tuple[list[int], 
     return values, i + 1
 
 
-def batch_norm_composed(bn, x, training: bool):
-    """Batch norm spelled out in elementary tape ops (mean, subtract, square,
-    mean, add, square root, divide, reshape, scale, shift) on the attributes
-    of a batch-norm layer ``bn``; a training call updates its running stats
-    the way the layer does."""
-    shape = (1, bn.gamma.size, 1, 1, 1)
+def batch_norm_reference(bn, x: np.ndarray, training: bool):
+    """Batch norm of ``x`` (n, c, t, h, w) in plain numpy from the attributes
+    of a batch-norm layer ``bn``, which it leaves alone: the batch mean and
+    biased variance in training, the running stats in eval. Returns the
+    output and the running mean and variance the call leaves behind."""
+    running_mean, running_var = bn.running_mean, bn.running_var
     if training:
-        mu = x.mean(axis=(0, 2, 3, 4), keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=(0, 2, 3, 4), keepdims=True)
-        bn.running_mean += bn.momentum * (mu.data.reshape(-1) - bn.running_mean)
-        bn.running_var += bn.momentum * (var.data.reshape(-1) - bn.running_var)
-        normed = centered / (var + bn.eps) ** 0.5
+        mean, var = x.mean(axis=(0, 2, 3, 4)), x.var(axis=(0, 2, 3, 4))
+        running_mean = running_mean + bn.momentum * (mean - running_mean)
+        running_var = running_var + bn.momentum * (var - running_var)
     else:
-        denom = np.sqrt(bn.running_var + bn.eps).reshape(shape)
-        normed = (x - bn.running_mean.reshape(shape)) / denom
-    return normed * bn.gamma.reshape(shape) + bn.beta.reshape(shape)
+        mean, var = running_mean, running_var
+    shape = (1, -1, 1, 1, 1)
+    normed = (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + bn.eps)
+    return normed * bn.gamma.data.reshape(shape) + bn.beta.data.reshape(shape), running_mean, running_var

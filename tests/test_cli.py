@@ -483,6 +483,18 @@ def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, m
     assert captured.err == f"config error: --tolerance must be a finite positive number, got {float(tolerance)}\n"
 
 
+@pytest.mark.parametrize("tolerance", ["-inf", "-nan"])
+def test_gradcheck_reads_a_dash_tolerance_token_as_the_value(capsys, monkeypatch, tolerance):
+    def suite():
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("strf.cli.run_suite", suite)
+    assert dispatch(["gradcheck", "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --tolerance must be a finite positive number, got {float(tolerance)}\n"
+
+
 def test_unknown_tracklet_exits_three(pipeline, tmp_path, capsys):
     rc = dispatch([
         "export-attn", "--config", pipeline["config"], "--checkpoint", pipeline["checkpoint"],

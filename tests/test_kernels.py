@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from strf.errors import ConfigError, ShapeError
 from strf.factorize import StrfConfig, fam_mask, init_strf_params, strf_forward
 from strf.kernels import _columns, conv3d, conv_channel_mix, pool3d, strided_max_pool3d
+from strf.gradcheck import inner
 from strf.tensor import Tensor, no_grad
 
 from oracles import (
@@ -102,7 +103,7 @@ def test_max_pool_grad_routes_to_first_max():
     # two equal maxima in one window: the earlier scan position takes the grad
     x = vol(np.array([2.0, 5.0, 5.0]).reshape(1, 1, 3, 1, 1))
     out = pool3d(x, (3, 1, 1), "max")
-    out.sum().backward()
+    inner(out, np.ones(out.shape)).backward()
     assert np.array_equal(x.grad.reshape(3), [0.0, 3.0, 0.0])
 
 
@@ -111,14 +112,15 @@ def test_avg_pool_grad_matches_loop_oracle(rng, kernel):
     x = vol(rng.normal(size=(2, 3, 4, 5, 3)))
     out = pool3d(x, kernel, "avg")
     upstream = rng.normal(size=out.shape)
-    (out * Tensor(upstream)).sum().backward()
+    inner(out, upstream).backward()
     for i in range(2):
         np.testing.assert_allclose(x.grad[i], avg_pool_input_grad_loops(upstream[i], kernel), rtol=0, atol=1e-12)
 
 
 def test_avg_pool_grad_uniform_over_window():
     x = vol(np.zeros((1, 1, 1, 1, 3)))
-    pool3d(x, (1, 1, 3), "avg").sum().backward()
+    out = pool3d(x, (1, 1, 3), "avg")
+    inner(out, np.ones(out.shape)).backward()
     # cell 0 is in 2 windows (sizes 2 and 3), cell 1 in 3, cell 2 in 2
     assert np.allclose(x.grad.reshape(3), [1 / 2 + 1 / 3, 1 / 2 + 1 / 3 + 1 / 2, 1 / 3 + 1 / 2])
 
@@ -223,7 +225,7 @@ def test_conv3d_input_grad_matches_scatter_oracle(rng, kernel, stride, sizes):
     w = rng.normal(size=(3, 2) + kernel)
     out = conv3d(x, Tensor(w), stride)
     upstream = rng.normal(size=out.shape)
-    (out * Tensor(upstream)).sum().backward()
+    inner(out, upstream).backward()
     for i in range(2):
         expect = conv3d_input_grad_loops(upstream[i], w, x.shape[1:], stride)
         np.testing.assert_allclose(x.grad[i], expect, rtol=0, atol=1e-10)
@@ -253,7 +255,7 @@ def test_conv3d_float32_reruns_are_bit_identical(stride):
     def run():
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         out = conv3d(xt, wt, stride)
-        (out * Tensor(upstream)).sum().backward()
+        inner(out, upstream).backward()
         return out.data, xt.grad, wt.grad
 
     for first, second in zip(run(), run()):
@@ -285,7 +287,7 @@ def test_property_conv3d_matches_oracle_and_adjoint(case):
         assert np.allclose(out.data[i], conv3d_loops(x[i], w, stride), atol=1e-10)
     # the map is bilinear, so <conv(x, w), s> = <x, dX> = <w, dW> for any seed s
     s = g.normal(size=out.shape)
-    (out * Tensor(s)).sum().backward()
+    inner(out, s).backward()
     pairing = float(np.sum(out.data * s))
     assert np.isclose(np.sum(x * xt.grad), pairing, rtol=1e-10, atol=1e-10)
     assert np.isclose(np.sum(w * wt.grad), pairing, rtol=1e-10, atol=1e-10)
@@ -361,7 +363,7 @@ def test_strided_max_pool_grad_routes_to_first_max():
     ]).reshape(1, 1, 1, 4, 4))
     out = strided_max_pool3d(x, (1, 3, 3), (1, 2, 2))
     assert np.array_equal(out.data.reshape(2, 2), [[9.0, 9.0], [4.0, 5.0]])
-    (out * Tensor(np.array([1.0, 10.0, 100.0, 1000.0]).reshape(1, 1, 1, 2, 2))).sum().backward()
+    inner(out, np.array([1.0, 10.0, 100.0, 1000.0]).reshape(1, 1, 1, 2, 2)).backward()
     expect = np.zeros((4, 4))
     expect[0, 2] = 1.0 + 10.0  # the max of both top windows takes both grads
     expect[3, 0] = 100.0  # tie at (3, 0) and (3, 1): the earlier scan position wins
@@ -375,7 +377,7 @@ def test_strided_max_pool_padding_never_wins(rng):
         x = vol(-rng.uniform(1.0, 2.0, size=shape))
         out = strided_max_pool3d(x, (1, 3, 3), (1, 2, 2))
         assert np.all(np.isfinite(out.data)) and np.all(out.data < -1.0)
-        out.sum().backward()
+        inner(out, np.ones(out.shape)).backward()
         assert x.grad.sum() == out.size  # every output's grad lands in bounds
 
 
@@ -384,7 +386,7 @@ def test_max_pool_nan_window_yields_nan_and_routes_to_first_nan():
     out = pool3d(x, (3, 1, 1), "max")
     # windows {pad, 1, nan}, {1, nan, 3}, {nan, 3, nan}, {3, nan, 0}, {nan, 0, pad}
     assert np.all(np.isnan(out.data))
-    out.sum().backward()
+    inner(out, np.ones(out.shape)).backward()
     assert np.array_equal(x.grad.reshape(5), [0.0, 3.0, 0.0, 2.0, 0.0])
 
 
@@ -395,7 +397,7 @@ def test_strided_max_pool_nan_routes_to_first_nan():
     out = strided_max_pool3d(x, (1, 3, 3), (1, 2, 2))
     # windows cover rows/columns {0, 1, 2} and {2, 3}: only the bottom-right one is NaN-free
     assert np.array_equal(np.isnan(out.data).reshape(2, 2), [[True, True], [False, False]])
-    out.sum().backward()
+    inner(out, np.ones(out.shape)).backward()
     expect = np.zeros((4, 4))
     expect[0, 2] = 2.0  # first NaN in scan order of both top windows
     expect[2, 0] = 1.0  # all-zero windows: their first in-bounds tap wins
@@ -431,7 +433,7 @@ def test_property_max_pool_matches_oracle_values_bits_and_grads(case):
     x, kernel, stride, seed = case
     xt = Tensor(x, requires_grad=True)
     out = pool_max(xt, kernel, stride)
-    out.sum().backward()
+    inner(out, np.ones(out.shape)).backward()
     for i in range(x.shape[0]):
         values, grad = max_pool_loops(x[i], kernel, stride)
         assert out.data[i].tobytes() == values.tobytes()  # -0.0 and 0.0 differ here
@@ -442,7 +444,7 @@ def test_property_max_pool_matches_oracle_values_bits_and_grads(case):
     # them in another order than the oracle
     s = np.random.Generator(np.random.PCG64(seed)).normal(size=out.shape)
     xt = Tensor(x.astype(np.float64), requires_grad=True)
-    (pool_max(xt, kernel, stride) * Tensor(s)).sum().backward()
+    inner(pool_max(xt, kernel, stride), s).backward()
     for i in range(x.shape[0]):
         _, grad = max_pool_loops(x[i].astype(np.float64), kernel, stride, s[i])
         np.testing.assert_allclose(xt.grad[i], grad, rtol=0, atol=1e-12)
