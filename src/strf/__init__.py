@@ -17,11 +17,9 @@ from .errors import (
 )
 from .tensor import Tensor, no_grad
 from .gradcheck import grad_check
-from .kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
+from .kernels import conv3d, strided_max_pool3d
 from .factorize import (
     StrfConfig,
-    fam_mask,
-    ffm_apply,
     ffm_branch,
     init_strf_params,
     strf_forward,
@@ -67,13 +65,10 @@ __all__ = [
     "attention_export",
     "batch_hard_triplet",
     "conv3d",
-    "conv_channel_mix",
     "count_params",
     "cross_entropy",
     "decayed_lr",
     "evaluate",
-    "fam_mask",
-    "ffm_apply",
     "ffm_branch",
     "forward_features",
     "generate",
@@ -87,7 +82,6 @@ __all__ = [
     "params_report",
     "parse_config",
     "parse_config_text",
-    "pool3d",
     "read_tensor",
     "resnet50_spec",
     "run_retrieval",

@@ -37,9 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-# batch norm applies every relu, but perfbench's tracer patches
-# ``strf.backbone.relu`` as a lookup site, so the name stays bound here
-from .tensor import Tensor, fan_in_uniform, no_grad, records, relu, transpose, matmul
+from .tensor import Tensor, fan_in_uniform, no_grad, records, transpose, matmul
 from .kernels import conv3d, strided_max_pool3d
 from .factorize import StrfConfig, init_strf_params, strf_forward
 
@@ -47,6 +45,12 @@ BLOCK_VARIANTS = ("c2d", "i3d", "p3d-a", "p3d-b", "p3d-c")
 
 
 # -- layers ------------------------------------------------------------------
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    """max(x, 0) written over ``x``, which it returns; a NaN stays NaN. The
+    one relu of every epilogue, batch norm's and the folded conv's."""
+    return np.maximum(x, 0, out=x)
 
 
 class BatchNorm3dLayer:
@@ -95,7 +99,7 @@ class BatchNorm3dLayer:
         if skip is not None:
             out += skip.data
         if self.relu:
-            np.maximum(out, 0, out=out)
+            relu(out)
         gamma, beta, rectified = self.gamma, self.beta, self.relu
 
         def grad_fn(g: np.ndarray) -> None:
@@ -158,7 +162,7 @@ class ConvBn:
         self.folded = None
 
     def __call__(self, x: Tensor, training: bool, skip: Tensor | None = None) -> Tensor:
-        # conv3d and strf_forward are module lookups: perfbench's tracer patches them here
+        # conv3d, relu and strf_forward are module lookups: perfbench's tracer patches them here
         if self.folded is not None:
             if training or records([x]):
                 raise ContractError("a network folded for retrieval runs inference only, with no tape")
@@ -168,7 +172,7 @@ class ConvBn:
             if skip is not None:
                 y.data += skip.data
             if self.bn.relu:
-                np.maximum(y.data, 0, out=y.data)
+                relu(y.data)
             return y
         y = conv3d(x, self.weight, self.stride)
         if self.strf_params is not None:

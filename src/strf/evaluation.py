@@ -79,15 +79,18 @@ def stacked_features(net: Network, tracklets, clip_len: int, batch_size: int = 1
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     if not tracklets:
         raise ContractError("cannot embed an empty list of tracklets")
-    parts, batch = [], []
-    for clip in (clip for t in tracklets for clip in sample_clips(t, clip_len)):
-        if len(batch) == batch_size or (batch and clip.shape != batch[0].shape):
-            parts.append(forward_features(net, np.stack(batch)))
-            batch = []
-        batch.append(clip)
+    parts, batch, counts = [], [], []
+    for tracklet in tracklets:
+        clips = sample_clips(tracklet, clip_len)
+        counts.append(len(clips))
+        for clip in clips:
+            if len(batch) == batch_size or (batch and clip.shape != batch[0].shape):
+                parts.append(forward_features(net, np.stack(batch)))
+                batch = []
+            batch.append(clip)
     parts.append(forward_features(net, np.stack(batch)))
     feats = np.concatenate(parts)
-    ends = np.cumsum([len(test_clip_indices(len(t), clip_len)) for t in tracklets])
+    ends = np.cumsum(counts)
     return np.stack([feats[start:end].mean(axis=0) for start, end in zip(np.r_[0, ends[:-1]], ends)])
 
 
@@ -131,6 +134,8 @@ def evaluate(
 ) -> RetrievalResult:
     """Score a distance matrix under the cross-camera retrieval protocol."""
     distances = np.asarray(distances)
+    if distances.ndim != 2:
+        raise ContractError(f"distances must be a (queries, gallery) matrix, got dims {distances.shape}")
     query_ids = np.asarray(query_ids)
     query_cams = np.asarray(query_cams)
     gallery_ids = np.asarray(gallery_ids)

@@ -16,16 +16,18 @@ dimension sums its fine and coarse outputs. Temporal and spatial dimensions
 combine in cascade (either order) or in parallel.
 
 Each dimension is one tape node (``ffm_branch``) with a closed-form
-backward, and taped and untaped calls run the same forward. Per kind, the
-Gram is written into one (sites x sites) buffer (the temperature scales a
-contiguous copy of T^t, so numpy runs a plain GEMM), and the row softmax
-runs in that buffer. The masks of both kinds are summed before one apply:
-``F (M_fine + M_coarse)`` equals ``F M_fine + F M_coarse`` with one matrix
-product instead of two. Mask entries below the dtype's smallest normal
-number (``np.finfo(dtype).tiny``) are flushed to 0, because a product over
-subnormal entries runs up to 100x slower; a row still sums to 1 within
-rounding. A taped node keeps each kind's mask, T and pool winners, and no
-other (sites x sites) buffer.
+backward, and taped and untaped calls run the same forward. The node's
+steps are array functions, each called by its module name: per kind,
+``fam_mask`` runs ``conv_channel_mix``, ``kernels.pool3d``, the Gram
+(written into one (sites x sites) buffer; the temperature scales a
+contiguous copy of T^t, so numpy runs a plain GEMM) and ``softmax_rows`` in
+that buffer; then one ``ffm_apply``. The masks of both kinds are summed
+before that apply: ``F (M_fine + M_coarse)`` equals ``F M_fine + F M_coarse``
+with one matrix product instead of two. Mask entries below the dtype's
+smallest normal number (``np.finfo(dtype).tiny``) are flushed to 0, because
+a product over subnormal entries runs up to 100x slower; a row still sums to
+1 within rounding. A taped node keeps each kind's mask, T and pool winners,
+and no other (sites x sites) buffer.
 
 ``StrfConfig`` is the unit's one config and checks every setting once:
 ``fam_mask`` takes a branch's dimension, resolution, pool mode and
@@ -38,13 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, fan_in_uniform, matmul, records, softmax_rows_grad, softmax_rows_in_place
-from .kernels import check_batch, pool_volume
-
-# perfbench's tracer patches these names here as lookup sites; the unit's
-# tape nodes compute the same steps on arrays, so the names stay bound
-from .tensor import softmax_rows
-from .kernels import conv_channel_mix, pool3d
+from .tensor import Tensor, fan_in_uniform, records, softmax_rows, softmax_rows_grad
+from .kernels import POOL_MODES, check_batch, pool3d
 
 DIMENSIONS = ("temporal", "spatial")
 BRANCH_ORDER: tuple[tuple[str, str], ...] = (
@@ -54,7 +51,6 @@ BRANCH_ORDER: tuple[tuple[str, str], ...] = (
     ("spatial", "coarse"),
 )
 INTEGRATIONS = ("temporal-then-spatial", "spatial-then-temporal", "parallel")
-POOL_MODES = ("max", "avg")
 
 
 @dataclass(frozen=True)
@@ -128,13 +124,6 @@ def strf_param_count(channels: int, reduction: int = 16, n_branches: int = 4) ->
     return n_branches * channels * reduced_channels(channels, reduction)
 
 
-def reshape_to_matrix(f: Tensor) -> Tensor:
-    """Flatten each volume of a batch to (channels*time) x (height*width)."""
-    check_batch(f)
-    n, c, t, h, w = f.shape
-    return f.reshape((n, c * t, h * w))
-
-
 def _check_branch(f: Tensor, weight: Tensor) -> None:
     check_batch(f)
     if weight.ndim != 2 or weight.shape[1] != f.shape[1]:
@@ -146,25 +135,38 @@ def _pool_kernel(dimension: str, resolution: int) -> tuple[int, int, int]:
     return (resolution, 1, 1) if dimension == "temporal" else (1, resolution, resolution)
 
 
-def _branch_mask(x: np.ndarray, weight: np.ndarray, kernel, pool: str, temperature: float, keep: bool):
-    """One branch's masks for the batch ``x`` (n, c, t, h, w): mix, pool, T,
-    then ``softmax_rows((temperature * T)^t T)`` in the Gram's own buffer.
-
-    Returns the masks, dims (n, sites, sites), and, when ``keep``, the
-    branch's backward ``(d_mask, need_x, need_w) -> (d_x, d_w)``, with ``d_x``
-    of dims (n, c, t*h*w) or ``None`` when not needed, and likewise ``d_w``.
-    The backward holds the masks, T and the pool's winners, and ``x`` and
-    ``weight``, which the caller holds anyway."""
+def conv_channel_mix(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Pointwise (1x1x1) convolution of the batch ``x`` (n, c, t, h, w) with
+    the (reduced_channels, c) ``weight``: dims (n, reduced_channels, t, h, w),
+    in ``x``'s dtype."""
     n, c = x.shape[:2]
-    volume = x.reshape(n, c, -1)
-    reduced = np.matmul(weight, volume).astype(x.dtype, copy=False).reshape((n, -1) + x.shape[2:])
-    pooled, pool_backward = pool_volume(reduced, kernel, pool, keep)
+    return np.matmul(weight, x.reshape(n, c, -1)).astype(x.dtype, copy=False).reshape((n, -1) + x.shape[2:])
+
+
+def fam_mask(x: np.ndarray, weight: np.ndarray, dimension: str, resolution: int, pool: str = "max",
+             temperature: float = 4.0, keep: bool = False):
+    """One branch's attention masks for the batch ``x`` (n, c, t, h, w):
+    ``conv_channel_mix`` with the branch's (reduced_channels, c) ``weight``,
+    ``pool3d`` with an odd ``resolution`` over a (r, 1, 1) kernel for the
+    temporal dimension and a (1, r, r) kernel for the spatial one, T (the
+    pooled volume flattened to (reduced_channels * t) x (h * w)), then
+    ``softmax_rows((temperature * T)^t T)`` in the Gram's own buffer.
+
+    Returns the masks, dims (n, sites, sites), whose rows are probability
+    vectors, and, when ``keep``, the branch's backward
+    ``(d_mask, need_x, need_w) -> (d_x, d_w)``, with ``d_x`` of dims
+    (n, c, t*h*w) or ``None`` when not needed, and likewise ``d_w``. The
+    backward holds the masks, T and the pool's winners, and ``x`` and
+    ``weight``, which the caller holds anyway."""
+    n = x.shape[0]
+    reduced = conv_channel_mix(x, weight)
+    pooled, pool_backward = pool3d(reduced, _pool_kernel(dimension, resolution), pool, keep)
     t_mat = pooled.reshape(n, -1, x.shape[3] * x.shape[4])
     # temperature * T^t as its own C-contiguous copy: numpy runs a product of
     # a buffer with its own transpose on a slower path than a plain GEMM, and
     # scaling T costs a pass over r*t x sites entries, not sites x sites
     scaled = np.multiply(t_mat.transpose(0, 2, 1), temperature, order="C")
-    mask = softmax_rows_in_place(np.matmul(scaled, t_mat))
+    mask = softmax_rows(np.matmul(scaled, t_mat))
     if not keep:
         return mask, None
 
@@ -173,7 +175,8 @@ def _branch_mask(x: np.ndarray, weight: np.ndarray, kernel, pool: str, temperatu
         d_gram += d_gram.transpose(0, 2, 1)  # numpy buffers the overlapping operand
         d_t = np.matmul(t_mat, d_gram)
         d_t *= temperature
-        d_reduced = pool_backward(d_t.reshape(pooled.shape)).reshape(n, -1, volume.shape[-1])
+        d_reduced = pool_backward(d_t.reshape(pooled.shape)).reshape(n, weight.shape[0], -1)
+        volume = x.reshape(n, x.shape[1], -1)
         d_w = np.matmul(d_reduced, volume.transpose(0, 2, 1)).sum(axis=0) if need_w else None
         d_x = np.matmul(weight.T, d_reduced) if need_x else None
         return d_x, d_w
@@ -181,41 +184,12 @@ def _branch_mask(x: np.ndarray, weight: np.ndarray, kernel, pool: str, temperatu
     return mask, backward
 
 
-def fam_mask(
-    f: Tensor, weight: Tensor, dimension: str, resolution: int, pool: str = "max", temperature: float = 4.0
-) -> Tensor:
-    """Compute one branch's attention mask over spatial sites.
-
-    Returns a batch of (sites, sites) matrices whose rows are probability
-    vectors, one per volume of ``f``. ``weight`` is the branch's
-    (reduced_channels, channels) matrix. The reduced volume is pooled with an
-    odd ``resolution``: over a (r, 1, 1) kernel for the temporal dimension and
-    a (1, r, r) kernel for the spatial one. One tape node, built by the same
-    code as a branch of ``ffm_branch``.
-    """
-    kernel = _pool_kernel(dimension, resolution)
-    _check_branch(f, weight)
-    mask, backward = _branch_mask(f.data, weight.data, kernel, pool, temperature, records([f, weight]))
-
-    def grad_fn(g: np.ndarray) -> None:
-        d_x, d_w = backward(g, f.requires_grad, weight.requires_grad)
-        if d_x is not None:
-            f._accumulate(d_x.reshape(f.shape), fresh=True)
-        if d_w is not None:
-            weight._accumulate(d_w, fresh=True)
-
-    return Tensor._make(mask, [f, weight], grad_fn)
-
-
-def ffm_apply(f: Tensor, mask: Tensor) -> Tensor:
-    """Mix the spatial sites of each volume of ``f`` with its attention mask
-    (``mask`` holds one per volume): flatten, right-multiply by the mask,
-    restore the volume layout."""
-    flat = reshape_to_matrix(f)
-    sites = flat.shape[-1]
-    if mask.shape[-1] != sites or mask.shape[-2] != sites:
-        raise ShapeError(f"mask dims {mask.shape} do not cover the {sites} spatial sites of input dims {f.shape}")
-    return matmul(flat, mask).reshape(f.shape)
+def ffm_apply(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mix the spatial sites of each volume of the batch ``x``
+    (n, c, t, h, w) with its (sites x sites) ``mask``: flatten to
+    (c*t) x (h*w), right-multiply by the mask, restore the volume layout."""
+    n, c, t, h, w = x.shape
+    return np.matmul(x.reshape(n, c * t, h * w), mask).reshape(x.shape)
 
 
 def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: dict[tuple[str, str], Tensor]) -> Tensor:
@@ -226,7 +200,7 @@ def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: dict[tuple[st
 
     The backward, with F the flattened input and dY the output gradient:
     dM = F^t dY, shared by both kinds; then per kind the softmax, Gram, pool
-    and channel-mix backward (``_branch_mask``); and dF = dY (sum M)^t plus
+    and channel-mix backward (``fam_mask``'s); and dF = dY (sum M)^t plus
     the mixes' input gradients. Untaped, the masks are summed into the first
     one's buffer and nothing is kept."""
     _check_dimension(dimension)
@@ -242,14 +216,13 @@ def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: dict[tuple[st
     masks, backwards = [], []
     for kind, weight in zip(kinds, weights):
         resolution, pool = (cfg.r_fine, cfg.pool_fine) if kind == "fine" else (cfg.r_coarse, cfg.pool_coarse)
-        mask, backward = _branch_mask(f.data, weight.data, _pool_kernel(dimension, resolution), pool,
-                                      cfg.temperature, keep)
+        mask, backward = fam_mask(f.data, weight.data, dimension, resolution, pool, cfg.temperature, keep)
         if masks and not keep:
             masks[0] += mask
         else:
             masks.append(mask)
         backwards.append(backward)
-    out = np.matmul(flat, sum(masks[1:], masks[0])).reshape(f.shape)
+    out = ffm_apply(f.data, sum(masks[1:], masks[0]))
 
     def grad_fn(g: np.ndarray) -> None:
         g_flat = g.reshape(flat.shape)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, matmul, softmax_rows
-from .kernels import conv3d, conv_channel_mix, pool3d, strided_max_pool3d
+from .tensor import Tensor, as_tensor, matmul
+from .kernels import conv3d, strided_max_pool3d
 from .gradcheck import grad_check
 from .factorize import StrfConfig, ffm_branch, init_strf_params, strf_forward
 from .backbone import BatchNorm3dLayer, BlockSpec, Network, build_block, resnet50_spec
@@ -38,15 +38,14 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     a = _spread(rng, (3, 4))
     b = Tensor(_spread(rng, (4, 2)))
     check("matmul", lambda t: matmul(t, b), a)
-    soft_w = _fixed(rng, (3, 4))
-    check("softmax_rows", softmax_rows, a, soft_w)
+    _fixed(rng, (3, 4))  # unused; drawn so the inputs drawn after it keep their values
 
     vol = _spread(rng, (1, 4, 3, 4, 3))
-    check("pool3d_max", lambda t: pool3d(t, (3, 1, 1), "max") + pool3d(t, (1, 3, 3), "max"), vol)
-    check("pool3d_avg", lambda t: pool3d(t, (3, 3, 3), "avg"), vol)
+    check("max_pool_stride1", lambda t: strided_max_pool3d(t, (3, 1, 1), (1, 1, 1))
+          + strided_max_pool3d(t, (1, 3, 3), (1, 1, 1)), vol)
 
-    mix_w = Tensor(_spread(rng, (2, 4)))
-    check("conv_channel_mix", lambda t: conv_channel_mix(t, mix_w), vol)
+    mix_w = Tensor(_spread(rng, (2, 4)).reshape(2, 4, 1, 1, 1))
+    check("conv3d_pointwise", lambda t: conv3d(t, mix_w), vol)
     conv_w = Tensor(_spread(rng, (2, 4, 3, 3, 3)))
     check("conv3d_same", lambda t: conv3d(t, conv_w, (1, 2, 2)), vol)
     check("conv3d_weights", lambda t: conv3d(Tensor(vol), t, (1, 1, 1)), _spread(rng, (2, 4, 3, 1, 1)))
@@ -198,6 +197,18 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     # triplet's hinge selects; drawn last for the same reason.
     dist_w = _fixed(rng, (6, 6))
     check("pairwise_cosine_distances", pairwise_cosine_distances, _spread(rng, (6, 5)), dist_w)
+
+    # The unit's pool and softmax steps through a dimension's tape node: a
+    # temporal avg pool at r=3 over the volume above, and one active kind at
+    # r=1, whose mask is the softmax of the unpooled Gram; drawn last for the
+    # same reason.
+    avg3 = StrfConfig(r_fine=3, pool_fine="avg", reduction=2, branches=(("temporal", "fine"),))
+    avg3_params = init_strf_params(4, avg3, rng, dtype=np.float64)
+    check("ffm_branch_temporal_avg3_input", lambda t: ffm_branch(t, "temporal", avg3, avg3_params), vol)
+    one_kind = StrfConfig(reduction=2, branches=(("spatial", "fine"),))
+    one_kind_params = init_strf_params(4, one_kind, rng, dtype=np.float64)
+    one_kind_in = _spread(rng, (1, 4, 2, 3, 2))
+    check("ffm_branch_one_kind_input", lambda t: ffm_branch(t, "spatial", one_kind, one_kind_params), one_kind_in)
 
     return results
 

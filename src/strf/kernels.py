@@ -2,7 +2,9 @@
 
 Every kernel takes a batch of feature volumes, rank-5 ``(batch, channels,
 time, height, width)``, and nothing else; a single volume is a batch of one.
-All kernels participate in the autodiff tape.
+``conv3d`` and ``strided_max_pool3d`` are tape ops. ``pool3d`` is the
+attention unit's pool step: it works on arrays and hands its backward to the
+caller, whose tape node runs it.
 
 Every kernel has SAME geometry (output extent = ceil(input / stride)), and
 ``_same_grid`` owns it: the padded grid's dims and the crop back to the
@@ -21,20 +23,17 @@ the batch). dX is the unit-stride conv, through the same helper, of the
 output gradient with the kernel flipped in (t, h, w) and its channel axes
 swapped (Dumoulin & Visin, arXiv:1603.07285, section 4). At stride s the
 output gradient is first spread onto the input grid, s - 1 zeros between
-entries; at unit stride it is used as it is. The pointwise channel mix is
-the 1x1x1 case of the same path, whose columns are one strided slice of the
-input. Avg-pool's backward is the box sum of the output gradient divided by
-the in-bounds counts.
+entries; at unit stride it is used as it is. A 1x1x1 conv's columns are one
+strided slice of the input. Avg-pool's backward is the box sum of the output
+gradient divided by the in-bounds counts.
 
 Max pooling is a running maximum over the kernel's taps, each a strided slice
 of the window view, so no window is copied. Only a pool whose backward is
-kept (a node the tape records, or a ``pool_volume`` call asked to keep it)
-finds each window's winning cell (the first maximal tap in scan order) and
-keeps it as a flat offset into the padded grid; the backward adds the
-gradient at those offsets into a zero grid and crops it. Any other pool
-computes the maximum and nothing else. ``pool_volume`` is ``pool3d`` on
-arrays, for a caller that runs its own backward (the attention unit's tape
-nodes).
+kept (a node the tape records, or a ``pool3d`` call asked to keep it) finds
+each window's winning cell (the first maximal tap in scan order) and keeps it
+as a flat offset into the padded grid; the backward adds the gradient at
+those offsets into a zero grid and crops it. Any other pool computes the
+maximum and nothing else.
 """
 from __future__ import annotations
 
@@ -49,6 +48,7 @@ from .errors import ConfigError, ShapeError
 from .tensor import Tensor, records
 
 Triple = tuple[int, int, int]
+POOL_MODES = ("max", "avg")
 
 
 def check_batch(x: Tensor) -> None:
@@ -162,50 +162,24 @@ def _pool(data: np.ndarray, kernel: Triple, mode: str, stride: Triple, keep: boo
     return out.astype(data.dtype, copy=False), backward
 
 
-def _pool_forward(x: Tensor, kernel: Triple, mode: str, stride: Triple) -> Tensor:
-    check_batch(x)
-    out, backward = _pool(x.data, kernel, mode, stride, records([x]))
+def pool3d(data: np.ndarray, kernel, mode: str, keep: bool):
+    """Same-size pooling of the array ``data`` with stride 1 along every axis.
 
-    def grad_fn(g: np.ndarray) -> None:
-        x._accumulate(backward(g), fresh=True)
-
-    return Tensor._make(out, [x], grad_fn)
-
-
-def _check_pool(kernel, mode: str) -> Triple:
-    kernel = _check_kernel(kernel, "pool kernel")
-    if mode not in ("max", "avg"):
-        raise ConfigError(f"pool mode must be 'max' or 'avg', got {mode!r}")
-    return kernel
-
-
-def pool3d(x: Tensor, kernel, mode: str = "max") -> Tensor:
-    """Same-size pooling with stride 1 along every axis.
-
-    Kernel extents must be odd so the output grid aligns with the input grid.
-    Max pooling pads conceptually with negative infinity, so padding can never
-    win a window; it is a running maximum over the taps, and only a recorded
-    node finds and keeps the cell its gradient goes to (the first maximal tap
-    in scan order; in a window holding a NaN, which yields NaN, the first
-    NaN), so its backward is one scatter-add. Average pooling divides by the
-    in-bounds element count only, and its backward is the box sum of the
-    output gradient over those counts. A kernel of (1, 1, 1) returns ``x``
-    itself.
-    """
-    kernel = _check_pool(kernel, mode)
-    if kernel == (1, 1, 1):
-        check_batch(x)
-        return x
-    return _pool_forward(x, kernel, mode, (1, 1, 1))
-
-
-def pool_volume(data: np.ndarray, kernel, mode: str, keep: bool):
-    """``pool3d`` on an array, for a caller that runs its own backward.
     Returns the pooled array and, when ``keep``, a function from an output
-    gradient to the input gradient (``None`` otherwise). A kernel of
-    (1, 1, 1) returns ``data`` itself, and its backward returns the gradient
-    it is given."""
-    kernel = _check_pool(kernel, mode)
+    gradient to a new input gradient array (``None`` otherwise). Kernel
+    extents must be odd so the output grid aligns with the input grid. Max
+    pooling pads conceptually with negative infinity, so padding can never
+    win a window; its backward sends each output's gradient to the window's
+    first maximal tap in scan order (in a window holding a NaN, which yields
+    NaN, the first NaN). Average pooling divides by the in-bounds element
+    count only, and its backward is the box sum of the output gradient over
+    those counts. A kernel of (1, 1, 1) returns ``data`` itself, and its
+    backward returns the gradient it is given.
+    """
+    kernel = _check_kernel(kernel, "pool kernel")
+    if mode not in POOL_MODES:
+        raise ConfigError(f"pool mode must be one of {POOL_MODES}, got {mode!r}")
+    check_batch(data)
     if kernel == (1, 1, 1):
         return data, (lambda g: g) if keep else None
     return _pool(data, kernel, mode, (1, 1, 1), keep)
@@ -217,27 +191,13 @@ def strided_max_pool3d(x: Tensor, kernel, stride) -> Tensor:
     as in ``pool3d``."""
     kernel = _check_triple(kernel, "pool kernel")
     stride = _check_triple(stride, "pool stride")
-    return _pool_forward(x, kernel, "max", stride)
+    check_batch(x)
+    out, backward = _pool(x.data, kernel, "max", stride, records([x]))
 
+    def grad_fn(g: np.ndarray) -> None:
+        x._accumulate(backward(g), fresh=True)
 
-def conv_channel_mix(x: Tensor, weight: Tensor) -> Tensor:
-    """Pointwise (1x1x1) convolution: an independent linear map over channels
-    at every spatio-temporal site. ``weight`` has dims (out_channels, in_channels)."""
-    if weight.ndim != 2:
-        raise ShapeError(f"channel mix weight must be a matrix, got dims {weight.shape}")
-    return _conv(x, weight, (1, 1, 1), (1, 1, 1))
-
-
-def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1)) -> Tensor:
-    """3-d cross-correlation with a bank of kernels, SAME geometry: zero
-    padding, output extent = ceil(input / stride).
-
-    ``weight`` has dims (out_channels, in_channels, kt, kh, kw), with odd
-    kernel extents.
-    """
-    if weight.ndim != 5:
-        raise ShapeError(f"conv weight must be rank-5, got dims {weight.shape}")
-    return _conv(x, weight, _check_kernel(weight.shape[2:], "conv kernel"), _check_triple(stride, "conv stride"))
+    return Tensor._make(out, [x], grad_fn)
 
 
 @functools.lru_cache(maxsize=256)
@@ -336,10 +296,17 @@ def _im2col_gemm(w_mat: np.ndarray, data: np.ndarray, kernel: Triple, stride: Tr
     return np.matmul(w_mat, cols).reshape((data.shape[0], -1) + outs), cols
 
 
-def _conv(x: Tensor, weight: Tensor, kernel: Triple, stride: Triple) -> Tensor:
-    """im2col + GEMM. ``weight`` is (out_channels, in_channels, ...) with the
-    kernel taps, if any, in its trailing dims; it is used as an
-    (out_channels, in_channels * taps) matrix."""
+def conv3d(x: Tensor, weight: Tensor, stride=(1, 1, 1)) -> Tensor:
+    """3-d cross-correlation with a bank of kernels, SAME geometry: zero
+    padding, output extent = ceil(input / stride), by im2col + GEMM.
+
+    ``weight`` has dims (out_channels, in_channels, kt, kh, kw), with odd
+    kernel extents; it is used as an (out_channels, in_channels * taps)
+    matrix.
+    """
+    if weight.ndim != 5:
+        raise ShapeError(f"conv weight must be rank-5, got dims {weight.shape}")
+    kernel, stride = _check_kernel(weight.shape[2:], "conv kernel"), _check_triple(stride, "conv stride")
     check_batch(x)
     if weight.shape[1] != x.shape[1]:
         raise ShapeError(f"conv weight dims {weight.shape} do not match input channels in {x.shape}")

@@ -5,10 +5,11 @@ supported everywhere and is mandatory for finite-difference gradient checks.
 Each operation that participates in differentiation records its parents and a
 closure that scatters the incoming gradient back to them; ``Tensor.backward``
 replays those closures in reverse topological order. The ops are ``add`` (of
-equal dims, no broadcasting), ``relu``, ``reshape``, ``transpose``,
-``tensor_mean``, ``matmul`` and ``softmax_rows``, with ``+`` and ``@`` as
-operators; the kernels, the unit, batch norm and the losses build their own
-nodes with ``Tensor._make``.
+equal dims, no broadcasting), ``reshape``, ``transpose``, ``tensor_mean`` and
+``matmul``, with ``+`` and ``@`` as operators; the kernels, the unit, batch
+norm and the losses build their own nodes with ``Tensor._make``. The row
+softmax and its input gradient are array functions (``softmax_rows``,
+``softmax_rows_grad``) for the unit's node.
 
 The replay consumes the graph: once a node's closure has run, the node drops
 the closure, its parents and its gradient, so the buffers a closure holds are
@@ -228,16 +229,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(a.data + b.data, [a, b], grad_fn)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # subgradient 0 exactly at the kink
-    out_data = np.where(mask, a.data, 0.0).astype(a.data.dtype, copy=False)
-
-    def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g * mask, fresh=True)
-
-    return Tensor._make(out_data, [a], grad_fn)
-
-
 # -- shape manipulation -----------------------------------------------------
 
 
@@ -306,28 +297,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(out_data, [a, b], grad_fn)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Numerically stable softmax along the last axis.
+def softmax_rows(buf: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax along the last axis of ``buf``, written
+    over ``buf``, which it returns.
 
     Each row of the result is non-negative and sums to 1; subtracting the row
-    maximum before exponentiation keeps every intermediate finite. The result
-    is built in one buffer by ``softmax_rows_in_place``, so it holds no
-    subnormal entry.
-    """
-    if a.ndim < 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got dims {a.shape}")
-    out_data = softmax_rows_in_place(a.data.copy())
-
-    def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(softmax_rows_grad(g, out_data), fresh=True)
-
-    return Tensor._make(out_data, [a], grad_fn)
-
-
-def softmax_rows_in_place(buf: np.ndarray) -> np.ndarray:
-    """``softmax_rows`` of ``buf`` written over ``buf``, which it returns.
-
-    The row-maximum shift, the exponential and the division all run in
+    maximum before exponentiation keeps every intermediate finite. The
+    row-maximum shift, the exponential and the division all run in
     ``buf``. Entries below the dtype's smallest normal number are then
     flushed to 0: a subnormal costs no accuracy worth keeping (it is below
     ``tiny`` in a row summing to 1), but a matrix product over many of them

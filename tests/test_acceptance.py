@@ -106,15 +106,15 @@ def test_mask_row_stochasticity_and_constant_laws(rng):
         c = volume.shape[0]
         c_r = c // min(reduction, c)
         weight = Tensor(rng.normal(size=(c_r, c)))
-        mask = fam_mask(f, weight, dimension, resolution, pool=pool, temperature=4.0)
-        sums = mask.data.sum(axis=-1)
+        mask, _ = fam_mask(f.data, weight.data, dimension, resolution, pool=pool, temperature=4.0)
+        sums = mask.sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) <= MASK_TOLERANCE), f"trial {trial}"
 
     # constant input: every mask row is uniform and the unit is multiply-by-4
     const = Tensor(np.full((1, 4, 2, 3, 2), 1.7, dtype=np.float32))
     weight = Tensor(np.random.default_rng(0).normal(size=(1, 4)).astype(np.float32))
-    mask = fam_mask(const, weight, "temporal", 3)
-    assert np.allclose(mask.data, 1.0 / 6.0, atol=MASK_TOLERANCE)
+    mask, _ = fam_mask(const.data, weight.data, "temporal", 3)
+    assert np.allclose(mask, 1.0 / 6.0, atol=MASK_TOLERANCE)
     for integration in ("temporal-then-spatial", "spatial-then-temporal", "parallel"):
         cfg = StrfConfig(integration=integration)
         params = init_strf_params(4, cfg, np.random.default_rng(1), dtype=np.float32)
@@ -128,8 +128,8 @@ def test_pooling_identity_cases(rng):
     for mode in ("max", "avg"):
         for _ in range(20):
             x = Tensor(rng.normal(size=(1,) + tuple(rng.integers(1, 5, size=4))))
-            out = pool3d(x, (1, 1, 1), mode)
-            assert np.array_equal(out.data, x.data), mode  # bit-identical
+            out, _ = pool3d(x.data, (1, 1, 1), mode, False)
+            assert np.array_equal(out, x.data), mode  # bit-identical
 
     # resolution 1 makes the branch's pooling stage the exact identity: the
     # pool kind can no longer influence the mask a single bit
@@ -137,9 +137,9 @@ def test_pooling_identity_cases(rng):
         f = Tensor(rng.normal(size=(1, 4, 2, 3, 2)))
         weight = Tensor(rng.normal(size=(2, 4)))
         for dimension in ("temporal", "spatial"):
-            via_max = fam_mask(f, weight, dimension, 1, pool="max")
-            via_avg = fam_mask(f, weight, dimension, 1, pool="avg")
-            assert np.array_equal(via_max.data, via_avg.data)
+            via_max, _ = fam_mask(f.data, weight.data, dimension, 1, pool="max")
+            via_avg, _ = fam_mask(f.data, weight.data, dimension, 1, pool="avg")
+            assert np.array_equal(via_max, via_avg)
 
 
 # 4 ----------------------------------------------------------------------------
@@ -154,14 +154,13 @@ def test_brute_force_oracle_agreement(rng):
         dimension = ("temporal", "spatial")[trial % 2]
         resolution = (1, 3)[(trial // 2) % 2]
         pool = ("max", "avg")[trial % 2]
-        ours = fam_mask(Tensor(f[None]), Tensor(weight), dimension, resolution, pool=pool,
-                        temperature=4.0).data[0]
+        ours = fam_mask(f[None], weight, dimension, resolution, pool=pool, temperature=4.0)[0][0]
         ref = fam_mask_loops(f, dimension, resolution, pool, reduction, 4.0, weight)
         assert np.max(np.abs(ours - np.asarray(ref))) <= ORACLE_TOLERANCE
 
         sites = f.shape[2] * f.shape[3]
         mask = rng.dirichlet(np.ones(sites), size=sites)
-        mixed = ffm_apply(Tensor(f[None]), Tensor(mask[None])).data[0]
+        mixed = ffm_apply(f[None], mask[None])[0]
         ref_mixed = ffm_apply_loops(f, mask)
         assert np.max(np.abs(mixed - np.asarray(ref_mixed))) <= ORACLE_TOLERANCE
 

@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import strf.backbone
+import strf.factorize
 from strf.backbone import (
     BLOCK_VARIANTS,
     BatchNorm3dLayer,
@@ -643,3 +645,55 @@ def test_toy_train_step_tape_nodes():
             seen[id(node)] = node
             stack.extend(node._parents)
     assert sum(node._grad_fn is not None for node in seen.values()) == 49 + 4
+
+
+# -- the steps a tracer patches are the steps that run -------------------------
+
+# every lookup site of the unit's steps and the epilogues' relu
+STEP_SITES = (
+    (strf.factorize, "conv_channel_mix"),
+    (strf.factorize, "pool3d"),
+    (strf.factorize, "fam_mask"),
+    (strf.factorize, "softmax_rows"),
+    (strf.factorize, "ffm_apply"),
+    (strf.backbone, "relu"),
+)
+
+
+def run_every_path(calls: list):
+    """A toy p3d-c+STRF training step (forward and backward), an eval forward
+    of the same network, and a folded c2d forward. Returns every output and
+    gradient, and per path the set of names in ``calls`` it appended."""
+    clips = np.random.default_rng(5).normal(size=(4, 3, 4, 32, 16)).astype(np.float32)
+    net = Network(toy_spec(), seed=0)
+    features, logits = net.forward(Tensor(clips), training=True)
+    total, _, _ = total_loss(logits, features, np.array([0, 0, 1, 1]))
+    total.backward()
+    outputs = [features.data, logits.data] + [w.grad for _, w in net.named_params()]
+    seen = [set(calls)]
+    calls.clear()
+    outputs.append(forward_features(net, clips))
+    seen.append(set(calls))
+    calls.clear()
+    flat = Network(toy_spec(variant="c2d", strf_stages=()), seed=0)
+    fold_batch_norm(flat)
+    outputs.append(forward_features(flat, clips))
+    seen.append(set(calls))
+    return outputs, seen
+
+
+def test_patched_step_names_are_the_steps_that_run(monkeypatch):
+    plain, _ = run_every_path([])
+    calls = []
+    for owner, name in STEP_SITES:
+        def counting(*args, _name=name, _step=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    patched, seen = run_every_path(calls)
+    every = {name for _, name in STEP_SITES}
+    assert seen == [every, every, {"relu"}]
+    assert len(plain) == len(patched)
+    for a, b in zip(plain, patched):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -141,6 +141,19 @@ def test_stacked_features_fills_batches_across_tracklets(rng, monkeypatch, batch
     assert max(batches) <= batch_size
 
 
+def test_stacked_features_samples_each_tracklet_once(rng, monkeypatch):
+    net, tracklets = _embed_setup(rng, "c2d")
+    calls = []
+
+    def counting(length, clip_len):
+        calls.append(length)
+        return gallery_clip_indices(length, clip_len)
+
+    monkeypatch.setattr(strf.evaluation, "test_clip_indices", counting)
+    stacked_features(net, tracklets, 4)
+    assert calls == list(UNEVEN_LENGTHS)
+
+
 def test_stacked_features_splits_batches_at_frame_dims(rng):
     net, _ = _embed_setup(rng, "c2d")
     tracklets = [
@@ -281,6 +294,12 @@ def test_label_shape_validation():
         evaluate(distances, [0, 1], [0, 0], [0, 1], [0, 0])
     with pytest.raises(ContractError):
         evaluate(distances, [0, 1], [0, 0], [0, 1, 2], [0, 0, 0], max_rank=0)
+
+
+@pytest.mark.parametrize("dims", [(3,), (1, 2, 3), ()])
+def test_evaluate_rejects_distances_that_are_not_a_matrix(dims):
+    with pytest.raises(ContractError, match="matrix"):
+        evaluate(np.zeros(dims), [0], [0], [0, 1], [1, 1])
 
 
 def test_rank_k_accessor():

@@ -13,7 +13,6 @@ from strf.factorize import (
     ffm_branch,
     init_strf_params,
     reduced_channels,
-    reshape_to_matrix,
     strf_forward,
     strf_param_count,
 )
@@ -43,44 +42,55 @@ def make_params(channels, cfg, seed=0):
     return init_strf_params(channels, cfg, np.random.Generator(np.random.PCG64(seed)))
 
 
+# The unit's steps are array functions: fam_mask returns the masks and, when
+# asked to keep it, the branch's backward; ffm_apply flattens each volume to
+# (c*t) x (h*w), right-multiplies by its mask and restores the layout.
+
+
 def test_reshape_shape_and_index_arithmetic():
-    f = t64(np.arange(2 * 3 * 4 * 5).reshape(1, 2, 3, 4, 5))
-    m = reshape_to_matrix(f)
-    assert m.data[0].shape == (6, 20)
-    # element (c,t,h,w)=(1,2,0,3) lands at row 1*3+2=5, column 0*5+3=3
-    assert m.data[0, 5, 3] == f.data[0, 1, 2, 0, 3]
+    f = np.arange(2 * 3 * 4 * 5, dtype=np.float64).reshape(1, 2, 3, 4, 5)
+    # a mask whose column 0 picks site 3: element (c,t,h,w)=(1,2,0,3) sits at
+    # row 1*3+2=5, column 0*5+3=3 of the flattened volume, and lands at site 0
+    mask = np.zeros((1, 20, 20))
+    mask[0, 3, 0] = 1.0
+    out = ffm_apply(f, mask)
+    assert out.shape == f.shape
+    assert out[0, 1, 2, 0, 0] == f[0, 1, 2, 0, 3]
+    assert np.array_equal(out[..., 0, 0], f[..., 0, 3])
 
 
 def test_reshape_roundtrip_bit_exact(rng):
-    f = t64(rng.normal(size=(1, 3, 2, 4, 5)))
-    back = reshape_to_matrix(f).reshape((1, 3, 2, 4, 5))
-    assert np.array_equal(back.data, f.data)
+    f = rng.normal(size=(1, 3, 2, 4, 5))
+    back = ffm_apply(f, np.eye(20)[None])
+    assert np.array_equal(back, f)
 
 
 def test_reshape_rejects_wrong_rank():
+    # the unit flattens only a rank-5 batch; ffm_branch checks it first
+    cfg = default_cfg()
     with pytest.raises(ShapeError):
-        reshape_to_matrix(t64(np.zeros((2, 3, 4))))
+        ffm_branch(t64(np.zeros((2, 3, 4))), "temporal", cfg, make_params(2, cfg))
 
 
 def test_fam_mask_worked_example():
-    f = t64([[[[[1.0, 2.0]]], [[[3.0, 4.0]]]]])  # n=1,c=2,t=1,h=1,w=2
-    mask = fam_mask(f, Tensor(np.array([[1.0, 1.0]])), "temporal", 1, pool="max", temperature=4.0)
-    assert np.allclose(mask.data[0], WORKED_MASK, rtol=1e-12, atol=0)
+    f = np.array([[[[[1.0, 2.0]]], [[[3.0, 4.0]]]]])  # n=1,c=2,t=1,h=1,w=2
+    mask, _ = fam_mask(f, np.array([[1.0, 1.0]]), "temporal", 1, pool="max", temperature=4.0)
+    assert np.allclose(mask[0], WORKED_MASK, rtol=1e-12, atol=0)
 
 
 def test_fam_mask_constant_input_is_uniform():
     for dimension in ("temporal", "spatial"):
         for pool in ("max", "avg"):
-            f = t64(np.full((1, 4, 2, 3, 2), 2.75))
-            mask = fam_mask(f, Tensor(np.ones((1, 4))), dimension, 3, pool=pool)
-            assert np.allclose(mask.data, 1.0 / 6.0, atol=1e-7)
+            f = np.full((1, 4, 2, 3, 2), 2.75)
+            mask, _ = fam_mask(f, np.ones((1, 4)), dimension, 3, pool=pool)
+            assert np.allclose(mask, 1.0 / 6.0, atol=1e-7)
 
 
 def test_fam_mask_rows_stochastic(rng):
-    f = t64(rng.normal(size=(1, 8, 2, 3, 2)))
-    w = Tensor(rng.normal(size=(1, 8)))
+    f = rng.normal(size=(1, 8, 2, 3, 2))
+    w = rng.normal(size=(1, 8))
     for dimension in ("temporal", "spatial"):
-        mask = fam_mask(f, w, dimension, 1).data[0]
+        mask = fam_mask(f, w, dimension, 1)[0][0]
         assert mask.shape == (6, 6)
         assert np.allclose(mask.sum(axis=1), 1.0, atol=1e-5)
         assert np.all(mask > 0)
@@ -92,7 +102,7 @@ def test_fam_mask_matches_loop_oracle(rng):
         w = rng.normal(size=(1, 8)) * 0.5
         for dimension in ("temporal", "spatial"):
             for resolution, pool in ((1, "max"), (3, "max"), (3, "avg")):
-                got = fam_mask(t64(f[None]), Tensor(w), dimension, resolution, pool=pool).data[0]
+                got = fam_mask(f[None], w, dimension, resolution, pool=pool)[0][0]
                 want = fam_mask_loops(f, dimension, resolution, pool, 16, 4.0, w)
                 assert np.allclose(got, want, atol=1e-6)
 
@@ -101,10 +111,10 @@ def test_fam_mask_identity_resolution_skips_pooling(rng):
     # r=1 means the pooling stage must not move a single bit
     f = rng.normal(size=(4, 2, 3, 2))
     w = rng.normal(size=(1, 4))
-    fine = fam_mask(t64(f[None]), Tensor(w), "temporal", 1).data[0]
+    fine = fam_mask(f[None], w, "temporal", 1)[0][0]
     want = fam_mask_loops(f, "temporal", 1, "max", 16, 4.0, w)
     assert np.allclose(fine, want, atol=1e-9)
-    spatial = fam_mask(t64(f[None]), Tensor(w), "spatial", 1).data[0]
+    spatial = fam_mask(f[None], w, "spatial", 1)[0][0]
     assert np.allclose(spatial, fine, atol=1e-12)  # r=1 erases the axis choice
 
 
@@ -114,41 +124,38 @@ def test_fam_mask_even_resolution_rejected():
 
 
 def test_fam_mask_weight_shape_error(rng):
+    # the unit checks its mix weights once, in ffm_branch, before any step runs
     f = t64(rng.normal(size=(1, 8, 2, 2, 2)))
+    cfg = default_cfg(branches=(("temporal", "fine"),))
     with pytest.raises(ShapeError):
-        fam_mask(f, Tensor(np.zeros((1, 5))), "temporal", 1)
+        ffm_branch(f, "temporal", cfg, {("temporal", "fine"): Tensor(np.zeros((1, 5)))})
 
 
 def test_zero_weight_gives_uniform_mask(rng):
-    f = t64(rng.normal(size=(1, 8, 2, 3, 2)))
-    mask = fam_mask(f, Tensor(np.zeros((1, 8))), "spatial", 3)
-    assert np.allclose(mask.data, 1.0 / 6.0, atol=1e-12)
+    f = rng.normal(size=(1, 8, 2, 3, 2))
+    mask, _ = fam_mask(f, np.zeros((1, 8)), "spatial", 3)
+    assert np.allclose(mask, 1.0 / 6.0, atol=1e-12)
 
 
 def test_ffm_apply_uniform_mask_is_spatial_mean(rng):
     f = rng.normal(size=(3, 2, 2, 3))
     sites = 6
-    out = ffm_apply(t64(f[None]), Tensor(np.full((1, sites, sites), 1.0 / sites))).data[0]
+    out = ffm_apply(f[None], np.full((1, sites, sites), 1.0 / sites))[0]
     means = f.reshape(3, 2, 6).mean(axis=2)
     assert np.allclose(out, np.broadcast_to(means[:, :, None, None], f.shape).reshape(f.shape))
 
 
 def test_ffm_apply_zero_input():
-    out = ffm_apply(t64(np.zeros((1, 2, 2, 2, 2))), Tensor(np.full((1, 4, 4), 0.25)))
-    assert np.array_equal(out.data[0], np.zeros((2, 2, 2, 2)))
+    out = ffm_apply(np.zeros((1, 2, 2, 2, 2)), np.full((1, 4, 4), 0.25))
+    assert np.array_equal(out[0], np.zeros((2, 2, 2, 2)))
 
 
 def test_ffm_apply_matches_loop_oracle(rng):
     f = rng.normal(size=(4, 2, 3, 2))
     raw = rng.uniform(0.1, 1.0, size=(6, 6))
     mask = raw / raw.sum(axis=1, keepdims=True)
-    got = ffm_apply(t64(f[None]), Tensor(mask[None])).data[0]
+    got = ffm_apply(f[None], mask[None])[0]
     assert np.allclose(got, ffm_apply_loops(f, mask), atol=1e-10)
-
-
-def test_ffm_apply_side_mismatch(rng):
-    with pytest.raises(ShapeError):
-        ffm_apply(t64(rng.normal(size=(1, 2, 2, 2, 2))), Tensor(np.eye(5)[None]))
 
 
 def test_branch_constant_input_doubles():
@@ -173,8 +180,8 @@ def test_branch_identical_kinds_double_single(rng):
         ("spatial", "coarse"): params[("spatial", "coarse")],
     }
     out = ffm_branch(f, "temporal", cfg, forced)
-    single = ffm_apply(f, fam_mask(f, shared, "temporal", cfg.r_fine, cfg.pool_fine, cfg.temperature))
-    assert np.allclose(out.data, 2 * single.data, atol=1e-10)
+    mask, _ = fam_mask(f.data, shared.data, "temporal", cfg.r_fine, cfg.pool_fine, cfg.temperature)
+    assert np.allclose(out.data, 2 * ffm_apply(f.data, mask), atol=1e-10)
 
 
 def test_branch_reads_each_kinds_settings(rng):
@@ -290,9 +297,9 @@ def test_branch_subset_configs(rng):
     params = make_params(8, only_tf)
     out = strf_forward(f, only_tf, params)
     cfg_full = default_cfg()
-    mask = fam_mask(f, params[("temporal", "fine")], "temporal", cfg_full.r_fine, cfg_full.pool_fine,
-                    cfg_full.temperature)
-    manual = ffm_apply(f, mask).data  # inactive spatial module passes through untouched
+    mask, _ = fam_mask(f.data, params[("temporal", "fine")].data, "temporal", cfg_full.r_fine,
+                       cfg_full.pool_fine, cfg_full.temperature)
+    manual = ffm_apply(f.data, mask)  # inactive spatial module passes through untouched
     assert out.data.shape == f.data.shape
     assert np.allclose(out.data, manual, atol=1e-10)
 
@@ -345,7 +352,7 @@ def test_unknown_dimension_rejected(rng):
     cfg = default_cfg()
     params = make_params(8, cfg)
     with pytest.raises(ConfigError, match="dimension"):
-        fam_mask(f, params[("temporal", "fine")], "diagonal", 1)
+        fam_mask(f.data, params[("temporal", "fine")].data, "diagonal", 1)
     with pytest.raises(ConfigError, match="dimension"):
         ffm_branch(f, "diagonal", cfg, params)
 
@@ -368,12 +375,12 @@ def test_strf_gradient_flows_to_all_weights(rng):
 def test_property_masks_row_stochastic(seed):
     g = np.random.Generator(np.random.PCG64(seed))
     c = int(g.integers(1, 9))
-    f = Tensor(g.normal(size=(1, c, 2, 3, 2)) * g.uniform(0.2, 3.0))
-    w = Tensor(g.normal(size=(max(1, c // 16), c)))
+    f = g.normal(size=(1, c, 2, 3, 2)) * g.uniform(0.2, 3.0)
+    w = g.normal(size=(max(1, c // 16), c))
     dimension = ("temporal", "spatial")[int(g.integers(0, 2))]
     resolution = int(g.choice([1, 3, 5]))
     pool = ("max", "avg")[int(g.integers(0, 2))]
-    mask = fam_mask(f, w, dimension, resolution, pool=pool).data[0]
+    mask = fam_mask(f, w, dimension, resolution, pool=pool)[0][0]
     assert np.allclose(mask.sum(axis=1), 1.0, atol=1e-5)
 
 
@@ -438,7 +445,7 @@ def test_branch_node_matches_summed_loop_oracles(rng):
 def test_extreme_logits_leave_no_subnormal(dtype, logits):
     # each logit gap is one whose exponential is subnormal in the dtype
     tiny = np.finfo(dtype).tiny
-    mask = softmax_rows(Tensor(np.array([logits, logits[::-1]], dtype=dtype))).data
+    mask = softmax_rows(np.array([logits, logits[::-1]], dtype=dtype))
     assert not np.any((mask > 0) & (mask < tiny))
     assert np.allclose(mask.sum(axis=-1), 1.0, rtol=0, atol=np.finfo(dtype).eps * 4)
 
@@ -449,7 +456,7 @@ def test_extreme_logits_leave_no_subnormal(dtype, logits):
     f = np.array([big, 0.0], dtype=dtype).reshape(1, 1, 1, 1, 2)
     weight = Tensor(np.ones((1, 1), dtype=dtype), requires_grad=True)
     cfg = StrfConfig(r_fine=1, temperature=1.0, branches=(("spatial", "fine"),))
-    mask = fam_mask(Tensor(f), weight, "spatial", 1, temperature=1.0).data
+    mask, _ = fam_mask(f, weight.data, "spatial", 1, temperature=1.0)
     assert not np.any((mask > 0) & (mask < tiny))
     assert np.allclose(mask.sum(axis=-1), 1.0, rtol=0, atol=np.finfo(dtype).eps * 4)
     for taped in (True, False):

@@ -4,7 +4,7 @@ import pytest
 from strf.errors import ContractError, EvaluationError
 from strf.gradcheck import grad_check, inner
 from strf.gradsuite import TOLERANCE
-from strf.tensor import Tensor, matmul, softmax_rows
+from strf.tensor import Tensor, matmul, softmax_rows, softmax_rows_grad
 
 
 def test_linear_is_exact(rng):
@@ -18,8 +18,15 @@ def test_quadratic(rng):
 
 
 def test_softmax_mean(rng):
+    # the unit's row softmax and its input gradient, as one node
+    def softmax_node(t):
+        out = softmax_rows(t.data.copy())
+        return Tensor._make(out, [t], lambda g: t._accumulate(softmax_rows_grad(g, out), fresh=True))
+
     x = rng.normal(size=(3, 3))
-    assert grad_check(lambda t: softmax_rows(t).mean(), x) <= 1e-6
+    assert grad_check(lambda t: softmax_node(t).mean(), x) <= 1e-6
+    # the mean of a row-stochastic matrix is constant, so also weight each entry
+    assert grad_check(softmax_node, x) <= 1e-6
 
 
 def test_rejects_single_precision():

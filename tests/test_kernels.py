@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from strf.errors import ConfigError, ShapeError
-from strf.factorize import StrfConfig, fam_mask, init_strf_params, strf_forward
-from strf.kernels import _columns, conv3d, conv_channel_mix, pool3d, strided_max_pool3d
+from strf.factorize import StrfConfig, conv_channel_mix, ffm_branch, init_strf_params, strf_forward
+from strf.kernels import _columns, conv3d, pool3d, strided_max_pool3d
 from strf.gradcheck import inner
 from strf.tensor import Tensor, no_grad
 
@@ -31,13 +31,16 @@ def triple_id(triple):
 
 UNIT = StrfConfig()
 UNIT_PARAMS = init_strf_params(4, UNIT, np.random.Generator(np.random.PCG64(0)), dtype=np.float64)
+# The unit's array steps run inside ffm_branch, which checks the rank before
+# any of them; so the "fam_mask" entry calls ffm_branch, and the
+# "conv_channel_mix" entry the network's channel mix, a 1x1x1 conv3d.
 VOLUME_OPS = {
     "conv3d": lambda x: conv3d(x, Tensor(np.zeros((2, 4, 1, 3, 3)))),
-    "conv_channel_mix": lambda x: conv_channel_mix(x, Tensor(np.zeros((2, 4)))),
-    "pool3d": lambda x: pool3d(x, (3, 1, 1), "max"),
-    "pool3d_identity": lambda x: pool3d(x, (1, 1, 1), "avg"),
+    "conv_channel_mix": lambda x: conv3d(x, Tensor(np.zeros((2, 4, 1, 1, 1)))),
+    "pool3d": lambda x: pool3d(x.data, (3, 1, 1), "max", False)[0],
+    "pool3d_identity": lambda x: pool3d(x.data, (1, 1, 1), "avg", False)[0],
     "strided_max_pool3d": lambda x: strided_max_pool3d(x, (1, 3, 3), (1, 2, 2)),
-    "fam_mask": lambda x: fam_mask(x, UNIT_PARAMS[("temporal", "fine")], "temporal", 1),
+    "fam_mask": lambda x: ffm_branch(x, "temporal", UNIT, UNIT_PARAMS),
     "strf_forward": lambda x: strf_forward(x, UNIT, UNIT_PARAMS),
 }
 
@@ -50,107 +53,111 @@ def test_unbatched_volume_rejected(op):
     assert VOLUME_OPS[op](vol(np.zeros((1, 4, 2, 3, 2)))).ndim in (3, 5)
 
 
+# pool3d is the unit's pool step on arrays: it returns the pooled array and,
+# when asked to keep it, the backward its caller's tape node runs
+
+
 def test_max_pool_temporal_window_frozen():
-    x = vol(np.array([1.0, 5.0, 2.0, 0.0]).reshape(1, 1, 4, 1, 1))
-    out = pool3d(x, (3, 1, 1), "max")
-    assert np.array_equal(out.data.reshape(4), [5.0, 5.0, 5.0, 2.0])
+    x = np.array([1.0, 5.0, 2.0, 0.0]).reshape(1, 1, 4, 1, 1)
+    out, _ = pool3d(x, (3, 1, 1), "max", False)
+    assert np.array_equal(out.reshape(4), [5.0, 5.0, 5.0, 2.0])
 
 
 def test_pool_identity_kernel_bit_exact(rng):
     x = rng.normal(size=(1, 3, 4, 5, 2)).astype(np.float32)
     for mode in ("max", "avg"):
-        out = pool3d(Tensor(x), (1, 1, 1), mode)
-        assert np.array_equal(out.data, x)
+        out, backward = pool3d(x, (1, 1, 1), mode, True)
+        assert out is x
+        g = rng.normal(size=x.shape)
+        assert backward(g) is g
 
 
 def test_avg_pool_constant_stays_constant():
-    x = vol(np.full((1, 2, 5, 4, 3), 3.25))
-    out = pool3d(x, (3, 3, 3), "avg")
+    out, _ = pool3d(np.full((1, 2, 5, 4, 3), 3.25), (3, 3, 3), "avg", False)
     # border windows are smaller but divide by the in-bounds count
-    assert np.allclose(out.data, 3.25)
+    assert np.allclose(out, 3.25)
 
 
 def test_max_pool_padding_never_wins():
-    x = vol(np.full((1, 1, 3, 3, 3), -7.0))
-    out = pool3d(x, (3, 3, 3), "max")
-    assert np.allclose(out.data, -7.0)
+    out, _ = pool3d(np.full((1, 1, 3, 3, 3), -7.0), (3, 3, 3), "max", False)
+    assert np.allclose(out, -7.0)
 
 
 def test_pool_even_kernel_rejected():
-    x = vol(np.zeros((1, 1, 4, 4, 4)))
+    x = np.zeros((1, 1, 4, 4, 4))
     with pytest.raises(ConfigError):
-        pool3d(x, (2, 1, 1), "max")
+        pool3d(x, (2, 1, 1), "max", False)
     with pytest.raises(ConfigError):
-        pool3d(x, (1, 4, 4), "avg")
+        pool3d(x, (1, 4, 4), "avg", False)
 
 
 @pytest.mark.parametrize("kernel", [(1, 1, 1), (3, 1, 1)])
 def test_pool_unknown_mode_rejected(kernel):
     # also where a (1, 1, 1) kernel makes pooling the identity
     with pytest.raises(ConfigError, match="pool mode"):
-        pool3d(vol(np.zeros((1, 1, 3, 3, 3))), kernel, "median")
+        pool3d(np.zeros((1, 1, 3, 3, 3)), kernel, "median", False)
 
 
 def test_pool_matches_loop_oracle(rng):
     x = rng.normal(size=(4, 3, 4, 3))
     for mode in ("max", "avg"):
         for kernel in ((3, 1, 1), (1, 3, 3), (3, 3, 3), (5, 1, 1), (1, 5, 5)):
-            got = pool3d(vol(x[None]), kernel, mode).data[0]
+            got = pool3d(x[None], kernel, mode, False)[0][0]
             assert np.allclose(got, pool3d_loops(x, kernel, mode), atol=1e-12), (mode, kernel)
 
 
 def test_max_pool_grad_routes_to_first_max():
     # two equal maxima in one window: the earlier scan position takes the grad
-    x = vol(np.array([2.0, 5.0, 5.0]).reshape(1, 1, 3, 1, 1))
-    out = pool3d(x, (3, 1, 1), "max")
-    inner(out, np.ones(out.shape)).backward()
-    assert np.array_equal(x.grad.reshape(3), [0.0, 3.0, 0.0])
+    out, backward = pool3d(np.array([2.0, 5.0, 5.0]).reshape(1, 1, 3, 1, 1), (3, 1, 1), "max", True)
+    assert np.array_equal(backward(np.ones(out.shape)).reshape(3), [0.0, 3.0, 0.0])
 
 
 @pytest.mark.parametrize("kernel", [(3, 1, 1), (1, 3, 3), (3, 3, 3), (5, 1, 1), (1, 5, 5)], ids=triple_id)
 def test_avg_pool_grad_matches_loop_oracle(rng, kernel):
-    x = vol(rng.normal(size=(2, 3, 4, 5, 3)))
-    out = pool3d(x, kernel, "avg")
+    x = rng.normal(size=(2, 3, 4, 5, 3))
+    out, backward = pool3d(x, kernel, "avg", True)
     upstream = rng.normal(size=out.shape)
-    inner(out, upstream).backward()
+    grad = backward(upstream)
+    assert grad.shape == x.shape and grad.dtype == np.float64
     for i in range(2):
-        np.testing.assert_allclose(x.grad[i], avg_pool_input_grad_loops(upstream[i], kernel), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad[i], avg_pool_input_grad_loops(upstream[i], kernel), rtol=0, atol=1e-12)
 
 
 def test_avg_pool_grad_uniform_over_window():
-    x = vol(np.zeros((1, 1, 1, 1, 3)))
-    out = pool3d(x, (1, 1, 3), "avg")
-    inner(out, np.ones(out.shape)).backward()
+    out, backward = pool3d(np.zeros((1, 1, 1, 1, 3)), (1, 1, 3), "avg", True)
     # cell 0 is in 2 windows (sizes 2 and 3), cell 1 in 3, cell 2 in 2
-    assert np.allclose(x.grad.reshape(3), [1 / 2 + 1 / 3, 1 / 2 + 1 / 3 + 1 / 2, 1 / 3 + 1 / 2])
+    assert np.allclose(backward(np.ones(out.shape)).reshape(3), [1 / 2 + 1 / 3, 1 / 2 + 1 / 3 + 1 / 2, 1 / 3 + 1 / 2])
 
 
 def test_pool_batched_matches_per_item(rng):
     x = rng.normal(size=(2, 3, 4, 3, 2))
-    batched = pool3d(vol(x), (1, 3, 3), "max").data
+    batched, _ = pool3d(x, (1, 3, 3), "max", False)
     for i in range(2):
-        single = pool3d(vol(x[i : i + 1]), (1, 3, 3), "max").data
+        single, _ = pool3d(x[i : i + 1], (1, 3, 3), "max", False)
         assert np.array_equal(batched[i], single[0])
 
 
 def test_conv_channel_mix_identity_and_sum(rng):
     x = rng.normal(size=(1, 2, 3, 2, 2))
-    ident = conv_channel_mix(vol(x), Tensor(np.eye(2))).data
+    ident = conv_channel_mix(x, np.eye(2))
     assert np.allclose(ident, x)
-    summed = conv_channel_mix(vol(x), Tensor(np.array([[1.0, 1.0]]))).data[0]
+    summed = conv_channel_mix(x, np.array([[1.0, 1.0]]))[0]
     assert np.allclose(summed[0], x[0, 0] + x[0, 1])
 
 
 def test_conv_channel_mix_matches_loop_oracle(rng):
     x = rng.normal(size=(4, 2, 3, 2))
     w = rng.normal(size=(3, 4))
-    got = conv_channel_mix(vol(x[None]), Tensor(w)).data[0]
+    got = conv_channel_mix(x[None], w)[0]
     assert np.allclose(got, channel_mix_loops(x, w), atol=1e-12)
 
 
 def test_conv_channel_mix_shape_error():
-    with pytest.raises(ShapeError):
-        conv_channel_mix(vol(np.zeros((1, 3, 1, 1, 1))), Tensor(np.zeros((2, 4))))
+    # the unit checks its mix weights once, in ffm_branch, before any step runs
+    params = {("temporal", "fine"): Tensor(np.zeros((2, 4, 1, 1, 1)))}
+    cfg = StrfConfig(branches=(("temporal", "fine"),))
+    with pytest.raises(ShapeError, match="branch weight dims"):
+        ffm_branch(vol(np.zeros((1, 4, 1, 1, 1))), "temporal", cfg, params)
 
 
 def test_conv3d_identity_kernel(rng):
@@ -193,7 +200,7 @@ def test_conv3d_asymmetric_kernels(rng):
 
 @pytest.mark.parametrize("op,extents", [
     (lambda x, e: conv3d(x, Tensor(np.zeros((1, 1, 1, 3, 3))), e), (1.9, 2, 2)),
-    (lambda x, e: pool3d(x, e, "avg"), (3.7, 1, 1)),
+    (lambda x, e: Tensor(pool3d(x.data, e, "avg", False)[0]), (3.7, 1, 1)),
     (lambda x, e: strided_max_pool3d(x, (1, 3, 3), e), (1, 2.5, 2)),
 ], ids=["conv3d_stride", "pool3d_kernel", "strided_max_pool3d_stride"])
 def test_fractional_extent_rejected(op, extents):
@@ -382,12 +389,11 @@ def test_strided_max_pool_padding_never_wins(rng):
 
 
 def test_max_pool_nan_window_yields_nan_and_routes_to_first_nan():
-    x = vol(np.array([1.0, np.nan, 3.0, np.nan, 0.0]).reshape(1, 1, 5, 1, 1))
-    out = pool3d(x, (3, 1, 1), "max")
+    x = np.array([1.0, np.nan, 3.0, np.nan, 0.0]).reshape(1, 1, 5, 1, 1)
+    out, backward = pool3d(x, (3, 1, 1), "max", True)
     # windows {pad, 1, nan}, {1, nan, 3}, {nan, 3, nan}, {3, nan, 0}, {nan, 0, pad}
-    assert np.all(np.isnan(out.data))
-    inner(out, np.ones(out.shape)).backward()
-    assert np.array_equal(x.grad.reshape(5), [0.0, 3.0, 0.0, 2.0, 0.0])
+    assert np.all(np.isnan(out))
+    assert np.array_equal(backward(np.ones(out.shape)).reshape(5), [0.0, 3.0, 0.0, 2.0, 0.0])
 
 
 def test_strided_max_pool_nan_routes_to_first_nan():
@@ -423,42 +429,57 @@ def max_pool_cases(draw):
     return x, kernel, stride, draw(st.integers(0, 2**31 - 1))
 
 
-def pool_max(x: Tensor, kernel, stride) -> Tensor:
-    return pool3d(x, kernel, "max") if stride == (1, 1, 1) else strided_max_pool3d(x, kernel, stride)
+def pool_max(x: np.ndarray, kernel, stride):
+    """Max pooling of ``x`` and its backward: the unit's array ``pool3d`` at
+    unit stride, the stem's taped ``strided_max_pool3d`` at any other."""
+    if stride == (1, 1, 1):
+        return pool3d(x, kernel, "max", True)
+    xt = Tensor(x, requires_grad=True)
+    out = strided_max_pool3d(xt, kernel, stride)
+
+    def backward(g: np.ndarray) -> np.ndarray:
+        inner(out, g).backward()
+        return xt.grad
+
+    return out.data, backward
 
 
 @settings(max_examples=60, deadline=None)
 @given(max_pool_cases())
 def test_property_max_pool_matches_oracle_values_bits_and_grads(case):
     x, kernel, stride, seed = case
-    xt = Tensor(x, requires_grad=True)
-    out = pool_max(xt, kernel, stride)
-    inner(out, np.ones(out.shape)).backward()
+    out, backward = pool_max(x, kernel, stride)
+    x_grad = backward(np.ones(out.shape, dtype=x.dtype))
     for i in range(x.shape[0]):
         values, grad = max_pool_loops(x[i], kernel, stride)
-        assert out.data[i].tobytes() == values.tobytes()  # -0.0 and 0.0 differ here
-        assert xt.grad.dtype == x.dtype
-        assert np.array_equal(xt.grad[i], grad)
+        assert out[i].tobytes() == values.tobytes()  # -0.0 and 0.0 differ here
+        assert x_grad.dtype == x.dtype
+        assert np.array_equal(x_grad[i], grad)
     # a distinct upstream gradient per output, so each winner must receive
     # its own output's share; a cell that wins three or more windows may sum
     # them in another order than the oracle
     s = np.random.Generator(np.random.PCG64(seed)).normal(size=out.shape)
-    xt = Tensor(x.astype(np.float64), requires_grad=True)
-    inner(pool_max(xt, kernel, stride), s).backward()
+    x_grad = pool_max(x.astype(np.float64), kernel, stride)[1](s)
     for i in range(x.shape[0]):
         _, grad = max_pool_loops(x[i].astype(np.float64), kernel, stride, s[i])
-        np.testing.assert_allclose(xt.grad[i], grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x_grad[i], grad, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kernel, stride", MAX_POOL_GEOMETRIES)
 def test_max_pool_unrecorded_forward_is_bit_identical_and_keeps_no_closure(rng, kernel, stride):
     x = rng.integers(-2, 3, size=(2, 3, 4, 6, 5)).astype(np.float32)
     x[x == 0] = np.where(rng.random(np.count_nonzero(x == 0)) < 0.5, -0.0, 0.0)
-    recorded = pool_max(Tensor(x, requires_grad=True), kernel, stride)
+    if stride == (1, 1, 1):
+        kept, backward = pool3d(x, kernel, "max", True)
+        plain, none = pool3d(x, kernel, "max", False)
+        assert backward is not None and none is None
+        assert plain.tobytes() == kept.tobytes()
+        return
+    recorded = strided_max_pool3d(Tensor(x, requires_grad=True), kernel, stride)
     assert recorded._grad_fn is not None
     with no_grad():
-        plain = pool_max(Tensor(x, requires_grad=True), kernel, stride)
-    constant = pool_max(Tensor(x), kernel, stride)
+        plain = strided_max_pool3d(Tensor(x, requires_grad=True), kernel, stride)
+    constant = strided_max_pool3d(Tensor(x), kernel, stride)
     for out in (plain, constant):
         assert out.data.tobytes() == recorded.data.tobytes()
         assert out._grad_fn is None and out._parents == () and not out.requires_grad
@@ -469,7 +490,7 @@ def test_max_pool_unrecorded_forward_is_bit_identical_and_keeps_no_closure(rng, 
 def test_property_pool_identity_kernel(seed, mode):
     g = np.random.Generator(np.random.PCG64(seed))
     x = g.normal(size=(1, 2, 3, 3, 2)).astype(np.float32)
-    assert np.array_equal(pool3d(Tensor(x), (1, 1, 1), mode).data, x)
+    assert pool3d(x, (1, 1, 1), mode, False)[0] is x
 
 
 @settings(max_examples=20, deadline=None)
@@ -479,5 +500,5 @@ def test_property_pool_matches_oracle(seed):
     x = g.normal(size=(2, 3, 3, 2))
     kernel = tuple(g.choice([1, 3], size=3))
     mode = ["max", "avg"][int(g.integers(0, 2))]
-    got = pool3d(vol(x[None]), kernel, mode).data[0]
+    got = pool3d(x[None], kernel, mode, False)[0][0]
     assert np.allclose(got, pool3d_loops(x, kernel, mode), atol=1e-12)
