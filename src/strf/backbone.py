@@ -16,8 +16,9 @@ entries: a pair its conv weight, then the unit's weights, then the batch
 norm's; a block its pairs in draw order; the network the stem's, every
 block's and the classifier's, which is what checkpoints store. Temporal extent
 is never strided; the last stage keeps spatial stride 1 so the final maps
-stay large. Features are the stage-4 output pooled over space then averaged
-over time, and the classifier is a plain linear map on those features.
+stay large. The head is two tape nodes: the features (``clip_features``) are
+the stage-4 output pooled over space then averaged over time, and the
+classifier (``LinearLayer``) is a plain linear map on those features.
 
 Every batch norm but the shortcut's also applies the epilogue that follows
 it: relu(bn(x)), or relu(bn(x) + skip) at the end of a block. Each is one
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import Tensor, fan_in_uniform, no_grad, records, transpose, matmul
+from .tensor import Tensor, fan_in_uniform, no_grad, records
 from .kernels import conv3d, strided_max_pool3d
 from .factorize import StrfConfig, init_strf_params, strf_forward
 
@@ -180,12 +181,36 @@ class ConvBn:
         return self.bn(y, training, skip)
 
 
+def clip_features(x: Tensor) -> Tensor:
+    """The head's features of a (batch, channels, time, height, width) map,
+    its mean over space and then over time, as one tape node whose backward
+    runs the float ops of the two means' backwards in the same order."""
+    t, space = x.shape[2], x.shape[3] * x.shape[4]
+
+    def grad_fn(g: np.ndarray) -> None:
+        x._accumulate(np.broadcast_to((g / t)[:, :, None, None, None], x.shape) / space, fresh=True)
+
+    return Tensor._make(x.data.mean(axis=(3, 4)).mean(axis=2), [x], grad_fn)
+
+
 class LinearLayer:
-    def __init__(self, in_features, out_features, rng, dtype):
-        self.weight = fan_in_uniform((out_features, in_features), rng, dtype)
+    """The classifier ``x @ weightᵀ`` as one tape node, for a weight of dims
+    (classes, features)."""
+
+    def __init__(self, weight: Tensor):
+        self.weight = weight
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, transpose(self.weight))
+        weight = self.weight
+
+        def grad_fn(g: np.ndarray) -> None:
+            if x.requires_grad:
+                x._accumulate(g @ weight.data, fresh=True)
+            if weight.requires_grad:
+                # a transposed view of a fresh product: _accumulate copies it
+                weight._accumulate((x.data.T @ g).T)
+
+        return Tensor._make(x.data @ weight.data.T, [x, weight], grad_fn)
 
 
 # -- blocks ------------------------------------------------------------------
@@ -358,7 +383,7 @@ class Network:
             ]
             for i, stage in enumerate(spec.stages, start=1)
         ]
-        self.classifier = LinearLayer(spec.feature_dim, spec.classes, rng, dtype)
+        self.classifier = LinearLayer(fan_in_uniform((spec.classes, spec.feature_dim), rng, dtype))
 
     # -- parameters -------------------------------------------------------
 
@@ -394,7 +419,7 @@ class Network:
         """Run clips (batch, 3, time, height, width) through every stage.
         Returns (features, logits)."""
         x = self.stage_output(clips, training, len(self.stages))
-        features = x.mean(axis=(3, 4)).mean(axis=2)
+        features = clip_features(x)
         logits = self.classifier(features)
         return features, logits
 

@@ -272,10 +272,13 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def with_overrides(cfg: RunConfig, **section_updates) -> RunConfig:
-    """Functional update helper: with_overrides(cfg, train={'lr': 1e-3})."""
+    """Functional update helper: with_overrides(cfg, train={'lr': 1e-3}).
+    The result passes ``validate_config``, as a parsed config does."""
     parts = {}
     for name, updates in section_updates.items():
         if name not in _SECTION_TYPES:
             raise ConfigError(f"unknown config section {name!r}")
         parts[name] = replace(getattr(cfg, name), **updates)
-    return replace(cfg, **parts)
+    updated = replace(cfg, **parts)
+    validate_config(updated)
+    return updated

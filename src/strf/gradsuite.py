@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, matmul
+from .tensor import Tensor
 from .kernels import conv3d, strided_max_pool3d
 from .gradcheck import grad_check
 from .factorize import StrfConfig, ffm_branch, init_strf_params, strf_forward
-from .backbone import BatchNorm3dLayer, BlockSpec, Network, build_block, resnet50_spec
+from .backbone import BatchNorm3dLayer, BlockSpec, LinearLayer, Network, build_block, clip_features, resnet50_spec
 from .losses import batch_hard_triplet, cross_entropy, pairwise_cosine_distances, total_loss
 
 TOLERANCE = 1e-6
@@ -35,9 +35,9 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     def check(name: str, f, x: np.ndarray, w=None) -> None:
         results.append((name, grad_check(f, x, eps, w)))
 
+    # the classifier x @ Wᵀ with W = bᵀ, a view, so x @ Wᵀ is x @ b
     a = _spread(rng, (3, 4))
-    b = Tensor(_spread(rng, (4, 2)))
-    check("matmul", lambda t: matmul(t, b), a)
+    check("classifier_input", LinearLayer(Tensor(_spread(rng, (4, 2)).T)), a)
     _fixed(rng, (3, 4))  # unused; drawn so the inputs drawn after it keep their values
 
     vol = _spread(rng, (1, 4, 3, 4, 3))
@@ -95,15 +95,16 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     bn_in = _spread(rng, (2, 3, 3, 4, 2))
     _fixed(rng, bn_in.shape)  # unused; drawn so the inputs drawn after it keep their values
     gamma, beta = 1.0 + _fixed(rng, 3) * 0.5, _fixed(rng, 3)
+    fixed_in, fixed_gamma, fixed_beta = Tensor(bn_in), Tensor(gamma), Tensor(beta)
 
     def bn_map(x, g, b, training):
-        bn.gamma, bn.beta = as_tensor(g), as_tensor(b)
-        return bn(as_tensor(x), training)
+        bn.gamma, bn.beta = g, b
+        return bn(x, training)
 
-    check("batch_norm_train_input", lambda t: bn_map(t, gamma, beta, True), bn_in)
-    check("batch_norm_train_gamma", lambda t: bn_map(bn_in, t, beta, True), gamma)
-    check("batch_norm_train_beta", lambda t: bn_map(bn_in, gamma, t, True), beta)
-    check("batch_norm_eval_input", lambda t: bn_map(t, gamma, beta, False), bn_in)
+    check("batch_norm_train_input", lambda t: bn_map(t, fixed_gamma, fixed_beta, True), bn_in)
+    check("batch_norm_train_gamma", lambda t: bn_map(fixed_in, t, fixed_beta, True), gamma)
+    check("batch_norm_train_beta", lambda t: bn_map(fixed_in, fixed_gamma, t, True), beta)
+    check("batch_norm_eval_input", lambda t: bn_map(t, fixed_gamma, fixed_beta, False), bn_in)
 
     # The fused epilogue relu(bn(x) + skip) in training mode, on the same input
     # and gamma/beta. The skip is a target pre-activation minus bn(x), with
@@ -114,14 +115,15 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     normed = (bn_in - mean) / np.sqrt(var + act.eps) * gamma[:, None, None, None] + beta[:, None, None, None]
     target = rng.uniform(0.1, 1.0, size=bn_in.shape) * rng.choice((-1.0, 1.0), size=bn_in.shape)
     skip = target - normed
+    fixed_skip = Tensor(skip)
 
     def act_map(x, s, g):
-        act.gamma, act.beta = as_tensor(g), as_tensor(beta)
-        return act(as_tensor(x), True, as_tensor(s))
+        act.gamma, act.beta = g, fixed_beta
+        return act(x, True, s)
 
-    check("bn_relu_skip_train_input", lambda t: act_map(t, skip, gamma), bn_in)
-    check("bn_relu_skip_train_skip", lambda t: act_map(bn_in, t, gamma), skip)
-    check("bn_relu_skip_train_gamma", lambda t: act_map(bn_in, skip, t), gamma)
+    check("bn_relu_skip_train_input", lambda t: act_map(t, fixed_skip, fixed_gamma), bn_in)
+    check("bn_relu_skip_train_skip", lambda t: act_map(fixed_in, t, fixed_gamma), skip)
+    check("bn_relu_skip_train_gamma", lambda t: act_map(fixed_in, fixed_skip, t), gamma)
 
     # The stem max-pool, whose stride-2 windows overlap; drawn last for the
     # same reason.
@@ -162,9 +164,9 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     # The whole training objective, total_loss over a tiny p3d-c+STRF Network
     # in training mode, at 200 sampled coordinates: 102 of the clips, all 8
     # of a stage-2 unit branch and 30 each of the stem conv, a stage-3 batch
-    # norm's gamma and the classifier. Each leaf is its drawn value with the
-    # sampled entries zeroed plus a fixed 0/1 selection product of t, so t
-    # lands exactly in the sampled positions. Drawn last for the same reason.
+    # norm's gamma and the classifier. Each leaf is its drawn value with its
+    # slice of t written at the sampled positions, by one placement node.
+    # Drawn last for the same reason.
     net = Network(resnet50_spec(5, width_div=16, blocks=(1, 1, 1, 1)), seed=11, dtype=np.float64)
     unit, norm = net.stages[1][0].conv_temporal, net.stages[2][0].conv3.bn
     branch = next(iter(unit.strf_params))
@@ -174,18 +176,25 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     slots, sampled, offset = [], [], 0
     for value, count in zip(drawn, counts):
         picked = rng.choice(value.size, size=count, replace=False)
-        base = value.copy().reshape(-1)
-        sampled.append(base[picked])
-        base[picked] = 0.0
-        selection = np.zeros((value.size, sum(counts)))
-        selection[picked, offset + np.arange(count)] = 1.0
-        slots.append((Tensor(base.reshape(value.shape)), Tensor(selection), value.shape))
+        sampled.append(value.reshape(-1)[picked])
+        slots.append((value, picked, slice(offset, offset + count)))
         offset += count
     step_labels = np.array([0, 0, 1, 1])
 
+    def place(t, value, picked, part):
+        """``value`` with t[part] written at the flat positions ``picked``."""
+        data = value.copy()
+        data.reshape(-1)[picked] = t.data[part]
+
+        def grad_fn(g):
+            d_t = np.zeros_like(t.data)
+            d_t[part] = g.reshape(-1)[picked]
+            t._accumulate(d_t, fresh=True)
+
+        return Tensor._make(data, [t], grad_fn)
+
     def network_map(t):
-        column = t.reshape((offset, 1))
-        leaves = [base + matmul(selection, column).reshape(shape) for base, selection, shape in slots]
+        leaves = [place(t, *slot) for slot in slots]
         clip, net.stem.weight, unit.strf_params[branch], norm.gamma, net.classifier.weight = leaves
         features, logits = net.forward(clip, training=True)
         return total_loss(logits, features, step_labels)[0]
@@ -209,6 +218,13 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     one_kind_params = init_strf_params(4, one_kind, rng, dtype=np.float64)
     one_kind_in = _spread(rng, (1, 4, 2, 3, 2))
     check("ffm_branch_one_kind_input", lambda t: ffm_branch(t, "spatial", one_kind, one_kind_params), one_kind_in)
+
+    # The network head: the classifier with respect to its weight, and the
+    # clip features (the mean over space, then over time) with respect to the
+    # map; drawn last for the same reason.
+    head_x = Tensor(_spread(rng, (3, 4)))
+    check("classifier_weight", lambda t: LinearLayer(t)(head_x), _spread(rng, (2, 4)))
+    check("clip_features_input", clip_features, _spread(rng, (2, 3, 4, 3, 2)))
 
     return results
 

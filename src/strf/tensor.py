@@ -4,12 +4,12 @@ Values are numpy arrays in single precision by default; double precision is
 supported everywhere and is mandatory for finite-difference gradient checks.
 Each operation that participates in differentiation records its parents and a
 closure that scatters the incoming gradient back to them; ``Tensor.backward``
-replays those closures in reverse topological order. The ops are ``add`` (of
-equal dims, no broadcasting), ``reshape``, ``transpose``, ``tensor_mean`` and
-``matmul``, with ``+`` and ``@`` as operators; the kernels, the unit, batch
-norm and the losses build their own nodes with ``Tensor._make``. The row
-softmax and its input gradient are array functions (``softmax_rows``,
-``softmax_rows_grad``) for the unit's node.
+replays those closures in reverse topological order. The one generic op is
+``add`` (of equal dims, no broadcasting), with ``+`` as its operator; the
+kernels, the unit, batch norm, the network head and the losses build their
+own closed-form nodes with ``Tensor._make``. The row softmax and its input
+gradient are array functions (``softmax_rows``, ``softmax_rows_grad``) for
+the unit's node.
 
 The replay consumes the graph: once a node's closure has run, the node drops
 the closure, its parents and its gradient, so the buffers a closure holds are
@@ -177,32 +177,13 @@ class Tensor:
                 if node is not self:
                     node.grad = None
 
-    # -- operator sugar ------------------------------------------------------
-
     def __add__(self, other):
         return add(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # method mirrors of the free functions, for fluent call sites
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
 def _consumed(g: np.ndarray) -> None:
     """Stands in for a closure that ``Tensor.backward`` has run and released."""
     raise ContractError("this node's graph was consumed by an earlier backward()")
-
-
-def as_tensor(value, dtype=None) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value, dtype=dtype)
 
 
 def fan_in_uniform(shape: tuple[int, ...], rng: np.random.Generator, dtype) -> Tensor:
@@ -227,74 +208,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(g)
 
     return Tensor._make(a.data + b.data, [a, b], grad_fn)
-
-
-# -- shape manipulation -----------------------------------------------------
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    out_data = a.data.reshape(shape)
-
-    def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g.reshape(a.data.shape))
-
-    return Tensor._make(out_data, [a], grad_fn)
-
-
-def transpose(a: Tensor, axes: Iterable[int] | None = None) -> Tensor:
-    axes_t = tuple(axes) if axes is not None else tuple(range(a.ndim))[::-1]
-    inverse = tuple(int(i) for i in np.argsort(axes_t))
-    out_data = a.data.transpose(axes_t)
-
-    def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g.transpose(inverse))
-
-    return Tensor._make(out_data, [a], grad_fn)
-
-
-def _restore_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g.reshape((1,) * len(shape)), shape)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(ax % len(shape) for ax in axes)
-    if not keepdims:
-        for ax in sorted(axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size / max(out_data.size, 1)
-
-    def grad_fn(g: np.ndarray) -> None:
-        spread = _restore_reduced(g, a.data.shape, axis, keepdims)
-        a._accumulate((spread / count).astype(a.data.dtype, copy=False), fresh=True)
-
-    return Tensor._make(out_data, [a], grad_fn)
-
-
-# -- linear algebra ----------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Accepts a pair of 2-d matrices or a pair of stacked
-    matrices with identical leading (batch) dimension."""
-    b = as_tensor(b)
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul expects two matrices or two stacked matrices, got dims {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2] or (a.ndim == 3 and a.shape[0] != b.shape[0]):
-        raise ShapeError(f"matmul operand dims do not align: {a.shape} vs {b.shape}")
-    out_data = a.data @ b.data
-
-    def grad_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g @ np.swapaxes(b.data, -1, -2), fresh=True)
-        if b.requires_grad:
-            b._accumulate(np.swapaxes(a.data, -1, -2) @ g, fresh=True)
-
-    return Tensor._make(out_data, [a, b], grad_fn)
 
 
 def softmax_rows(buf: np.ndarray) -> np.ndarray:

@@ -84,7 +84,7 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
         def use_augment(clip, clip_rng):
             return augment_clip(clip, clip_rng, t_cfg.flip_prob, t_cfg.erase_prob, fill)
 
-    opt = Adam([t for _, t in net.named_params()], lr=t_cfg.lr, weight_decay=t_cfg.weight_decay)
+    opt = Adam([t for _, t in net.named_params()], weight_decay=t_cfg.weight_decay)
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, LOG_NAME)
     ckpt_path = os.path.join(out_dir, CHECKPOINT_DIR)
@@ -120,7 +120,8 @@ def run_training(cfg: RunConfig, out_dir: str, manifest: str | None = None) -> d
             last = {"ce": values[0], "triplet": values[1], "total": values[2]}
             if step % t_cfg.log_every == 0 or step == total_steps:
                 log.write(f"{step},{values[0]:.6f},{values[1]:.6f},{values[2]:.6f}\n")
-            if t_cfg.checkpoint_every and step % (t_cfg.checkpoint_every * steps_per_epoch) == 0:
+            # the last step's checkpoint is the one written after the loop
+            if t_cfg.checkpoint_every and step < total_steps and step % (t_cfg.checkpoint_every * steps_per_epoch) == 0:
                 save_checkpoint(net, ckpt_path)
     save_checkpoint(net, ckpt_path)
     return {
@@ -142,8 +143,8 @@ def load_eval_network(cfg: RunConfig, checkpoint_dir: str, manifest_path: str | 
     ``manifest_path`` is unused: the benchmark's eval workload still passes a
     dataset manifest as the third argument."""
     dims = read_manifest(checkpoint_dir).get("classifier.w", (None, ()))[1]
-    if not dims:
-        raise DataError(f"{checkpoint_dir}: checkpoint has no classifier.w entry to size the classifier by")
+    if not dims or dims[0] < 1:
+        raise DataError(f"{checkpoint_dir}: checkpoint has no classifier.w rows to size the classifier by")
     net = build_train_network(cfg, classes=dims[0])
     load_checkpoint(net, checkpoint_dir)
     fold_batch_norm(net)

@@ -630,10 +630,10 @@ def test_attention_export_validates_stage_and_shape(rng):
 
 
 def test_toy_train_step_tape_nodes():
-    # the network makes 49 nodes: 19 conv, 19 batch norm, 1 max-pool, one per
-    # active dimension of its two units (4), and 6 for the p3d-c sums, the
-    # mean head and the classifier; the losses make 4: the cross-entropy, the
-    # distance matrix, the triplet's hinge and their sum
+    # the network makes 47 nodes: 19 conv, 19 batch norm, 1 max-pool, one per
+    # active dimension of its two units (4), and 4 for the two p3d-c sums, the
+    # features head and the classifier; the losses make 4: the cross-entropy,
+    # the distance matrix, the triplet's hinge and their sum
     net = Network(toy_spec(), seed=0)
     clips = Tensor(np.random.default_rng(0).normal(size=(4, 3, 4, 32, 16)).astype(np.float32))
     features, logits = net.forward(clips, training=True)
@@ -644,7 +644,7 @@ def test_toy_train_step_tape_nodes():
         if id(node) not in seen:
             seen[id(node)] = node
             stack.extend(node._parents)
-    assert sum(node._grad_fn is not None for node in seen.values()) == 49 + 4
+    assert sum(node._grad_fn is not None for node in seen.values()) == 47 + 4
 
 
 # -- the steps a tracer patches are the steps that run -------------------------

@@ -399,22 +399,54 @@ def test_non_finite_checkpoint_exits_three(pipeline, tmp_path, capsys, command):
     assert not os.path.exists(out)
 
 
-def test_checkpoint_without_classifier_exits_three(pipeline, tmp_path, capsys):
+def eval_with_classifier_line(pipeline, tmp_path, rewrite):
+    """Run ``strf eval`` on a copy of the pipeline's checkpoint whose
+    manifest line for ``classifier.w`` is ``rewrite(line)``, or gone when
+    that is None. Returns the exit code."""
     ckpt = str(tmp_path / "ckpt")
     shutil.copytree(pipeline["checkpoint"], ckpt)
     manifest = os.path.join(ckpt, "manifest.tsv")
     with open(manifest, encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.startswith("classifier.w\t")]
+        lines = [rewrite(line) if line.startswith("classifier.w\t") else line for line in fh]
     with open(manifest, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-    rc = dispatch([
+        fh.writelines(line for line in lines if line is not None)
+    return dispatch([
         "eval", "--config", pipeline["config"], "--checkpoint", ckpt,
         "--out", str(tmp_path / "e"), "--manifest", pipeline["manifest"],
     ])
-    assert rc == 3
+
+
+def test_checkpoint_without_classifier_exits_three(pipeline, tmp_path, capsys):
+    assert eval_with_classifier_line(pipeline, tmp_path, lambda line: None) == 3
     err = capsys.readouterr().err
     assert "data error" in err and "classifier.w" in err
     assert not os.path.exists(tmp_path / "e")
+
+
+def test_checkpoint_with_an_empty_classifier_exits_three(pipeline, tmp_path, capsys):
+    def no_rows(line):
+        name, kind, dims, rest = line.split("\t", 3)
+        return "\t".join((name, kind, "0x" + dims.split("x")[1], rest))
+
+    assert eval_with_classifier_line(pipeline, tmp_path, no_rows) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "classifier.w" in err
+    assert not os.path.exists(tmp_path / "e")
+
+
+def test_checkpoint_is_written_once_per_step(pipeline, tmp_path, monkeypatch):
+    # 2 epochs of 2 steps, a checkpoint every epoch: steps 2 and 4, and the
+    # end of the run writes step 4's
+    saved = []
+
+    def counting(net, path):
+        saved.append(net.classifier.weight.data.copy())
+        save_checkpoint(net, path)
+
+    monkeypatch.setattr(train, "save_checkpoint", counting)
+    cfg = with_overrides(parse_config(pipeline["config"]), train={"epochs": 2, "checkpoint_every": 1})
+    train.run_training(cfg, str(tmp_path / "run"), manifest=pipeline["manifest"])
+    assert len(saved) == 2 and not np.array_equal(saved[0], saved[1])
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "export-attn"])

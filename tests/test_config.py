@@ -223,3 +223,15 @@ def test_with_overrides():
     assert cfg.train.lr == 3e-4  # original untouched
     with pytest.raises(ConfigError):
         with_overrides(cfg, optimizer={"lr": 1.0})
+
+
+@pytest.mark.parametrize("section, updates, match", [
+    ("train", {"batch_p": 0}, "batch_p must be >= 1"),
+    ("train", {"lr_decay_factor": 0.0}, "lr_decay_factor must lie in"),
+    ("model", {"classes": 0}, "class count must be >= 1"),
+    ("eval", {"ranks": (1, 50)}, "ranks entry 50 exceeds max_rank 20"),
+])
+def test_with_overrides_applies_the_parse_rules(section, updates, match):
+    # an override that a config file could not hold is refused the same way
+    with pytest.raises(ConfigError, match=match):
+        with_overrides(RunConfig(), **{section: updates})

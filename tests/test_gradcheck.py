@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from strf.backbone import LinearLayer
 from strf.errors import ContractError, EvaluationError
 from strf.gradcheck import grad_check, inner
 from strf.gradsuite import TOLERANCE
-from strf.tensor import Tensor, matmul, softmax_rows, softmax_rows_grad
+from strf.tensor import Tensor, softmax_rows, softmax_rows_grad
 
 
 def test_linear_is_exact(rng):
@@ -14,7 +15,8 @@ def test_linear_is_exact(rng):
 
 def test_quadratic(rng):
     x = rng.uniform(-1, 1, size=(4, 4))
-    assert grad_check(lambda t: matmul(t, t), x) <= 1e-8
+    # the classifier node with its weight set to t: t @ tᵀ
+    assert grad_check(lambda t: LinearLayer(t)(t), x) <= 1e-8
 
 
 def test_softmax_mean(rng):
@@ -24,7 +26,7 @@ def test_softmax_mean(rng):
         return Tensor._make(out, [t], lambda g: t._accumulate(softmax_rows_grad(g, out), fresh=True))
 
     x = rng.normal(size=(3, 3))
-    assert grad_check(lambda t: softmax_node(t).mean(), x) <= 1e-6
+    assert grad_check(softmax_node, x, w=np.full((3, 3), 1 / 9)) <= 1e-6
     # the mean of a row-stochastic matrix is constant, so also weight each entry
     assert grad_check(softmax_node, x) <= 1e-6
 
@@ -47,7 +49,7 @@ def test_nonfinite_probe_raises():
 def test_detached_term_detected():
     # a function whose recorded graph misses half the true dependence
     def leaky(t):
-        return matmul(t, Tensor(t.data.T.copy()))
+        return LinearLayer(Tensor(t.data.copy()))(t)
 
     err = grad_check(leaky, np.array([[0.5, -0.75]]))
     assert err > 1e-2
@@ -55,7 +57,7 @@ def test_detached_term_detected():
 
 def test_custom_epsilon(rng):
     x = rng.uniform(0.5, 1.5, size=(3, 3))
-    assert grad_check(lambda t: matmul(matmul(t, t), t), x, eps=1e-4) <= 1e-6
+    assert grad_check(lambda t: LinearLayer(t)(LinearLayer(t)(t)), x, eps=1e-4) <= 1e-6
 
 
 def test_nan_tape_gradient_fails(rng):
@@ -68,13 +70,13 @@ def test_nan_tape_gradient_fails(rng):
 
 def test_inner_seeds_the_backward_walk_with_the_cotangent(rng):
     a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    b = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     w = rng.normal(size=(3, 4))
     with pytest.raises(ContractError):
-        inner(matmul(a, b), w.T)
-    inner(matmul(a, b), w).backward()
-    assert np.array_equal(a.grad, w @ b.data.T)
-    assert np.array_equal(b.grad, a.data.T @ w)
+        inner(LinearLayer(b)(a), w.T)
+    inner(LinearLayer(b)(a), w).backward()
+    assert np.array_equal(a.grad, w @ b.data)
+    assert np.array_equal(b.grad, (a.data.T @ w).T)
 
 
 @pytest.mark.parametrize("factor,passes", [(3.0, True), (6.0, False)])

@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 
 from strf.errors import ContractError, ShapeError
 from strf.gradcheck import inner
-from strf.backbone import BatchNorm3dLayer
-from strf.tensor import (
-    Tensor,
-    matmul,
-    no_grad,
-    softmax_rows,
-    softmax_rows_grad,
-    transpose,
-)
+from strf.backbone import BatchNorm3dLayer, LinearLayer, clip_features
+from strf.tensor import Tensor, no_grad, softmax_rows, softmax_rows_grad
 
 from oracles import matmul_loops, softmax_rows_loops
 
@@ -33,50 +26,40 @@ def test_add_values_and_dims():
         a + t([1.0, 2.0])
 
 
+# the tape's one matrix product is the classifier node x @ Wᵀ
+
+
 def test_matmul_matches_loop_oracle(rng):
     a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 2))
-    got = matmul(t(a), t(b)).data
-    assert np.allclose(got, matmul_loops(a, b), atol=1e-12)
+    w = rng.normal(size=(2, 4))
+    got = LinearLayer(t(w))(t(a)).data
+    assert np.allclose(got, matmul_loops(a, w.T), atol=1e-12)
 
 
 def test_matmul_identity_and_zero(rng):
     a = rng.normal(size=(2, 2))
-    assert np.allclose(matmul(t(np.eye(2)), t(a)).data, a)
-    assert np.array_equal(matmul(t(a), t(np.zeros((2, 2)))).data, np.zeros((2, 2)))
+    assert np.allclose(LinearLayer(t(np.eye(2)))(t(a)).data, a)
+    assert np.array_equal(LinearLayer(t(np.zeros((2, 2))))(t(a)).data, np.zeros((2, 2)))
 
 
 def test_matmul_frozen_example():
-    a = t([[1.0, 2.0], [3.0, 4.0]])
-    b = t([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(matmul(a, b).data, [[19, 22], [43, 50]])
-
-
-def test_matmul_shape_error_names_dims():
-    with pytest.raises(ShapeError) as err:
-        matmul(t(np.zeros((2, 3))), t(np.zeros((4, 5))))
-    assert "3" in str(err.value) and "4" in str(err.value)
-
-
-def test_matmul_batched_3d(rng):
-    a = rng.normal(size=(5, 3, 4))
-    b = rng.normal(size=(5, 4, 2))
-    got = matmul(t(a), t(b)).data
-    for i in range(5):
-        assert np.allclose(got[i], matmul_loops(a[i], b[i]), atol=1e-12)
+    x = t([[1.0, 2.0], [3.0, 4.0]])
+    w = t([[5.0, 7.0], [6.0, 8.0]])
+    assert np.array_equal(LinearLayer(w)(x).data, [[19, 22], [43, 50]])
 
 
 def test_scalar_product_rule():
     x = t([[3.0]])
     y = t([[5.0]])
-    matmul(x, y).backward()
+    LinearLayer(y)(x).backward()
     assert x.grad == 5.0 and y.grad == 3.0
 
 
 def test_mean_backward():
-    x = t(np.arange(6.0).reshape(2, 3))
-    x.mean().backward()
-    assert np.allclose(x.grad, np.full((2, 3), 1 / 6))
+    # the head's features: each cell of a (1, 1, 2, 3, 1) map gets 1/6
+    x = t(np.arange(6.0).reshape(1, 1, 2, 3, 1))
+    clip_features(x).backward()
+    assert np.allclose(x.grad, np.full(x.shape, 1 / 6))
 
 
 def test_relu_subgradient_zero_at_kink():
@@ -90,19 +73,12 @@ def test_relu_subgradient_zero_at_kink():
 
 def test_matmul_backward_closed_form(rng):
     a_val = rng.normal(size=(3, 4))
-    b_val = rng.normal(size=(4, 2))
-    a, b = t(a_val), t(b_val)
-    inner(matmul(a, b), np.ones((3, 2))).backward()
+    w_val = rng.normal(size=(2, 4))
+    a, w = t(a_val), t(w_val)
+    inner(LinearLayer(w)(a), np.ones((3, 2))).backward()
     ones = np.ones((3, 2))
-    assert np.allclose(a.grad, ones @ b_val.T)
-    assert np.allclose(b.grad, a_val.T @ ones)
-
-
-def test_transpose_reshape_roundtrip_grad(rng):
-    x = t(rng.normal(size=(2, 3, 4)))
-    y = x.transpose(2, 0, 1).reshape(4, 6)
-    inner(y, 2 * y.data).backward()
-    assert np.allclose(x.grad, 2 * x.data)
+    assert np.allclose(a.grad, ones @ w_val)
+    assert np.allclose(w.grad, ones.T @ a_val)
 
 
 def test_softmax_rows_uniform_and_closed_form():
@@ -151,7 +127,7 @@ def test_backward_requires_scalar():
 
 def test_grad_accumulates_across_uses():
     x = t([[2.0]])
-    y = matmul(x, x) + x
+    y = LinearLayer(x)(x) + x
     y.backward()
     assert np.isclose(x.grad, 5.0)
 
@@ -159,24 +135,25 @@ def test_grad_accumulates_across_uses():
 def test_first_gradient_is_a_private_copy(rng):
     # add hands one gradient array to both parents; a later contribution to
     # one leaf must not leak into the other through a shared buffer, whichever
-    # order the walk takes
-    w = rng.normal(size=(3, 2))
+    # order the walk takes. On the identity the classifier node is Wᵀ.
+    w = rng.normal(size=(3, 3))
+    eye = t(np.eye(3), grad=False)
     for view_first in (False, True):
-        a, b = t(rng.normal(size=(3, 2))), t(rng.normal(size=(3, 2)))
-        via_add, via_view = a + b, transpose(transpose(a))
+        a, b = t(rng.normal(size=(3, 3))), t(rng.normal(size=(3, 3)))
+        via_add, via_view = a + b, LinearLayer(a)(eye)
         inner(via_view + via_add if view_first else via_add + via_view, w).backward()
         assert np.array_equal(b.grad, w)
-        assert np.array_equal(a.grad, 2 * w)
-    # transpose hands its parent a view of its gradient; a second use adds onto the copy
+        assert np.array_equal(a.grad, w + w.T)
+    # the classifier hands its weight a transposed view; a second use adds onto the copy
     b = t(rng.normal(size=(2, 3)))
-    inner(transpose(b) + transpose(b), np.ones((3, 2))).backward()
+    inner(LinearLayer(b)(eye) + LinearLayer(b)(eye), np.ones((3, 2))).backward()
     assert np.array_equal(b.grad, np.full((2, 3), 2.0))
 
 
 def test_backward_releases_the_interior_of_the_graph(rng):
-    a, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=(4, 2)))
-    hidden = matmul(a, b)
-    loss = inner(transpose(transpose(hidden)) + hidden, rng.normal(size=(3, 2)))
+    a, b, c = t(rng.normal(size=(3, 4))), t(rng.normal(size=(2, 4))), t(rng.normal(size=(2, 2)))
+    hidden = LinearLayer(b)(a)
+    loss = inner(LinearLayer(c)(hidden) + hidden, rng.normal(size=(3, 2)))
     nodes, stack = {}, [loss]
     while stack:
         node = stack.pop()
@@ -184,34 +161,34 @@ def test_backward_releases_the_interior_of_the_graph(rng):
             nodes[id(node)] = node
             stack.extend(node._parents)
     interior = [node for node in nodes.values() if node._grad_fn is not None]
-    assert len(interior) == 5
-    assert {id(node) for node in nodes.values() if node._grad_fn is None} == {id(a), id(b)}
+    assert len(interior) == 4
+    assert {id(node) for node in nodes.values() if node._grad_fn is None} == {id(a), id(b), id(c)}
     closures = [weakref.ref(node._grad_fn) for node in interior]
     loss.backward()
     assert all(ref() is None for ref in closures)
     assert all(node._parents == () for node in interior)
     assert all(node.grad is None for node in interior if node is not loss)
     assert loss.grad == 1.0
-    assert a.grad.shape == (3, 4) and b.grad.shape == (4, 2)
+    assert a.grad.shape == (3, 4) and b.grad.shape == (2, 4) and c.grad.shape == (2, 2)
 
 
 def test_second_backward_through_a_consumed_graph_raises(rng):
     a = t(rng.normal(size=(3, 2)))
-    hidden = transpose(a)
-    loss = inner(hidden, np.ones((2, 3)))
+    hidden = a + a
+    loss = inner(hidden, np.ones((3, 2)))
     loss.backward()
     kept = a.grad.copy()
     with pytest.raises(ContractError):
         loss.backward()
     with pytest.raises(ContractError):
-        inner(hidden, np.ones((2, 3))).backward()
+        inner(hidden, np.ones((3, 2))).backward()
     assert np.array_equal(a.grad, kept)
     assert loss.grad == 1.0
 
 
 def test_float32_stays_float32():
     a = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-    out = matmul(a + a, a)
+    out = LinearLayer(a)(a + a)
     assert out.data.dtype == np.float32
     inner(out, np.ones((2, 2), dtype=np.float32)).backward()
     assert a.grad.dtype == np.float32
@@ -225,16 +202,6 @@ def test_property_softmax_rows_stochastic(seed):
     s = softmax_rows(x)
     assert np.all(s > 0)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-6)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_property_matmul_associative(seed):
-    g = np.random.Generator(np.random.PCG64(seed))
-    a, b, c = (Tensor(g.normal(size=(3, 3))) for _ in range(3))
-    left = matmul(matmul(a, b), c).data
-    right = matmul(a, matmul(b, c)).data
-    assert np.allclose(left, right, rtol=1e-5, atol=1e-8)
 
 
 def test_first_gradient_is_adopted_only_when_fresh_and_writable():
