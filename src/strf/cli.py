@@ -79,8 +79,11 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_params(args) -> int:
     report = params_report(parse_config(args.config))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            raise ConfigError(f"{args.out}: cannot write report ({exc.strerror})") from None
         print(f"wrote {args.out}")
     else:
         print(report, end="")

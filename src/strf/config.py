@@ -2,20 +2,36 @@
 
 Files hold ``key = value`` lines under ``[model]``, ``[train]``, ``[data]``
 and ``[eval]`` sections; ``#`` starts a comment. Unknown sections or keys are
-rejected with their line number, as are values that fail to parse (a float
-must be finite) and a key given twice in one section (also across a repeated
-``[section]`` header).
-Every key has a default, so the empty file is a valid configuration.
+rejected with their line number, as are values that fail to parse and a key
+given twice in one section (also across a repeated ``[section]`` header).
+Every key has a default, so the empty file is a valid configuration. Each
+section checks its rules whenever it is built, however that is done.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
+
+import numpy as np
 
 from .errors import ConfigError
 from .factorize import BRANCH_ORDER, StrfConfig
 from .backbone import NetworkSpec, resnet50_spec
-from .synthdata import SynthSpec
+from .synthdata import SynthSpec, normalization
+
+
+def _check_finite(section) -> None:
+    """Refuse NaN or inf in any field the parser reads as floats."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if f.type in ("float", "tuple[float, ...]") and not np.isfinite(value).all():
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
+def _check_at_least(bound: int, section, *names: str) -> None:
+    for name in names:
+        value = getattr(section, name)
+        if value < bound:
+            raise ConfigError(f"{name} must be >= {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +50,10 @@ class ModelConfig:
     reduction: int = 16
     temperature: float = 4.0
     branches: tuple[str, ...] = ("all",)
+
+    def __post_init__(self):
+        _check_finite(self)
+        network_spec_from(self)
 
 
 @dataclass(frozen=True)
@@ -56,6 +76,16 @@ class TrainConfig:
     checkpoint_every: int = 0
     log_every: int = 1
 
+    def __post_init__(self):
+        _check_finite(self)
+        _check_at_least(0, self, "lr", "weight_decay", "margin", "lr_decay_epochs", "steps_per_epoch",
+                        "max_steps", "checkpoint_every")
+        _check_at_least(1, self, "epochs", "batch_p", "batch_k", "clip_len", "clip_stride", "log_every")
+        if not 0.0 < self.lr_decay_factor <= 1.0:
+            raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
+        if not 0.0 <= self.flip_prob <= 1.0 or not 0.0 <= self.erase_prob <= 1.0:
+            raise ConfigError("flip_prob and erase_prob must lie in [0, 1]")
+
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -74,12 +104,27 @@ class DataConfig:
     synth_train_identities: int = -1
     synth_seed: int = 0
 
+    def __post_init__(self):
+        _check_finite(self)
+        normalization(self.norm_mean, self.norm_std)
+        synth_spec_from(self)
+
 
 @dataclass(frozen=True)
 class EvalConfig:
     max_rank: int = 20
     ranks: tuple[int, ...] = (1, 5, 10, 20)
     batch_size: int = 16
+
+    def __post_init__(self):
+        _check_finite(self)
+        _check_at_least(1, self, "max_rank", "batch_size")
+        for k in self.ranks:
+            if k < 1:
+                raise ConfigError(f"ranks entry must be >= 1, got {k}")
+        for k in self.ranks:
+            if k > self.max_rank:
+                raise ConfigError(f"ranks entry {k} exceeds max_rank {self.max_rank}")
 
 
 @dataclass(frozen=True)
@@ -88,13 +133,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DataConfig = field(default_factory=DataConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
 
 
 def _tuple_of(cast):
@@ -110,10 +148,10 @@ _SECTION_TYPES = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig
 # annotations are strings here (future import), so the schema keys are too
 _PARSERS = {
     "int": int,
-    "float": _finite_float,
+    "float": float,
     "str": str,
     "tuple[int, ...]": _tuple_of(int),
-    "tuple[float, ...]": _tuple_of(_finite_float),
+    "tuple[float, ...]": _tuple_of(float),
     "tuple[str, ...]": _tuple_of(str),
 }
 
@@ -154,9 +192,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             sections[current][key] = parser(value)
         except ValueError:
             raise ConfigError(f"{source}:{line_no}: cannot parse value {value!r} for {key!r}") from None
-    cfg = RunConfig(**{name: cls(**sections[name]) for name, cls in _SECTION_TYPES.items()})
-    validate_config(cfg)
-    return cfg
+    return RunConfig(**{name: cls(**sections[name]) for name, cls in _SECTION_TYPES.items()})
 
 
 def parse_config(path: str) -> RunConfig:
@@ -230,55 +266,11 @@ def synth_spec_from(data: DataConfig) -> SynthSpec:
     )
 
 
-def validate_config(cfg: RunConfig) -> None:
-    """Check the settings no spec owns, then build the network and synth
-    specs, which check the rest."""
-    train, ev = cfg.train, cfg.eval
-    for name, value in (
-        ("lr", train.lr),
-        ("weight_decay", train.weight_decay),
-        ("margin", train.margin),
-        ("lr_decay_epochs", train.lr_decay_epochs),
-        ("steps_per_epoch", train.steps_per_epoch),
-        ("max_steps", train.max_steps),
-        ("checkpoint_every", train.checkpoint_every),
-    ):
-        if value < 0:
-            raise ConfigError(f"{name} must be >= 0, got {value}")
-    for name, value in (
-        ("epochs", train.epochs),
-        ("batch_p", train.batch_p),
-        ("batch_k", train.batch_k),
-        ("clip_len", train.clip_len),
-        ("clip_stride", train.clip_stride),
-        ("log_every", train.log_every),
-        ("max_rank", ev.max_rank),
-        ("batch_size", ev.batch_size),
-        *(("ranks entry", k) for k in ev.ranks),
-    ):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-    for k in ev.ranks:
-        if k > ev.max_rank:
-            raise ConfigError(f"ranks entry {k} exceeds max_rank {ev.max_rank}")
-    if not 0.0 < train.lr_decay_factor <= 1.0:
-        raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {train.lr_decay_factor}")
-    if not 0.0 <= train.flip_prob <= 1.0 or not 0.0 <= train.erase_prob <= 1.0:
-        raise ConfigError("flip_prob and erase_prob must lie in [0, 1]")
-    if len(cfg.data.norm_mean) != 3 or len(cfg.data.norm_std) != 3:
-        raise ConfigError("norm_mean and norm_std must have 3 channel entries")
-    network_spec_from(cfg.model)
-    synth_spec_from(cfg.data)
-
-
 def with_overrides(cfg: RunConfig, **section_updates) -> RunConfig:
     """Functional update helper: with_overrides(cfg, train={'lr': 1e-3}).
-    The result passes ``validate_config``, as a parsed config does."""
-    parts = {}
-    for name, updates in section_updates.items():
+    Each updated section checks its rules, as a parsed one does."""
+    for name in section_updates:
         if name not in _SECTION_TYPES:
             raise ConfigError(f"unknown config section {name!r}")
-        parts[name] = replace(getattr(cfg, name), **updates)
-    updated = replace(cfg, **parts)
-    validate_config(updated)
-    return updated
+    return replace(cfg, **{name: replace(getattr(cfg, name), **updates)
+                           for name, updates in section_updates.items()})

@@ -306,10 +306,13 @@ def load_manifest(manifest_path: str) -> list[TrackletRecord]:
     return [TrackletRecord(d, tuple(paths), *labels) for d, (labels, paths) in groups.items()]
 
 
-def _normalization(mean, std) -> tuple[np.ndarray | None, np.ndarray | None]:
+def normalization(mean, std) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The per-channel mean and std as (1, 3, 1, 1) float32 arrays, each None
     where it changes nothing: subtracting a zero mean from, or dividing by a
-    unit std, values in [0, 1] leaves every bit as it was."""
+    unit std, values in [0, 1] leaves every bit as it was. Both need 3 entries,
+    and no std entry may be zero; ``[data]`` checks its norms here too."""
+    if len(mean) != 3 or len(std) != 3:
+        raise ConfigError("norm_mean and norm_std must have 3 channel entries")
     mean_arr = np.asarray(mean, dtype=np.float32).reshape(1, 3, 1, 1)
     std_arr = np.asarray(std, dtype=np.float32).reshape(1, 3, 1, 1)
     if np.any(std_arr == 0):
@@ -350,7 +353,7 @@ def load_tracklet(
 ) -> Tracklet:
     """Load one manifest record the way ``load_tracklets`` loads each of a split's."""
     root = os.path.dirname(os.path.abspath(manifest_path))
-    return _decode(manifest_path, root, record, *_normalization(mean, std))
+    return _decode(manifest_path, root, record, *normalization(mean, std))
 
 
 def load_tracklets(
@@ -366,7 +369,7 @@ def load_tracklets(
     from a single parse of the manifest. Tracklets are decoded one at a time
     in manifest order either way."""
     root = os.path.dirname(os.path.abspath(manifest_path))
-    mean_arr, std_arr = _normalization(mean, std)
+    mean_arr, std_arr = normalization(mean, std)
     names = (split,) if isinstance(split, str) else split
     loaded: dict[str, list[Tracklet]] = {name: [] for name in names}
     for record in load_manifest(manifest_path):

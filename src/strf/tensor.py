@@ -112,14 +112,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() needs a single-element tensor, got dims {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(dims={self.shape}, dtype={self.data.dtype.name}{flag})"

@@ -267,6 +267,14 @@ def test_params_overhead_is_the_units_own_weights(tmp_path, capsys):
 
 # -- failure modes -----------------------------------------------------------
 
+@pytest.mark.parametrize("where", ["missing/params.txt", "."])
+def test_params_out_that_cannot_be_written_exits_two(pipeline, tmp_path, capsys, where):
+    out = str(tmp_path / where)
+    assert dispatch(["params", "--config", pipeline["config"], "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{out}: cannot write report" in err
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert dispatch([]) == 2
     capsys.readouterr()
@@ -314,6 +322,7 @@ def test_malformed_config_exits_two(tmp_path, capsys):
         ("params", "synth_identities = 4", "synth_identities = 3"),
         ("train", "seed = 7", "seed = 7\nseed = 8"),
         ("params", "[eval]", "[model]\nwidth_div = 16\n\n[eval]"),
+        ("params", "synth_seed = 3", "synth_seed = 3\nnorm_std = 0, 1, 1"),
     ],
 )
 def test_out_of_range_setting_exits_two(pipeline, tmp_path, capsys, command, old, new):

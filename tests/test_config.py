@@ -1,10 +1,15 @@
+import math
+from dataclasses import fields, replace
+
 import pytest
 
 from strf.backbone import resnet50_spec
 from strf.config import (
     DataConfig,
+    EvalConfig,
     ModelConfig,
     RunConfig,
+    TrainConfig,
     branches_from_tokens,
     network_spec_from,
     parse_config,
@@ -112,6 +117,8 @@ def test_semantic_validation():
         parse_config_text("[train]\nflip_prob = 2\n")
     with pytest.raises(ConfigError, match="norm_mean"):
         parse_config_text("[data]\nnorm_mean = 0.5, 0.5\n")
+    with pytest.raises(ConfigError, match="std must be non-zero"):
+        parse_config_text("[data]\nnorm_std = 0, 1, 1\n")
     with pytest.raises(ConfigError, match="max_rank"):
         parse_config_text("[eval]\nmax_rank = 0\n")
 
@@ -147,12 +154,12 @@ def test_semantic_validation():
         ("[train]\nlr = 0.1\n[eval]\nmax_rank = 5\n[train]\nlr = 0.1\n",
          ":6: key 'lr' in \\[train\\] repeats line 2"),
         # a float must be finite, in a tuple too
-        ("[train]\nlr = nan\n", ":2: cannot parse value 'nan' for 'lr'"),
-        ("[train]\nweight_decay = inf\n", ":2: cannot parse value 'inf' for 'weight_decay'"),
-        ("[train]\nmargin = nan\n", ":2: cannot parse value 'nan' for 'margin'"),
-        ("[model]\ntemperature = inf\n", ":2: cannot parse value 'inf' for 'temperature'"),
-        ("[data]\nnorm_mean = inf, 0, 0\n", ":2: cannot parse value 'inf, 0, 0' for 'norm_mean'"),
-        ("[data]\nnorm_std = nan, 1, 1\n", ":2: cannot parse value 'nan, 1, 1' for 'norm_std'"),
+        ("[train]\nlr = nan\n", "lr must be finite, got nan"),
+        ("[train]\nweight_decay = inf\n", "weight_decay must be finite, got inf"),
+        ("[train]\nmargin = nan\n", "margin must be finite, got nan"),
+        ("[model]\ntemperature = inf\n", "temperature must be finite, got inf"),
+        ("[data]\nnorm_mean = inf, 0, 0\n", "norm_mean must be finite, got \\(inf, 0.0, 0.0\\)"),
+        ("[data]\nnorm_std = nan, 1, 1\n", "norm_std must be finite, got \\(nan, 1.0, 1.0\\)"),
     ],
 )
 def test_rejected_at_parse(text, match):
@@ -230,8 +237,37 @@ def test_with_overrides():
     ("train", {"lr_decay_factor": 0.0}, "lr_decay_factor must lie in"),
     ("model", {"classes": 0}, "class count must be >= 1"),
     ("eval", {"ranks": (1, 50)}, "ranks entry 50 exceeds max_rank 20"),
+    ("train", {"lr": math.nan}, "lr must be finite, got nan"),
+    ("train", {"margin": math.inf}, "margin must be finite, got inf"),
+    ("train", {"weight_decay": math.nan}, "weight_decay must be finite, got nan"),
+    ("model", {"temperature": math.inf}, "temperature must be finite, got inf"),
+    ("data", {"norm_mean": (math.inf, 0.0, 0.0)}, "norm_mean must be finite"),
 ])
 def test_with_overrides_applies_the_parse_rules(section, updates, match):
     # an override that a config file could not hold is refused the same way
     with pytest.raises(ConfigError, match=match):
         with_overrides(RunConfig(), **{section: updates})
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: TrainConfig(batch_p=0), "batch_p must be >= 1, got 0"),
+    (lambda: EvalConfig(ranks=(1, 50)), "ranks entry 50 exceeds max_rank 20"),
+    (lambda: DataConfig(norm_std=(0.0, 1.0, 1.0)), "std must be non-zero"),
+    (lambda: replace(ModelConfig(), classes=0), "class count must be >= 1"),
+], ids=["TrainConfig", "EvalConfig", "DataConfig", "replace-ModelConfig"])
+def test_a_section_built_directly_applies_the_parse_rules(build, match):
+    with pytest.raises(ConfigError, match=match):
+        build()
+
+
+def test_nan_in_any_float_field_is_refused():
+    # every field the parser reads as floats, so a float field added later is covered
+    refused = []
+    for section in (ModelConfig, TrainConfig, DataConfig, EvalConfig):
+        for f in fields(section):
+            if f.type in ("float", "tuple[float, ...]"):
+                value = math.nan if f.type == "float" else (math.nan, *f.default[1:])
+                with pytest.raises(ConfigError, match=f"{f.name} must be finite"):
+                    section(**{f.name: value})
+                refused.append(f.name)
+    assert {"temperature", "lr", "flip_prob", "norm_mean", "norm_std", "synth_occlusion"} <= set(refused)

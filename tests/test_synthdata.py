@@ -415,6 +415,11 @@ def test_load_tracklets_zero_std_rejected(tiny_dataset):
         load_tracklets(tiny_dataset.path, "train", std=(1.0, 0.0, 1.0))
 
 
+def test_load_tracklets_needs_three_channel_entries(tiny_dataset):
+    with pytest.raises(ConfigError, match="3 channel entries"):
+        load_tracklets(tiny_dataset.path, "train", mean=(0.0, 0.0))
+
+
 def test_load_tracklets_missing_frame_names_file(tmp_path, rng):
     root = str(tmp_path)
     os.makedirs(os.path.join(root, "train/x"))
