@@ -43,6 +43,8 @@ from .kernels import conv3d, strided_max_pool3d
 from .factorize import StrfConfig, init_strf_params, strf_forward
 
 BLOCK_VARIANTS = ("c2d", "i3d", "p3d-a", "p3d-b", "p3d-c")
+BN_MOMENTUM = 0.1  # weight of a training batch's statistics in the running ones
+BN_EPS = 1e-5  # added to the variance before its root
 
 
 # -- layers ------------------------------------------------------------------
@@ -62,18 +64,16 @@ class BatchNorm3dLayer:
     output buffer; only the shortcut's batch norm is built without the
     relu."""
 
-    def __init__(self, channels, dtype, momentum: float = 0.1, eps: float = 1e-5, relu: bool = False):
+    def __init__(self, channels, dtype, relu: bool = False):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
         self.relu = relu
 
     def __call__(self, x: Tensor, training: bool, skip: Tensor | None = None) -> Tensor:
         """One tape node in both modes: ``(x - mean) * scale + beta`` per
-        channel, with ``scale = gamma / sqrt(var + eps)``, then ``+ skip``,
+        channel, with ``scale = gamma / sqrt(var + BN_EPS)``, then ``+ skip``,
         then the relu in place. Training uses the batch statistics (biased
         variance) and updates the running ones; eval uses a copy of the
         running ones, so a later training call cannot change them under a
@@ -87,12 +87,12 @@ class BatchNorm3dLayer:
             mean = np.einsum("ncs->c", flat) / count
             out = flat - mean[:, None]
             var = np.einsum("ncs,ncs->c", out, out) / count
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
+            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+            self.running_var += BN_MOMENTUM * (var - self.running_var)
         else:
             mean, var = self.running_mean.copy(), self.running_var
             out = flat - mean[:, None]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         scale = self.gamma.data * inv_std
         out *= scale[:, None]
         out += self.beta.data[:, None]
@@ -438,7 +438,7 @@ def fold_batch_norm(net: Network) -> None:
         if pair.strf_params is not None:
             continue
         bn, dtype = pair.bn, pair.weight.dtype
-        scale = bn.gamma.data.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
+        scale = bn.gamma.data.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + BN_EPS)
         weight = pair.weight.data * scale[:, None, None, None, None]
         bias = (bn.beta.data - bn.running_mean * scale)[:, None, None, None]
         tiny = np.finfo(dtype).tiny

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Commands: gradcheck, params, synth, train, eval, export-attn. Process exit
-codes: 0 success, 2 configuration errors, 3 data errors, 4 numeric failures,
-1 anything else that the library flagged.
+codes: 0 success, 2 configuration errors (an unwritable ``--out`` too), 3
+data errors, 4 numeric failures, 1 anything else that the library flagged.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .config import parse_config, synth_spec_from
 from .gradsuite import TOLERANCE, run_suite, suite_passes
 from .netpbm import write_pgm
 from .synthdata import generate, load_manifest, load_tracklet
-from .train import dataset_manifest, load_eval_network, params_report, run_retrieval, run_training
+from .train import check_out_dir, dataset_manifest, load_eval_network, params_report, run_retrieval, run_training
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,11 +79,8 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_params(args) -> int:
     report = params_report(parse_config(args.config))
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report)
-        except OSError as exc:
-            raise ConfigError(f"{args.out}: cannot write report ({exc.strerror})") from None
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(report)
         print(f"wrote {args.out}")
     else:
         print(report, end="")
@@ -122,6 +119,7 @@ def _cmd_eval(args) -> int:
 def _cmd_export_attn(args) -> int:
     cfg = parse_config(args.config)
     manifest_path = dataset_manifest(cfg, args.manifest)
+    check_out_dir(args.out)
     records = load_manifest(manifest_path)
     matches = [r for r in records if args.tracklet in (r.directory, os.path.basename(r.directory))]
     if not matches:
@@ -169,6 +167,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --out that cannot be written
+        print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -26,8 +26,8 @@ before that apply: ``F (M_fine + M_coarse)`` equals ``F M_fine + F M_coarse``
 with one matrix product instead of two. Mask entries below the dtype's
 smallest normal number (``np.finfo(dtype).tiny``) are flushed to 0, because
 a product over subnormal entries runs up to 100x slower; a row still sums to
-1 within rounding. A taped node keeps each kind's mask, T and pool winners,
-and no other (sites x sites) buffer.
+1 within rounding. A taped node keeps each kind's mask, T and max-pool input
+(its backward's winners come from it), and no other (sites x sites) buffer.
 
 ``StrfConfig`` is the unit's one config and checks every setting once:
 ``fam_mask`` takes a branch's dimension, resolution, pool mode and
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, fan_in_uniform, records, softmax_rows, softmax_rows_grad
+from .tensor import Tensor, fan_in_uniform, softmax_rows, softmax_rows_grad
 from .kernels import POOL_MODES, check_batch, pool3d
 
 DIMENSIONS = ("temporal", "spatial")
@@ -143,8 +143,7 @@ def conv_channel_mix(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return np.matmul(weight, x.reshape(n, c, -1)).astype(x.dtype, copy=False).reshape((n, -1) + x.shape[2:])
 
 
-def fam_mask(x: np.ndarray, weight: np.ndarray, dimension: str, resolution: int, pool: str = "max",
-             temperature: float = 4.0, keep: bool = False):
+def fam_mask(x: np.ndarray, weight: np.ndarray, dimension: str, resolution: int, pool: str = "max", temperature: float = 4.0):
     """One branch's attention masks for the batch ``x`` (n, c, t, h, w):
     ``conv_channel_mix`` with the branch's (reduced_channels, c) ``weight``,
     ``pool3d`` with an odd ``resolution`` over a (r, 1, 1) kernel for the
@@ -153,22 +152,20 @@ def fam_mask(x: np.ndarray, weight: np.ndarray, dimension: str, resolution: int,
     ``softmax_rows((temperature * T)^t T)`` in the Gram's own buffer.
 
     Returns the masks, dims (n, sites, sites), whose rows are probability
-    vectors, and, when ``keep``, the branch's backward
+    vectors, and the branch's backward
     ``(d_mask, need_x, need_w) -> (d_x, d_w)``, with ``d_x`` of dims
     (n, c, t*h*w) or ``None`` when not needed, and likewise ``d_w``. The
-    backward holds the masks, T and the pool's winners, and ``x`` and
+    backward holds the masks, T, a max-pool's input, and ``x`` and
     ``weight``, which the caller holds anyway."""
     n = x.shape[0]
     reduced = conv_channel_mix(x, weight)
-    pooled, pool_backward = pool3d(reduced, _pool_kernel(dimension, resolution), pool, keep)
+    pooled, pool_backward = pool3d(reduced, _pool_kernel(dimension, resolution), pool)
     t_mat = pooled.reshape(n, -1, x.shape[3] * x.shape[4])
     # temperature * T^t as its own C-contiguous copy: numpy runs a product of
     # a buffer with its own transpose on a slower path than a plain GEMM, and
     # scaling T costs a pass over r*t x sites entries, not sites x sites
     scaled = np.multiply(t_mat.transpose(0, 2, 1), temperature, order="C")
     mask = softmax_rows(np.matmul(scaled, t_mat))
-    if not keep:
-        return mask, None
 
     def backward(d_mask: np.ndarray, need_x: bool, need_w: bool):
         d_gram = softmax_rows_grad(d_mask, mask)
@@ -201,8 +198,8 @@ def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: dict[tuple[st
     The backward, with F the flattened input and dY the output gradient:
     dM = F^t dY, shared by both kinds; then per kind the softmax, Gram, pool
     and channel-mix backward (``fam_mask``'s); and dF = dY (sum M)^t plus
-    the mixes' input gradients. Untaped, the masks are summed into the first
-    one's buffer and nothing is kept."""
+    the mixes' input gradients. Every call runs this same forward; the tape
+    keeps the masks and backwards only for a node it records."""
     _check_dimension(dimension)
     kinds = cfg.active_kinds(dimension)
     if not kinds:
@@ -210,17 +207,13 @@ def ffm_branch(f: Tensor, dimension: str, cfg: StrfConfig, params: dict[tuple[st
     weights = [params[(dimension, kind)] for kind in kinds]
     for weight in weights:
         _check_branch(f, weight)
-    keep = records([f, *weights])
     n, c, t, h, w = f.shape
     flat = f.data.reshape(n, c * t, h * w)
     masks, backwards = [], []
     for kind, weight in zip(kinds, weights):
         resolution, pool = (cfg.r_fine, cfg.pool_fine) if kind == "fine" else (cfg.r_coarse, cfg.pool_coarse)
-        mask, backward = fam_mask(f.data, weight.data, dimension, resolution, pool, cfg.temperature, keep)
-        if masks and not keep:
-            masks[0] += mask
-        else:
-            masks.append(mask)
+        mask, backward = fam_mask(f.data, weight.data, dimension, resolution, pool, cfg.temperature)
+        masks.append(mask)
         backwards.append(backward)
     out = ffm_apply(f.data, sum(masks[1:], masks[0]))
 

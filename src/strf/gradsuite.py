@@ -14,7 +14,7 @@ from .tensor import Tensor
 from .kernels import conv3d, strided_max_pool3d
 from .gradcheck import grad_check
 from .factorize import StrfConfig, ffm_branch, init_strf_params, strf_forward
-from .backbone import BatchNorm3dLayer, BlockSpec, LinearLayer, Network, build_block, clip_features, resnet50_spec
+from .backbone import BN_EPS, BatchNorm3dLayer, BlockSpec, LinearLayer, Network, build_block, clip_features, resnet50_spec
 from .losses import batch_hard_triplet, cross_entropy, pairwise_cosine_distances, total_loss
 
 TOLERANCE = 1e-6
@@ -112,7 +112,7 @@ def run_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     act = BatchNorm3dLayer(3, np.float64, relu=True)
     mean = bn_in.mean(axis=(0, 2, 3, 4), keepdims=True)
     var = bn_in.var(axis=(0, 2, 3, 4), keepdims=True)
-    normed = (bn_in - mean) / np.sqrt(var + act.eps) * gamma[:, None, None, None] + beta[:, None, None, None]
+    normed = (bn_in - mean) / np.sqrt(var + BN_EPS) * gamma[:, None, None, None] + beta[:, None, None, None]
     target = rng.uniform(0.1, 1.0, size=bn_in.shape) * rng.choice((-1.0, 1.0), size=bn_in.shape)
     skip = target - normed
     fixed_skip = Tensor(skip)

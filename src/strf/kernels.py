@@ -28,12 +28,12 @@ strided slice of the input. Avg-pool's backward is the box sum of the output
 gradient divided by the in-bounds counts.
 
 Max pooling is a running maximum over the kernel's taps, each a strided slice
-of the window view, so no window is copied. Only a pool whose backward is
-kept (a node the tape records, or a ``pool3d`` call asked to keep it) finds
-each window's winning cell (the first maximal tap in scan order) and keeps it
-as a flat offset into the padded grid; the backward adds the gradient at
-those offsets into a zero grid and crops it. Any other pool computes the
-maximum and nothing else.
+of the window view, so no window is copied; that is all its forward does. Its
+backward, which holds the input and the output, pads the input again and
+sweeps the taps against the output for each window's winning cell (the first
+maximal tap in scan order) as a flat offset into the padded grid, then adds
+the gradient at those offsets into a zero grid and crops it. Every pool
+returns its backward; the tape keeps it only for a node it records.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, records
+from .tensor import Tensor
 
 Triple = tuple[int, int, int]
 POOL_MODES = ("max", "avg")
@@ -112,11 +112,9 @@ def _lattice(counts, spacings) -> np.ndarray:
     return offsets
 
 
-def _pool(data: np.ndarray, kernel: Triple, mode: str, stride: Triple, keep: bool):
-    """Pool ``data`` (n, c, t, h, w). Returns the pooled array and, when
-    ``keep``, its backward: a function from an output gradient to a new input
-    gradient array (``None`` otherwise)."""
-    backward = None
+def _pool(data: np.ndarray, kernel: Triple, mode: str, stride: Triple):
+    """Pool ``data`` (n, c, t, h, w): the pooled array and its backward, a
+    function from an output gradient to a new input gradient array."""
     if mode == "max":
         win = _windows(data, kernel, stride, fill=-np.inf)
         taps = [(...,) + tap for tap in np.ndindex(*kernel)]
@@ -125,11 +123,13 @@ def _pool(data: np.ndarray, kernel: Triple, mode: str, stride: Triple, keep: boo
         out = win[taps[0]].copy()
         for tap in taps[1:]:
             np.maximum(win[tap], out, out=out)
-        if keep:
+
+        def backward(g: np.ndarray) -> np.ndarray:
             # each output's winning cell as a flat offset into the padded
             # grid: the first maximal tap in scan order, as argmax finds it.
             # Sweep the taps backwards so the earliest match is written last;
             # a window holding a NaN yields NaN, and its first NaN tap wins
+            win = _windows(data, kernel, stride, fill=-np.inf)
             grid_shape, crop = _same_grid(data.shape, kernel, stride)
             steps = [math.prod(grid_shape[axis + 1 :]) for axis in range(5)]  # the grid's element strides
             nan = np.isnan(out).any()
@@ -141,48 +141,44 @@ def _pool(data: np.ndarray, kernel: Triple, mode: str, stride: Triple, keep: boo
                 np.copyto(winner, offset, where=hit)
             # the tap's offset within its window plus the window's first cell
             winner += _lattice(out.shape, [s * e for s, e in zip((1, 1) + stride, steps)])
-
-            def backward(g: np.ndarray) -> np.ndarray:
-                grid = np.zeros(math.prod(grid_shape), dtype=g.dtype)
-                np.add.at(grid, winner.ravel(), g.ravel())
-                return grid.reshape(grid_shape)[crop]
+            grid = np.zeros(math.prod(grid_shape), dtype=g.dtype)
+            np.add.at(grid, winner.ravel(), g.ravel())
+            return grid.reshape(grid_shape)[crop]
 
     else:  # "avg"; the public entry points check the mode
         win = _windows(data, kernel, stride)
         ones = _windows(np.ones((1, 1) + data.shape[2:], dtype=data.dtype), kernel, stride)
         counts = ones.sum(axis=(-3, -2, -1))[0, 0]  # in-bounds elements per window
         out = win.sum(axis=(-3, -2, -1)) / counts
-        if keep:
 
-            def backward(g: np.ndarray) -> np.ndarray:
-                # stride 1 and odd extents: each cell takes the box sum of the
-                # gradient over the windows that hold it
-                return _windows(g / counts, kernel, (1, 1, 1)).sum(axis=(-3, -2, -1))
+        def backward(g: np.ndarray) -> np.ndarray:
+            # stride 1 and odd extents: each cell takes the box sum of the
+            # gradient over the windows that hold it
+            return _windows(g / counts, kernel, (1, 1, 1)).sum(axis=(-3, -2, -1))
 
     return out.astype(data.dtype, copy=False), backward
 
 
-def pool3d(data: np.ndarray, kernel, mode: str, keep: bool):
+def pool3d(data: np.ndarray, kernel, mode: str):
     """Same-size pooling of the array ``data`` with stride 1 along every axis.
 
-    Returns the pooled array and, when ``keep``, a function from an output
-    gradient to a new input gradient array (``None`` otherwise). Kernel
-    extents must be odd so the output grid aligns with the input grid. Max
-    pooling pads conceptually with negative infinity, so padding can never
-    win a window; its backward sends each output's gradient to the window's
-    first maximal tap in scan order (in a window holding a NaN, which yields
-    NaN, the first NaN). Average pooling divides by the in-bounds element
-    count only, and its backward is the box sum of the output gradient over
-    those counts. A kernel of (1, 1, 1) returns ``data`` itself, and its
-    backward returns the gradient it is given.
+    Returns the pooled array and its backward, from an output gradient to a
+    new input gradient array. Kernel extents must be odd so the output grid
+    aligns with the input grid. Max pooling pads conceptually with negative
+    infinity, so padding can never win a window; its backward sends each
+    output's gradient to the window's first maximal tap in scan order (in a
+    window holding a NaN, which yields NaN, the first NaN). Average pooling
+    divides by the in-bounds element count only, and its backward is the box
+    sum of the output gradient over those counts. A kernel of (1, 1, 1)
+    returns ``data`` itself, and a backward that returns its gradient.
     """
     kernel = _check_kernel(kernel, "pool kernel")
     if mode not in POOL_MODES:
         raise ConfigError(f"pool mode must be one of {POOL_MODES}, got {mode!r}")
     check_batch(data)
     if kernel == (1, 1, 1):
-        return data, (lambda g: g) if keep else None
-    return _pool(data, kernel, mode, (1, 1, 1), keep)
+        return data, lambda g: g
+    return _pool(data, kernel, mode, (1, 1, 1))
 
 
 def strided_max_pool3d(x: Tensor, kernel, stride) -> Tensor:
@@ -192,7 +188,7 @@ def strided_max_pool3d(x: Tensor, kernel, stride) -> Tensor:
     kernel = _check_triple(kernel, "pool kernel")
     stride = _check_triple(stride, "pool stride")
     check_batch(x)
-    out, backward = _pool(x.data, kernel, "max", stride, records([x]))
+    out, backward = _pool(x.data, kernel, "max", stride)
 
     def grad_fn(g: np.ndarray) -> None:
         x._accumulate(backward(g), fresh=True)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import datetime
+import errno
 import os
 
 import numpy as np
@@ -35,6 +36,12 @@ def dataset_manifest(cfg: RunConfig, manifest: str | None) -> str:
     if not path:
         raise ConfigError("no dataset manifest configured; set [data] manifest or pass --manifest")
     return path
+
+
+def check_out_dir(out_dir: str) -> None:
+    """Refuse, before any work, an output directory that names a file."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
 
 
 def _train_tracklets(cfg: RunConfig, manifest: str | None):
@@ -154,6 +161,7 @@ def load_eval_network(cfg: RunConfig, checkpoint_dir: str, manifest_path: str | 
 def run_retrieval(cfg: RunConfig, checkpoint_dir: str, out_dir: str, manifest: str | None = None) -> RetrievalResult:
     """Embed the query and gallery splits, rank, score, and write reports."""
     manifest_path = dataset_manifest(cfg, manifest)
+    check_out_dir(out_dir)
     query, gallery = load_tracklets(
         manifest_path, ("query", "gallery"), cfg.data.norm_mean, cfg.data.norm_std
     )

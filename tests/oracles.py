@@ -4,7 +4,8 @@ Everything here is written with explicit Python loops and no imports from the
 package under test, so a bug in the fast paths cannot hide in its own oracle.
 Slow on purpose; keep instances small. There are two exceptions.
 ``batch_norm_reference`` is batch norm in whole-array numpy, read off the
-attributes of the layer it is handed. ``im2col_windows`` is a frozen copy of
+attributes of the layer it is handed and the package's ``BN_MOMENTUM`` and
+``BN_EPS``. ``im2col_windows`` is a frozen copy of
 the column build the convs once used: a strided window view copied in column
 order.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from strf.backbone import BN_EPS, BN_MOMENTUM
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -383,16 +386,17 @@ def netpbm_tokens_loops(data: bytes, count: int, path: str) -> tuple[list[int], 
 
 def batch_norm_reference(bn, x: np.ndarray, training: bool):
     """Batch norm of ``x`` (n, c, t, h, w) in plain numpy from the attributes
-    of a batch-norm layer ``bn``, which it leaves alone: the batch mean and
-    biased variance in training, the running stats in eval. Returns the
-    output and the running mean and variance the call leaves behind."""
+    of a batch-norm layer ``bn``, which it leaves alone, and the package's
+    momentum and eps: the batch mean and biased variance in training, the
+    running stats in eval. Returns the output and the running mean and
+    variance the call leaves behind."""
     running_mean, running_var = bn.running_mean, bn.running_var
     if training:
         mean, var = x.mean(axis=(0, 2, 3, 4)), x.var(axis=(0, 2, 3, 4))
-        running_mean = running_mean + bn.momentum * (mean - running_mean)
-        running_var = running_var + bn.momentum * (var - running_var)
+        running_mean = running_mean + BN_MOMENTUM * (mean - running_mean)
+        running_var = running_var + BN_MOMENTUM * (var - running_var)
     else:
         mean, var = running_mean, running_var
     shape = (1, -1, 1, 1, 1)
-    normed = (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + bn.eps)
+    normed = (x - mean.reshape(shape)) / np.sqrt(var.reshape(shape) + BN_EPS)
     return normed * bn.gamma.data.reshape(shape) + bn.beta.data.reshape(shape), running_mean, running_var

@@ -128,7 +128,7 @@ def test_pooling_identity_cases(rng):
     for mode in ("max", "avg"):
         for _ in range(20):
             x = Tensor(rng.normal(size=(1,) + tuple(rng.integers(1, 5, size=4))))
-            out, _ = pool3d(x.data, (1, 1, 1), mode, False)
+            out, _ = pool3d(x.data, (1, 1, 1), mode)
             assert np.array_equal(out, x.data), mode  # bit-identical
 
     # resolution 1 makes the branch's pooling stage the exact identity: the

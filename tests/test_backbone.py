@@ -277,7 +277,7 @@ def bn_layer(rng, dtype, channels=3, relu=False):
 
 def twin(bn):
     """An independent layer in the same state as ``bn``."""
-    other = BatchNorm3dLayer(bn.gamma.size, bn.gamma.dtype, bn.momentum, bn.eps)
+    other = BatchNorm3dLayer(bn.gamma.size, bn.gamma.dtype)
     other.gamma.data[:], other.beta.data[:] = bn.gamma.data, bn.beta.data
     other.running_mean[:], other.running_var[:] = bn.running_mean, bn.running_var
     return other

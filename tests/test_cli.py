@@ -1,3 +1,4 @@
+import errno
 import os
 import shutil
 import subprocess
@@ -271,8 +272,30 @@ def test_params_overhead_is_the_units_own_weights(tmp_path, capsys):
 def test_params_out_that_cannot_be_written_exits_two(pipeline, tmp_path, capsys, where):
     out = str(tmp_path / where)
     assert dispatch(["params", "--config", pipeline["config"], "--out", out]) == 2
+    reason = {"missing/params.txt": errno.ENOENT, ".": errno.EISDIR}[where]
+    assert capsys.readouterr().err == f"config error: {out}: {os.strerror(reason)}\n"
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "export-attn"])
+def test_out_that_names_a_file_exits_two(pipeline, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.touch()
+    # eval and export-attn check --out before they read anything, so a
+    # manifest that does not exist is never reached
+    ghost = str(tmp_path / "ghost.tsv")
+    extra = {
+        "synth": [],
+        "train": ["--manifest", pipeline["manifest"]],
+        "eval": ["--checkpoint", pipeline["checkpoint"], "--manifest", ghost],
+        "export-attn": ["--checkpoint", pipeline["checkpoint"], "--manifest", ghost,
+                        "--tracklet", "query/id_0002/cam0_trk00", "--stage", "3"],
+    }[command]
+    assert dispatch([command, "--config", pipeline["config"], "--out", str(out), *extra]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and f"{out}: cannot write report" in err
+    # synth fails on the first tracklet directory under --out
+    reason = os.strerror(errno.ENOTDIR if command == "synth" else errno.EEXIST)
+    assert err.startswith(f"config error: {out}") and err.endswith(f": {reason}\n") and err.count("\n") == 1
+    assert out.is_file() and out.stat().st_size == 0
 
 
 def test_no_subcommand_is_usage_error(capsys):

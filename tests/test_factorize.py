@@ -42,8 +42,8 @@ def make_params(channels, cfg, seed=0):
     return init_strf_params(channels, cfg, np.random.Generator(np.random.PCG64(seed)))
 
 
-# The unit's steps are array functions: fam_mask returns the masks and, when
-# asked to keep it, the branch's backward; ffm_apply flattens each volume to
+# The unit's steps are array functions: fam_mask returns the masks and the
+# branch's backward; ffm_apply flattens each volume to
 # (c*t) x (h*w), right-multiplies by its mask and restores the layout.
 
 

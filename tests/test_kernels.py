@@ -37,8 +37,8 @@ UNIT_PARAMS = init_strf_params(4, UNIT, np.random.Generator(np.random.PCG64(0)),
 VOLUME_OPS = {
     "conv3d": lambda x: conv3d(x, Tensor(np.zeros((2, 4, 1, 3, 3)))),
     "conv_channel_mix": lambda x: conv3d(x, Tensor(np.zeros((2, 4, 1, 1, 1)))),
-    "pool3d": lambda x: pool3d(x.data, (3, 1, 1), "max", False)[0],
-    "pool3d_identity": lambda x: pool3d(x.data, (1, 1, 1), "avg", False)[0],
+    "pool3d": lambda x: pool3d(x.data, (3, 1, 1), "max")[0],
+    "pool3d_identity": lambda x: pool3d(x.data, (1, 1, 1), "avg")[0],
     "strided_max_pool3d": lambda x: strided_max_pool3d(x, (1, 3, 3), (1, 2, 2)),
     "fam_mask": lambda x: ffm_branch(x, "temporal", UNIT, UNIT_PARAMS),
     "strf_forward": lambda x: strf_forward(x, UNIT, UNIT_PARAMS),
@@ -53,69 +53,69 @@ def test_unbatched_volume_rejected(op):
     assert VOLUME_OPS[op](vol(np.zeros((1, 4, 2, 3, 2)))).ndim in (3, 5)
 
 
-# pool3d is the unit's pool step on arrays: it returns the pooled array and,
-# when asked to keep it, the backward its caller's tape node runs
+# pool3d is the unit's pool step on arrays: it returns the pooled array and
+# the backward its caller's tape node runs
 
 
 def test_max_pool_temporal_window_frozen():
     x = np.array([1.0, 5.0, 2.0, 0.0]).reshape(1, 1, 4, 1, 1)
-    out, _ = pool3d(x, (3, 1, 1), "max", False)
+    out, _ = pool3d(x, (3, 1, 1), "max")
     assert np.array_equal(out.reshape(4), [5.0, 5.0, 5.0, 2.0])
 
 
 def test_pool_identity_kernel_bit_exact(rng):
     x = rng.normal(size=(1, 3, 4, 5, 2)).astype(np.float32)
     for mode in ("max", "avg"):
-        out, backward = pool3d(x, (1, 1, 1), mode, True)
+        out, backward = pool3d(x, (1, 1, 1), mode)
         assert out is x
         g = rng.normal(size=x.shape)
         assert backward(g) is g
 
 
 def test_avg_pool_constant_stays_constant():
-    out, _ = pool3d(np.full((1, 2, 5, 4, 3), 3.25), (3, 3, 3), "avg", False)
+    out, _ = pool3d(np.full((1, 2, 5, 4, 3), 3.25), (3, 3, 3), "avg")
     # border windows are smaller but divide by the in-bounds count
     assert np.allclose(out, 3.25)
 
 
 def test_max_pool_padding_never_wins():
-    out, _ = pool3d(np.full((1, 1, 3, 3, 3), -7.0), (3, 3, 3), "max", False)
+    out, _ = pool3d(np.full((1, 1, 3, 3, 3), -7.0), (3, 3, 3), "max")
     assert np.allclose(out, -7.0)
 
 
 def test_pool_even_kernel_rejected():
     x = np.zeros((1, 1, 4, 4, 4))
     with pytest.raises(ConfigError):
-        pool3d(x, (2, 1, 1), "max", False)
+        pool3d(x, (2, 1, 1), "max")
     with pytest.raises(ConfigError):
-        pool3d(x, (1, 4, 4), "avg", False)
+        pool3d(x, (1, 4, 4), "avg")
 
 
 @pytest.mark.parametrize("kernel", [(1, 1, 1), (3, 1, 1)])
 def test_pool_unknown_mode_rejected(kernel):
     # also where a (1, 1, 1) kernel makes pooling the identity
     with pytest.raises(ConfigError, match="pool mode"):
-        pool3d(np.zeros((1, 1, 3, 3, 3)), kernel, "median", False)
+        pool3d(np.zeros((1, 1, 3, 3, 3)), kernel, "median")
 
 
 def test_pool_matches_loop_oracle(rng):
     x = rng.normal(size=(4, 3, 4, 3))
     for mode in ("max", "avg"):
         for kernel in ((3, 1, 1), (1, 3, 3), (3, 3, 3), (5, 1, 1), (1, 5, 5)):
-            got = pool3d(x[None], kernel, mode, False)[0][0]
+            got = pool3d(x[None], kernel, mode)[0][0]
             assert np.allclose(got, pool3d_loops(x, kernel, mode), atol=1e-12), (mode, kernel)
 
 
 def test_max_pool_grad_routes_to_first_max():
     # two equal maxima in one window: the earlier scan position takes the grad
-    out, backward = pool3d(np.array([2.0, 5.0, 5.0]).reshape(1, 1, 3, 1, 1), (3, 1, 1), "max", True)
+    out, backward = pool3d(np.array([2.0, 5.0, 5.0]).reshape(1, 1, 3, 1, 1), (3, 1, 1), "max")
     assert np.array_equal(backward(np.ones(out.shape)).reshape(3), [0.0, 3.0, 0.0])
 
 
 @pytest.mark.parametrize("kernel", [(3, 1, 1), (1, 3, 3), (3, 3, 3), (5, 1, 1), (1, 5, 5)], ids=triple_id)
 def test_avg_pool_grad_matches_loop_oracle(rng, kernel):
     x = rng.normal(size=(2, 3, 4, 5, 3))
-    out, backward = pool3d(x, kernel, "avg", True)
+    out, backward = pool3d(x, kernel, "avg")
     upstream = rng.normal(size=out.shape)
     grad = backward(upstream)
     assert grad.shape == x.shape and grad.dtype == np.float64
@@ -124,16 +124,16 @@ def test_avg_pool_grad_matches_loop_oracle(rng, kernel):
 
 
 def test_avg_pool_grad_uniform_over_window():
-    out, backward = pool3d(np.zeros((1, 1, 1, 1, 3)), (1, 1, 3), "avg", True)
+    out, backward = pool3d(np.zeros((1, 1, 1, 1, 3)), (1, 1, 3), "avg")
     # cell 0 is in 2 windows (sizes 2 and 3), cell 1 in 3, cell 2 in 2
     assert np.allclose(backward(np.ones(out.shape)).reshape(3), [1 / 2 + 1 / 3, 1 / 2 + 1 / 3 + 1 / 2, 1 / 3 + 1 / 2])
 
 
 def test_pool_batched_matches_per_item(rng):
     x = rng.normal(size=(2, 3, 4, 3, 2))
-    batched, _ = pool3d(x, (1, 3, 3), "max", False)
+    batched, _ = pool3d(x, (1, 3, 3), "max")
     for i in range(2):
-        single, _ = pool3d(x[i : i + 1], (1, 3, 3), "max", False)
+        single, _ = pool3d(x[i : i + 1], (1, 3, 3), "max")
         assert np.array_equal(batched[i], single[0])
 
 
@@ -200,7 +200,7 @@ def test_conv3d_asymmetric_kernels(rng):
 
 @pytest.mark.parametrize("op,extents", [
     (lambda x, e: conv3d(x, Tensor(np.zeros((1, 1, 1, 3, 3))), e), (1.9, 2, 2)),
-    (lambda x, e: Tensor(pool3d(x.data, e, "avg", False)[0]), (3.7, 1, 1)),
+    (lambda x, e: Tensor(pool3d(x.data, e, "avg")[0]), (3.7, 1, 1)),
     (lambda x, e: strided_max_pool3d(x, (1, 3, 3), e), (1, 2.5, 2)),
 ], ids=["conv3d_stride", "pool3d_kernel", "strided_max_pool3d_stride"])
 def test_fractional_extent_rejected(op, extents):
@@ -390,7 +390,7 @@ def test_strided_max_pool_padding_never_wins(rng):
 
 def test_max_pool_nan_window_yields_nan_and_routes_to_first_nan():
     x = np.array([1.0, np.nan, 3.0, np.nan, 0.0]).reshape(1, 1, 5, 1, 1)
-    out, backward = pool3d(x, (3, 1, 1), "max", True)
+    out, backward = pool3d(x, (3, 1, 1), "max")
     # windows {pad, 1, nan}, {1, nan, 3}, {nan, 3, nan}, {3, nan, 0}, {nan, 0, pad}
     assert np.all(np.isnan(out))
     assert np.array_equal(backward(np.ones(out.shape)).reshape(5), [0.0, 3.0, 0.0, 2.0, 0.0])
@@ -433,7 +433,7 @@ def pool_max(x: np.ndarray, kernel, stride):
     """Max pooling of ``x`` and its backward: the unit's array ``pool3d`` at
     unit stride, the stem's taped ``strided_max_pool3d`` at any other."""
     if stride == (1, 1, 1):
-        return pool3d(x, kernel, "max", True)
+        return pool3d(x, kernel, "max")
     xt = Tensor(x, requires_grad=True)
     out = strided_max_pool3d(xt, kernel, stride)
 
@@ -469,12 +469,6 @@ def test_property_max_pool_matches_oracle_values_bits_and_grads(case):
 def test_max_pool_unrecorded_forward_is_bit_identical_and_keeps_no_closure(rng, kernel, stride):
     x = rng.integers(-2, 3, size=(2, 3, 4, 6, 5)).astype(np.float32)
     x[x == 0] = np.where(rng.random(np.count_nonzero(x == 0)) < 0.5, -0.0, 0.0)
-    if stride == (1, 1, 1):
-        kept, backward = pool3d(x, kernel, "max", True)
-        plain, none = pool3d(x, kernel, "max", False)
-        assert backward is not None and none is None
-        assert plain.tobytes() == kept.tobytes()
-        return
     recorded = strided_max_pool3d(Tensor(x, requires_grad=True), kernel, stride)
     assert recorded._grad_fn is not None
     with no_grad():
@@ -485,12 +479,33 @@ def test_max_pool_unrecorded_forward_is_bit_identical_and_keeps_no_closure(rng, 
         assert out._grad_fn is None and out._parents == () and not out.requires_grad
 
 
+def test_recorded_max_pool_nodes_hold_no_integer_array(rng):
+    # a max-pool's backward finds its winners again from the input it holds,
+    # so a recorded node keeps float arrays only: the stem pool's node, and a
+    # two-kind dimension node whose coarse kind max-pools
+    x = vol(rng.normal(size=(2, 4, 3, 5, 4)))
+    for node in (strided_max_pool3d(x, (1, 3, 3), (1, 2, 2)), ffm_branch(x, "temporal", UNIT, UNIT_PARAMS)):
+        arrays, stack, seen = [], [node._grad_fn], set()
+        while stack:  # the closure cells, through nested closures and lists
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif isinstance(obj, (list, tuple)):
+                stack.extend(obj)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                stack.extend(cell.cell_contents for cell in obj.__closure__)
+        assert arrays and all(a.dtype.kind == "f" for a in arrays), [a.dtype for a in arrays]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.sampled_from(["max", "avg"]))
 def test_property_pool_identity_kernel(seed, mode):
     g = np.random.Generator(np.random.PCG64(seed))
     x = g.normal(size=(1, 2, 3, 3, 2)).astype(np.float32)
-    assert pool3d(x, (1, 1, 1), mode, False)[0] is x
+    assert pool3d(x, (1, 1, 1), mode)[0] is x
 
 
 @settings(max_examples=20, deadline=None)
@@ -500,5 +515,5 @@ def test_property_pool_matches_oracle(seed):
     x = g.normal(size=(2, 3, 3, 2))
     kernel = tuple(g.choice([1, 3], size=3))
     mode = ["max", "avg"][int(g.integers(0, 2))]
-    got = pool3d(x[None], kernel, mode, False)[0][0]
+    got = pool3d(x[None], kernel, mode)[0][0]
     assert np.allclose(got, pool3d_loops(x, kernel, mode), atol=1e-12)

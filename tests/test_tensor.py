@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from strf.errors import ContractError, ShapeError
 from strf.gradcheck import inner
-from strf.backbone import BatchNorm3dLayer, LinearLayer, clip_features
+from strf.backbone import BN_EPS, BatchNorm3dLayer, LinearLayer, clip_features
 from strf.tensor import Tensor, no_grad, softmax_rows, softmax_rows_grad
 
 from oracles import matmul_loops, softmax_rows_loops
@@ -63,12 +63,13 @@ def test_mean_backward():
 
 
 def test_relu_subgradient_zero_at_kink():
-    # every relu is a batch norm's epilogue; in eval with unit scale and no
-    # shift it is relu(x), whose backward reads its mask back from the output
-    bn = BatchNorm3dLayer(1, np.float64, eps=0.0, relu=True)
+    # every relu is a batch norm's epilogue; in eval with unit gamma, running
+    # variance 1 and no shift it is relu(x / sqrt(1 + eps)), whose backward
+    # reads its mask back from the output
+    bn = BatchNorm3dLayer(1, np.float64, relu=True)
     x = t(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 3, 1, 1))
     inner(bn(x, training=False), np.ones(x.shape)).backward()
-    assert np.array_equal(x.grad.ravel(), [0.0, 0.0, 1.0])
+    assert np.array_equal(x.grad.ravel(), [0.0, 0.0, 1.0 / np.sqrt(1.0 + BN_EPS)])
 
 
 def test_matmul_backward_closed_form(rng):
