@@ -22,7 +22,7 @@ classifier (``LinearLayer``) is a plain linear map on those features.
 
 Every batch norm but the shortcut's also applies the epilogue that follows
 it: relu(bn(x)), or relu(bn(x) + skip) at the end of a block. Each is one
-tape node with one output buffer, in training and in an unfolded eval.
+tape node with one output buffer; an eval node refuses a backward.
 
 A network loaded for retrieval is folded once (``fold_batch_norm``): every
 pair without a unit then runs its eval batch norm inside the conv, as the
@@ -75,11 +75,11 @@ class BatchNorm3dLayer:
         """One tape node in both modes: ``(x - mean) * scale + beta`` per
         channel, with ``scale = gamma / sqrt(var + BN_EPS)``, then ``+ skip``,
         then the relu in place. Training uses the batch statistics (biased
-        variance) and updates the running ones; eval uses a copy of the
-        running ones, so a later training call cannot change them under a
-        pending backward. The backward recovers the relu's mask from the
-        output (``out > 0``), so no pre-activation buffer is kept; a NaN
-        stays NaN through the relu."""
+        variance) and updates the running ones; its backward recovers the
+        relu's mask from the output (``out > 0``), so no pre-activation
+        buffer is kept; a NaN stays NaN through the relu. Eval uses the
+        running statistics, writes a new buffer and runs inference only: a
+        backward that reaches an eval node raises ``ContractError``."""
         n, c = x.shape[:2]
         flat = x.data.reshape(n, c, -1)
         count = flat.size // c
@@ -90,7 +90,7 @@ class BatchNorm3dLayer:
             self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
             self.running_var += BN_MOMENTUM * (var - self.running_var)
         else:
-            mean, var = self.running_mean.copy(), self.running_var
+            mean, var = self.running_mean, self.running_var
             out = flat - mean[:, None]
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         scale = self.gamma.data * inv_std
@@ -104,6 +104,8 @@ class BatchNorm3dLayer:
         gamma, beta, rectified = self.gamma, self.beta, self.relu
 
         def grad_fn(g: np.ndarray) -> None:
+            if not training:
+                raise ContractError("an eval batch norm runs inference only; its node has no backward")
             if rectified:
                 g = g * (out > 0)  # subgradient 0 exactly at the kink
             if skip is not None and skip.requires_grad:
@@ -114,16 +116,13 @@ class BatchNorm3dLayer:
             d_beta = np.einsum("ncs->c", g)
             d_gamma = np.einsum("ncs,ncs->c", g, x_hat)
             if x.requires_grad:
-                if training:
-                    # the batch mean and variance depend on x too:
-                    # dx = scale * (g - d_beta / M - x_hat * d_gamma / M), in x_hat's buffer
-                    dx = x_hat
-                    dx *= (-d_gamma / count)[:, None]
-                    dx += g
-                    dx -= (d_beta / count)[:, None]
-                    dx *= scale[:, None]
-                else:
-                    dx = g * scale[:, None]
+                # the batch mean and variance depend on x too:
+                # dx = scale * (g - d_beta / M - x_hat * d_gamma / M), in x_hat's buffer
+                dx = x_hat
+                dx *= (-d_gamma / count)[:, None]
+                dx += g
+                dx -= (d_beta / count)[:, None]
+                dx *= scale[:, None]
                 x._accumulate(dx.reshape(x.shape), fresh=True)
             if gamma.requires_grad:
                 gamma._accumulate(d_gamma, fresh=True)
@@ -447,12 +446,12 @@ def fold_batch_norm(net: Network) -> None:
         pair.folded = (Tensor(weight.astype(dtype)), bias.astype(dtype))
 
 
-def forward_features(net: Network, clips) -> np.ndarray:
-    """Inference-mode embedding extraction: no gradient tape, no batch-norm
-    statistics updates."""
+def forward_features(net: Network, clips: np.ndarray) -> np.ndarray:
+    """Inference-mode features of clips (batch, 3, time, height, width): no
+    gradient tape, no batch-norm statistics updates, no copy of the head's."""
     with no_grad():
-        features, _ = net.forward(clips if isinstance(clips, Tensor) else Tensor(clips), training=False)
-    return features.data.copy()
+        features, _ = net.forward(Tensor(clips), training=False)
+    return features.data
 
 
 def count_params(net: Network) -> tuple[list[tuple[str, tuple[int, ...], int]], int]:
@@ -476,12 +475,12 @@ def attention_energy_maps(activation: np.ndarray) -> np.ndarray:
     return maps
 
 
-def attention_export(net: Network, clip, stage: int) -> np.ndarray:
-    """Per-frame [0, 1] energy maps of one stage's output for a single clip
-    (3, time, height, width)."""
+def attention_export(net: Network, clip: np.ndarray, stage: int) -> np.ndarray:
+    """Per-frame [0, 1] energy maps of one stage's output, in inference mode,
+    for a single clip (3, time, height, width), an array taken as float32."""
     if stage not in (1, 2, 3, 4):
         raise ConfigError(f"stage must be 1..4, got {stage}")
-    arr = clip.data if isinstance(clip, Tensor) else np.asarray(clip, dtype=np.float32)
+    arr = np.asarray(clip, dtype=np.float32)
     if arr.ndim != 4 or arr.shape[0] != 3:
         raise ShapeError(f"expected one clip of dims (3, t, h, w), got {arr.shape}")
     with no_grad():

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Commands: gradcheck, params, synth, train, eval, export-attn. Process exit
-codes: 0 success, 2 configuration errors (an unwritable ``--out`` too), 3
-data errors, 4 numeric failures, 1 anything else that the library flagged.
+codes: 0 success, 2 configuration errors (an ``--out`` that cannot be made
+too), 3 data errors, 4 numeric failures, 1 anything else.
 """
 from __future__ import annotations
 
@@ -168,9 +168,14 @@ def dispatch(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # an --out that cannot be written
-        print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # exit 2 when the --out given, or a directory above it, cannot be made
+        if exc.filename is None:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        named, out = os.path.abspath(exc.filename), getattr(args, "out", None)
+        at_out = out is not None and os.path.commonpath([os.path.abspath(out), named]) == named
+        print(f"{'config error' if at_out else 'error'}: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2 if at_out else 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -237,6 +237,7 @@ def generate(spec: SynthSpec, root: str) -> DatasetManifest:
     with cameras assigned round-robin so every query has a cross-camera
     positive. Fully deterministic for a given spec.
     """
+    os.makedirs(root, exist_ok=True)
     factors = identity_factors(spec)
     records: list[TrackletRecord] = []
     lines: list[str] = []

@@ -56,26 +56,21 @@ def records(parents: Iterable["Tensor"]) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _coerce_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=dtype)
-    if arr.dtype not in FLOAT_DTYPES:
-        arr = arr.astype(np.float32)
-    return arr
-
-
 class Tensor:
     """A dense array plus an optional differentiation record.
 
-    ``data`` is always a numpy array of float32 or float64. ``grad`` starts as
-    ``None`` and is filled by ``backward``; it always matches ``data`` in shape
-    and dtype. Leaves are created with ``requires_grad=True``; interior nodes
-    inherit the flag from their parents.
+    ``data`` is always a numpy array of float32 or float64; input of any
+    other dtype is cast to float32. ``grad`` starts as ``None`` and is
+    filled by ``backward``; it always matches ``data`` in shape and dtype.
+    Leaves are created with ``requires_grad=True``; interior nodes inherit
+    the flag from their parents.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _coerce_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        data = np.asarray(data)
+        self.data = data if data.dtype in FLOAT_DTYPES else data.astype(np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()

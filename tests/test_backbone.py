@@ -135,7 +135,7 @@ def test_p3d_a_is_series(rng):
 def test_block_backward_runs(variant, strf, rng):
     block = build_block(block_spec(variant, strf=strf), seed=3)
     x = rand_input(rng)
-    out = block(x, False)
+    out = block(x, True)
     inner(out, np.ones(out.shape)).backward()
     assert x.grad is not None and np.isfinite(x.grad).all()
 
@@ -275,14 +275,6 @@ def bn_layer(rng, dtype, channels=3, relu=False):
     return bn
 
 
-def twin(bn):
-    """An independent layer in the same state as ``bn``."""
-    other = BatchNorm3dLayer(bn.gamma.size, bn.gamma.dtype)
-    other.gamma.data[:], other.beta.data[:] = bn.gamma.data, bn.beta.data
-    other.running_mean[:], other.running_var[:] = bn.running_mean, bn.running_var
-    return other
-
-
 def bn_grads(apply, bn, x_data, upstream):
     """Forward ``apply(bn, x)`` and backpropagate ``upstream``; return the
     output and the gradients of x, gamma and beta."""
@@ -325,7 +317,8 @@ def test_batch_norm_matches_composed_reference(training, rng):
     upstream = rng.normal(size=x.shape)
     want = batch_norm_reference(bn, x, training)[0]
     np.testing.assert_allclose(bn(Tensor(x), training).data, want, rtol=1e-10, atol=1e-12)
-    assert bn_gradient_error(lambda layer, t, s: layer(t, training), bn, x, upstream) <= BN_GRAD_TOLERANCE
+    if training:  # an eval node has no backward
+        assert bn_gradient_error(lambda layer, t, s: layer(t, True), bn, x, upstream) <= BN_GRAD_TOLERANCE
 
 
 def test_batch_norm_running_stats_match_reference(rng):
@@ -345,29 +338,24 @@ def test_batch_norm_float32_rerun_is_bit_identical(training):
         bn = bn_layer(rng, np.float32, channels=4)
         x = rng.normal(size=(3, 4, 2, 5, 3)).astype(np.float32)
         upstream = rng.normal(size=x.shape).astype(np.float32)
-        runs.append(bn_grads(lambda layer, t: layer(t, training), bn, x, upstream) + (bn.running_var.copy(),))
+        if training:
+            runs.append(bn_grads(lambda layer, t: layer(t, True), bn, x, upstream) + (bn.running_var.copy(),))
+        else:
+            runs.append((bn(Tensor(x), False).data, bn.running_var.copy()))
     for first, second in zip(*runs):
         assert first.dtype == np.float32
         assert np.array_equal(first, second)
 
 
-def test_batch_norm_eval_backward_uses_the_stats_its_forward_saw(rng):
-    bn = bn_layer(rng, np.float64)
-    ref = twin(bn)
-    x_data = rng.normal(size=(2, 3, 3, 4, 2))
-    upstream = rng.normal(size=x_data.shape)
-    x = Tensor(x_data.copy(), requires_grad=True)
-    out = bn(x, training=False)
-    # a training call in between moves the running stats in place
-    bn(Tensor(rng.normal(3.0, 4.0, size=x_data.shape)), training=True)
-    assert not np.allclose(bn.running_mean, ref.running_mean)
-    inner(out, upstream).backward()
-    # the twin keeps the stats the forward saw, and its eval gradients match
-    # central differences
-    want = bn_grads(lambda layer, t: layer(t, False), ref, x_data, upstream)
-    for name, got, expected in zip(("dx", "dgamma", "dbeta"), (x.grad, bn.gamma.grad, bn.beta.grad), want[1:]):
-        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12, err_msg=name)
-    assert bn_gradient_error(lambda layer, t, s: layer(t, False), ref, x_data, upstream) <= BN_GRAD_TOLERANCE
+def test_backward_through_an_eval_batch_norm_raises(rng):
+    # eval is inference only: the forward runs on the tape, the backward refuses
+    bn = bn_layer(rng, np.float64, relu=True)
+    x = Tensor(rng.normal(size=(2, 3, 3, 4, 2)), requires_grad=True)
+    out = bn(x, False, Tensor(rng.normal(size=x.shape), requires_grad=True))
+    assert out.requires_grad
+    with pytest.raises(ContractError, match="inference only"):
+        inner(out, np.ones(out.shape)).backward()
+    assert x.grad is None and bn.gamma.grad is None and bn.beta.grad is None
 
 
 def epilogue_grads(apply, bn, x_data, skip_data, upstream):
@@ -389,8 +377,9 @@ def test_fused_epilogue_matches_composed_reference(training, with_skip, rng):
     out = bn(Tensor(x), training, None if skip is None else Tensor(skip)).data
     assert (out == 0).any() and (out > 0).any()
     np.testing.assert_allclose(out, want, rtol=1e-10, atol=1e-12)
-    error = bn_gradient_error(lambda layer, t, s: layer(t, training, s), bn, x, upstream, skip)
-    assert error <= BN_GRAD_TOLERANCE
+    if training:  # an eval node has no backward
+        error = bn_gradient_error(lambda layer, t, s: layer(t, True, s), bn, x, upstream, skip)
+        assert error <= BN_GRAD_TOLERANCE
 
 
 @pytest.mark.parametrize("training", [True, False])
@@ -400,7 +389,10 @@ def test_fused_epilogue_float32_rerun_is_bit_identical(training):
         rng = np.random.Generator(np.random.PCG64(12))
         bn = bn_layer(rng, np.float32, channels=4, relu=True)
         x, skip, upstream = rng.normal(size=(3, 3, 4, 2, 5, 3)).astype(np.float32)
-        runs.append(epilogue_grads(lambda layer, t, s: layer(t, training, s), bn, x, skip, upstream))
+        if training:
+            runs.append(epilogue_grads(lambda layer, t, s: layer(t, True, s), bn, x, skip, upstream))
+        else:
+            runs.append((bn(Tensor(x), False, Tensor(skip)).data,))
     for first, second in zip(*runs):
         assert first.dtype == np.float32
         assert np.array_equal(first, second)

@@ -291,11 +291,21 @@ def test_out_that_names_a_file_exits_two(pipeline, tmp_path, capsys, command):
                         "--tracklet", "query/id_0002/cam0_trk00", "--stage", "3"],
     }[command]
     assert dispatch([command, "--config", pipeline["config"], "--out", str(out), *extra]) == 2
-    err = capsys.readouterr().err
-    # synth fails on the first tracklet directory under --out
-    reason = os.strerror(errno.ENOTDIR if command == "synth" else errno.EEXIST)
-    assert err.startswith(f"config error: {out}") and err.endswith(f": {reason}\n") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"config error: {out}: {os.strerror(errno.EEXIST)}\n"
     assert out.is_file() and out.stat().st_size == 0
+
+
+def test_a_failed_write_under_out_exits_one(pipeline, tmp_path, capsys, monkeypatch):
+    # --out itself was made; a full disk under it is not a configuration error
+    def full_disk(net, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.path.join(path, "weights.bin"))
+
+    monkeypatch.setattr(train, "save_checkpoint", full_disk)
+    out = tmp_path / "run"
+    assert dispatch(["train", "--config", pipeline["config"], "--out", str(out),
+                     "--manifest", pipeline["manifest"]]) == 1
+    named = os.path.join(out, train.CHECKPOINT_DIR, "weights.bin")
+    assert capsys.readouterr().err == f"error: {named}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_no_subcommand_is_usage_error(capsys):

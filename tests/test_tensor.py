@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from strf.errors import ContractError, ShapeError
 from strf.gradcheck import inner
-from strf.backbone import BN_EPS, BatchNorm3dLayer, LinearLayer, clip_features
+from strf.backbone import BatchNorm3dLayer, LinearLayer, clip_features
 from strf.tensor import Tensor, no_grad, softmax_rows, softmax_rows_grad
 
 from oracles import matmul_loops, softmax_rows_loops
@@ -63,13 +63,16 @@ def test_mean_backward():
 
 
 def test_relu_subgradient_zero_at_kink():
-    # every relu is a batch norm's epilogue; in eval with unit gamma, running
-    # variance 1 and no shift it is relu(x / sqrt(1 + eps)), whose backward
-    # reads its mask back from the output
+    # every relu is a batch norm's epilogue, whose backward reads its mask
+    # back from the output; in training with unit gamma and no shift, the
+    # batch mean of [-1, 0, 1] is 0, so the middle output sits exactly on
+    # the kink, and dβ counts only the cells the mask passes
     bn = BatchNorm3dLayer(1, np.float64, relu=True)
-    x = t(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 3, 1, 1))
-    inner(bn(x, training=False), np.ones(x.shape)).backward()
-    assert np.array_equal(x.grad.ravel(), [0.0, 0.0, 1.0 / np.sqrt(1.0 + BN_EPS)])
+    x = t(np.array([-1.0, 0.0, 1.0]).reshape(1, 1, 3, 1, 1))
+    out = bn(x, training=True)
+    assert np.array_equal(out.data.ravel() > 0, [False, False, True]) and out.data.ravel()[1] == 0.0
+    inner(out, np.ones(x.shape)).backward()
+    assert np.array_equal(bn.beta.grad, [1.0])
 
 
 def test_matmul_backward_closed_form(rng):
